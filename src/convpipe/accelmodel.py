@@ -2,6 +2,13 @@
 unroll + pipeline directives, cyclic-partition port checking, and per-pass
 cycle estimates under a shared multiplier/adder cap.
 
+The reference accelerator is two tables: ARRAYS gives each array's axes and
+storage class, and NESTS gives each loop nest as one row (pass, loops,
+unrolled loops, arrays read and written, ops per body). Nest specs, partitions
+and storage plans are derived from them. Each array dimension is partitioned
+by the default unroll of its axis over the nests touching the array; an
+fc_unroll override changes fc_forward's unroll but never the partitions.
+
 Nothing in this module reads or writes numeric weights or activations;
 it only analyses loop structure, so functional results can never depend
 on it.
@@ -23,8 +30,10 @@ Ragged edges (unroll not dividing the trip count) are padded: a partial
 tile reserves the same resources and cycles as a full one.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .dims import DEFAULT_DIMS
 
@@ -309,276 +318,154 @@ def cycles_to_seconds(cycles, budget: ResourceBudget):
 
 
 # ---------------------------------------------------------------------------
-# Default nest/partition/storage configuration for the reference model.
-#
-# Unroll/partition choices: the batch, feature and hidden dimensions are
-# unrolled and cyclically partitioned by 4; the class dimension is fully
-# unrolled and completely partitioned. Per-body op counts are coarse
-# (divide/sqrt/exp are billed to the multiplier class).
+# The reference accelerator as data. Axes: b = batch, p = pool_map, h =
+# hidden, c = classes. Unrolled b, p and h loops unroll by DEFAULT_UNROLL,
+# unrolled c loops fully. Op counts are coarse (divide/sqrt/exp are billed
+# to the multiplier class).
 # ---------------------------------------------------------------------------
 
-BATCH_UNROLL = 4
-HIDDEN_UNROLL = 4
+DEFAULT_UNROLL = 4
 
-# arrays whose second dimension is the class axis (completely partitioned)
-_CLASS_DIM_ARRAYS = {"W2", "h2", "outActual", "dZ", "gW2", "mW2", "vW2"}
+# array -> (axis of each dimension, storage class)
+ARRAYS = {
+    "W1": ("ph", "fast-uram"),
+    "W2": ("hc", "fast-uram"),
+    "h1": ("bh", "block-ram"),
+    "h2": ("bc", "block-ram"),
+    "v": ("bp", "interface-register"),
+    "outActual": ("bc", "interface-register"),
+    "dZ": ("bc", "block-ram"),
+    "dH1": ("bh", "block-ram"),
+    "gW1": ("ph", "block-ram"),
+    "gW2": ("hc", "block-ram"),
+    "mW1": ("ph", "block-ram"),
+    "vW1": ("ph", "block-ram"),
+    "mW2": ("hc", "block-ram"),
+    "vW2": ("hc", "block-ram"),
+}
 
 
-def _pipeline_level(unrolls):
-    # innermost loop left un-unrolled; if all are unrolled, the innermost
-    last_plain = [i for i, u in enumerate(unrolls) if u == 1]
-    return last_plain[-1] if last_plain else len(unrolls) - 1
+class NestRow(NamedTuple):
+    name: str
+    pass_: str      # "inference" | "training"
+    loops: str      # loop axes, outer to inner
+    unrolled: str   # the unrolled loops, outer to inner
+    reads: str      # arrays read, space-separated
+    writes: str     # arrays written, space-separated
+    mults: int      # per body
+    adds: int
 
 
+# One row per nest, in execution order; a training pass runs the inference
+# nests first. Op counts: softmax_loss bills exp + divide and two
+# accumulators, delta_out a 1/batch scale and a subtract; adam_moments two
+# decays, two blends and a square, adam_apply two corrections, sqrt, divide
+# and the learning-rate scale. delta_hidden reads h1 for the ReLU mask.
+NESTS = tuple(NestRow(*row) for row in (
+    # name              pass         loops unrolled reads     writes    mults adds
+    ("fc_forward",      "inference", "bhp", "bh", "v W1 h1",      "h1",      1, 1),
+    ("out_forward",     "inference", "bch", "bc", "h1 W2 h2",     "h2",      1, 1),
+    ("softmax_loss",    "inference", "bc",  "bc", "h2 outActual", "h2",      2, 2),
+    ("delta_out",       "training",  "bc",  "bc", "h2 outActual", "dZ",      1, 1),
+    ("grad_w2",         "training",  "hcb", "hc", "h1 dZ gW2",    "gW2",     1, 1),
+    ("delta_hidden",    "training",  "bhc", "bh", "dZ W2 h1 dH1", "dH1",     1, 1),
+    ("grad_w1",         "training",  "phb", "ph", "v dH1 gW1",    "gW1",     1, 1),
+    ("adam_moments_w2", "training",  "hc",  "hc", "gW2 mW2 vW2",  "mW2 vW2", 5, 2),
+    ("adam_apply_w2",   "training",  "hc",  "hc", "mW2 vW2 W2",   "W2",      5, 2),
+    ("adam_moments_w1", "training",  "ph",  "ph", "gW1 mW1 vW1",  "mW1 vW1", 5, 2),
+    ("adam_apply_w1",   "training",  "ph",  "ph", "mW1 vW1 W1",   "W1",      5, 2),
+))
+
+
+def _axis_sizes(dims):
+    return {"b": dims.batch, "p": dims.pool_map, "h": dims.hidden,
+            "c": dims.classes}
+
+
+def _default_unrolls(sizes):
+    return {a: sizes["c"] if a == "c" else DEFAULT_UNROLL for a in sizes}
+
+
+def _touched(row):
+    return set(row.reads.split()) | set(row.writes.split())
+
+
+def _pass_rows(mode):
+    if mode not in ("inference", "training"):
+        raise ValueError(f"mode must be inference or training, got {mode!r}")
+    return [r for r in NESTS if r.pass_ == "inference" or mode == "training"]
+
+
+def _nest_spec(row, sizes, unroll):
+    """LoopNestSpec of one table row; unroll maps each axis to its factor
+    where the row unrolls it. Each array dimension along an unrolled loop
+    gets one access per kind, touching offsets 0..factor-1."""
+    plain = [i for i, a in enumerate(row.loops) if a not in row.unrolled]
+    accesses = tuple(
+        ArrayAccess(name, tuple(sizes[a] for a in ARRAYS[name][0]), dim,
+                    tuple(range(unroll[axis])), kind)
+        for kind, names in (("read", row.reads), ("write", row.writes))
+        for name in names.split()
+        for dim, axis in enumerate(ARRAYS[name][0]) if axis in row.unrolled)
+    return LoopNestSpec(
+        name=row.name,
+        trip_counts=tuple(sizes[a] for a in row.loops),
+        unroll_factors=tuple(unroll[a] if a in row.unrolled else 1
+                             for a in row.loops),
+        pipelined_level=plain[-1] if plain else len(row.loops) - 1,
+        accesses=accesses,
+        mults_per_body=row.mults,
+        adds_per_body=row.adds,
+    )
+
+
+@functools.cache
+def _build_nests(mode, dims, fc_unroll):
+    sizes = _axis_sizes(dims)
+    defaults = _default_unrolls(sizes)
+    nests = []
+    for row in _pass_rows(mode):
+        unroll = defaults
+        if row.name == "fc_forward" and fc_unroll is not None:
+            unroll = {**defaults, **dict(zip(row.unrolled, fc_unroll, strict=True))}
+        nests.append(_nest_spec(row, sizes, unroll))
+    return tuple(nests)
+
+
+def pass_nests(mode, dims=DEFAULT_DIMS, fc_unroll=None):
+    """The LoopNestSpecs of one pass, in execution order. fc_unroll
+    overrides fc_forward's (batch, hidden) unroll; partitions stay at the
+    defaults, so an override can cause bank stalls."""
+    return _build_nests(mode, dims,
+                        None if fc_unroll is None else tuple(fc_unroll))
+
+
+@functools.cache
 def default_partitions(dims=DEFAULT_DIMS):
-    """Partition specs for every array the default nests touch."""
-    b, p, h, c = 4, 4, 4, dims.classes
+    """One partition per array dimension. Its factor is the axis's default
+    unroll when some nest touching the array unrolls that axis, else 1; a
+    class dimension split into every index is complete, the rest cyclic."""
+    sizes = _axis_sizes(dims)
+    defaults = _default_unrolls(sizes)
     specs = []
-
-    def cyc(name, *factors):
-        for d, f in enumerate(factors):
-            style = "complete" if name in _CLASS_DIM_ARRAYS and d == 1 \
-                and f == dims.classes else "cyclic"
-            specs.append(PartitionSpec(name, d, f, style))
-
-    cyc("v", b, p)
-    cyc("W1", p, h)
-    cyc("h1", b, h)
-    cyc("W2", h, c)
-    cyc("h2", b, c)
-    cyc("outActual", b, c)
-    cyc("dZ", b, c)
-    cyc("dH1", b, h)
-    cyc("gW1", p, h)
-    cyc("gW2", h, c)
-    cyc("mW1", p, h)
-    cyc("vW1", p, h)
-    cyc("mW2", h, c)
-    cyc("vW2", h, c)
-    return specs
-
-
-def _rw(name, dim_sizes, dim, unroll):
-    offs = tuple(range(unroll))
-    return (ArrayAccess(name, dim_sizes, dim, offs, "read"),
-            ArrayAccess(name, dim_sizes, dim, offs, "write"))
-
-
-def _rd(name, dim_sizes, dim, unroll):
-    return (ArrayAccess(name, dim_sizes, dim, tuple(range(unroll)), "read"),)
-
-
-def fc_forward_nest(dims=DEFAULT_DIMS, unroll=(BATCH_UNROLL, HIDDEN_UNROLL)):
-    """Hidden-layer matmul: batch x hidden x feature, MAC body."""
-    ub, uh = unroll
-    v_dims = (dims.batch, dims.pool_map)
-    w1_dims = (dims.pool_map, dims.hidden)
-    h1_dims = (dims.batch, dims.hidden)
-    unrolls = (ub, uh, 1)
-    return LoopNestSpec(
-        name="fc_forward",
-        trip_counts=(dims.batch, dims.hidden, dims.pool_map),
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd("v", v_dims, 0, ub),
-                  *_rd("W1", w1_dims, 1, uh),
-                  *_rw("h1", h1_dims, 0, ub),
-                  *_rw("h1", h1_dims, 1, uh)),
-        mults_per_body=1,
-        adds_per_body=1,
-    )
-
-
-def out_forward_nest(dims=DEFAULT_DIMS):
-    """Output-layer matmul: batch x class x hidden, MAC body; the class loop
-    is fully unrolled."""
-    ub, uc = BATCH_UNROLL, dims.classes
-    h1_dims = (dims.batch, dims.hidden)
-    w2_dims = (dims.hidden, dims.classes)
-    h2_dims = (dims.batch, dims.classes)
-    unrolls = (ub, uc, 1)
-    return LoopNestSpec(
-        name="out_forward",
-        trip_counts=(dims.batch, dims.classes, dims.hidden),
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd("h1", h1_dims, 0, ub),
-                  *_rd("W2", w2_dims, 1, uc),
-                  *_rw("h2", h2_dims, 0, ub),
-                  *_rw("h2", h2_dims, 1, uc)),
-        mults_per_body=1,
-        adds_per_body=1,
-    )
-
-
-def softmax_loss_nest(dims=DEFAULT_DIMS):
-    """Elementwise normalization + loss accumulation over the output block."""
-    ub, uc = BATCH_UNROLL, dims.classes
-    h2_dims = (dims.batch, dims.classes)
-    unrolls = (ub, uc)
-    return LoopNestSpec(
-        name="softmax_loss",
-        trip_counts=(dims.batch, dims.classes),
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rw("h2", h2_dims, 0, ub),
-                  *_rw("h2", h2_dims, 1, uc),
-                  *_rd("outActual", h2_dims, 0, ub),
-                  *_rd("outActual", h2_dims, 1, uc)),
-        mults_per_body=2,  # exp + normalize divide
-        adds_per_body=2,   # exponential-sum and loss accumulators
-    )
-
-
-def delta_out_nest(dims=DEFAULT_DIMS):
-    ub, uc = BATCH_UNROLL, dims.classes
-    d = (dims.batch, dims.classes)
-    unrolls = (ub, uc)
-    return LoopNestSpec(
-        name="delta_out",
-        trip_counts=(dims.batch, dims.classes),
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd("h2", d, 0, ub), *_rd("h2", d, 1, uc),
-                  *_rd("outActual", d, 0, ub), *_rd("outActual", d, 1, uc),
-                  ArrayAccess("dZ", d, 0, tuple(range(ub)), "write"),
-                  ArrayAccess("dZ", d, 1, tuple(range(uc)), "write")),
-        mults_per_body=1,  # scale by 1/batch
-        adds_per_body=1,   # subtract
-    )
-
-
-def grad_w2_nest(dims=DEFAULT_DIMS):
-    uh, uc = HIDDEN_UNROLL, dims.classes
-    h1_dims = (dims.batch, dims.hidden)
-    dz_dims = (dims.batch, dims.classes)
-    g_dims = (dims.hidden, dims.classes)
-    unrolls = (uh, uc, 1)
-    return LoopNestSpec(
-        name="grad_w2",
-        trip_counts=(dims.hidden, dims.classes, dims.batch),
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd("h1", h1_dims, 1, uh),
-                  *_rd("dZ", dz_dims, 1, uc),
-                  *_rw("gW2", g_dims, 0, uh),
-                  *_rw("gW2", g_dims, 1, uc)),
-        mults_per_body=1,
-        adds_per_body=1,
-    )
-
-
-def delta_hidden_nest(dims=DEFAULT_DIMS):
-    ub, uh = BATCH_UNROLL, HIDDEN_UNROLL
-    dz_dims = (dims.batch, dims.classes)
-    w2_dims = (dims.hidden, dims.classes)
-    dh_dims = (dims.batch, dims.hidden)
-    unrolls = (ub, uh, 1)
-    return LoopNestSpec(
-        name="delta_hidden",
-        trip_counts=(dims.batch, dims.hidden, dims.classes),
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd("dZ", dz_dims, 0, ub),
-                  *_rd("W2", w2_dims, 0, uh),
-                  *_rd("h1", dh_dims, 0, ub),  # activation mask
-                  *_rd("h1", dh_dims, 1, uh),
-                  *_rw("dH1", dh_dims, 0, ub),
-                  *_rw("dH1", dh_dims, 1, uh)),
-        mults_per_body=1,
-        adds_per_body=1,
-    )
-
-
-def grad_w1_nest(dims=DEFAULT_DIMS):
-    up, uh = 4, HIDDEN_UNROLL
-    v_dims = (dims.batch, dims.pool_map)
-    dh_dims = (dims.batch, dims.hidden)
-    g_dims = (dims.pool_map, dims.hidden)
-    unrolls = (up, uh, 1)
-    return LoopNestSpec(
-        name="grad_w1",
-        trip_counts=(dims.pool_map, dims.hidden, dims.batch),
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd("v", v_dims, 1, up),
-                  *_rd("dH1", dh_dims, 1, uh),
-                  *_rw("gW1", g_dims, 0, up),
-                  *_rw("gW1", g_dims, 1, uh)),
-        mults_per_body=1,
-        adds_per_body=1,
-    )
-
-
-def _adam_nests_for(layer, trips, unrolls, g, m, v, w, dims):
-    sizes = trips
-    moments = LoopNestSpec(
-        name=f"adam_moments_{layer}",
-        trip_counts=trips,
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd(g, sizes, 0, unrolls[0]), *_rd(g, sizes, 1, unrolls[1]),
-                  *_rw(m, sizes, 0, unrolls[0]), *_rw(m, sizes, 1, unrolls[1]),
-                  *_rw(v, sizes, 0, unrolls[0]), *_rw(v, sizes, 1, unrolls[1])),
-        mults_per_body=5,  # two decays, two blends, one square
-        adds_per_body=2,
-    )
-    apply_ = LoopNestSpec(
-        name=f"adam_apply_{layer}",
-        trip_counts=trips,
-        unroll_factors=unrolls,
-        pipelined_level=_pipeline_level(unrolls),
-        accesses=(*_rd(m, sizes, 0, unrolls[0]), *_rd(m, sizes, 1, unrolls[1]),
-                  *_rd(v, sizes, 0, unrolls[0]), *_rd(v, sizes, 1, unrolls[1]),
-                  *_rw(w, sizes, 0, unrolls[0]), *_rw(w, sizes, 1, unrolls[1])),
-        mults_per_body=5,  # two corrections, sqrt, divide, learning-rate scale
-        adds_per_body=2,
-    )
-    return [moments, apply_]
-
-
-def inference_nests(dims=DEFAULT_DIMS, fc_unroll=None):
-    fc = fc_forward_nest(dims) if fc_unroll is None \
-        else fc_forward_nest(dims, fc_unroll)
-    return [fc, out_forward_nest(dims), softmax_loss_nest(dims)]
-
-
-def training_nests(dims=DEFAULT_DIMS):
-    nests = [delta_out_nest(dims), grad_w2_nest(dims), delta_hidden_nest(dims),
-             grad_w1_nest(dims)]
-    nests += _adam_nests_for("w2", (dims.hidden, dims.classes),
-                             (HIDDEN_UNROLL, dims.classes),
-                             "gW2", "mW2", "vW2", "W2", dims)
-    nests += _adam_nests_for("w1", (dims.pool_map, dims.hidden),
-                             (4, HIDDEN_UNROLL),
-                             "gW1", "mW1", "vW1", "W1", dims)
-    return nests
+    for name, (axes, _) in ARRAYS.items():
+        for dim, axis in enumerate(axes):
+            unrolled = any(axis in r.unrolled and name in _touched(r) for r in NESTS)
+            factor = defaults[axis] if unrolled else 1
+            style = "complete" if axis == "c" and factor == sizes["c"] else "cyclic"
+            specs.append(PartitionSpec(name, dim, factor, style))
+    return tuple(specs)
 
 
 def default_storage_plan(dims=DEFAULT_DIMS, mode="training") -> StoragePlan:
-    """Storage classes: weights in the fast RAM tier, on-chip intermediates in
+    """A pass stores every array its nests touch, in the array table's
+    storage class: weights in the fast RAM tier, on-chip intermediates in
     block RAM, host-transferred blocks in interface registers."""
-    b, p, h, c = dims.batch, dims.pool_map, dims.hidden, dims.classes
-    entries = [
-        StorageAssignment("W1", "fast-uram", p * h),
-        StorageAssignment("W2", "fast-uram", h * c),
-        StorageAssignment("h1", "block-ram", b * h),
-        StorageAssignment("h2", "block-ram", b * c),
-        StorageAssignment("v", "interface-register", b * p),
-        StorageAssignment("outActual", "interface-register", b * c),
-    ]
-    if mode == "training":
-        entries += [
-            StorageAssignment("dZ", "block-ram", b * c),
-            StorageAssignment("dH1", "block-ram", b * h),
-            StorageAssignment("gW1", "block-ram", p * h),
-            StorageAssignment("gW2", "block-ram", h * c),
-            StorageAssignment("mW1", "block-ram", p * h),
-            StorageAssignment("vW1", "block-ram", p * h),
-            StorageAssignment("mW2", "block-ram", h * c),
-            StorageAssignment("vW2", "block-ram", h * c),
-        ]
-    return StoragePlan({e.array_name: e for e in entries})
+    sizes = _axis_sizes(dims)
+    touched = set().union(*map(_touched, _pass_rows(mode)))
+    return StoragePlan({
+        name: StorageAssignment(name, storage, math.prod(sizes[a] for a in axes))
+        for name, (axes, storage) in ARRAYS.items() if name in touched})
 
 
 @dataclass
@@ -592,9 +479,6 @@ class PassEstimate:
     peak_adders: int
     storage: StoragePlan
     storage_totals: dict
-
-    def seconds(self, budget: ResourceBudget):
-        return cycles_to_seconds(self.total_cycles, budget)
 
     def as_dict(self):
         return {
@@ -616,13 +500,9 @@ def estimate_pass(mode, budget: ResourceBudget, dims=DEFAULT_DIMS,
     Sums the constituent nest schedules plus the interface transfers for the
     feature block and label block in and the output block back out.
     """
-    if mode not in ("inference", "training"):
-        raise ValueError(f"mode must be inference or training, got {mode!r}")
-    nests = inference_nests(dims, fc_unroll)
-    if mode == "training":
-        nests += training_nests(dims)
     partitions = default_partitions(dims)
-    reports = [schedule(nest, partitions, budget) for nest in nests]
+    reports = [schedule(nest, partitions, budget)
+               for nest in pass_nests(mode, dims, fc_unroll)]
 
     words = f64_words(dims.batch * dims.pool_map)   # features in
     words += f64_words(dims.batch * dims.classes)   # labels in

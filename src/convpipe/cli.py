@@ -63,7 +63,6 @@ def build_run_config(args):
     if getattr(args, "synthetic", False):
         data_dir = None
 
-    dims = _dims_from_dict(file_cfg.get("dims", {}))
     adam_cfg = file_cfg.get("adam", {})
     hyper = AdamHyper(beta1=adam_cfg.get("beta1", 0.9),
                       beta2=adam_cfg.get("beta2", 0.999),
@@ -83,21 +82,17 @@ def build_run_config(args):
         clock_ns=pick_budget(args.clock_ns, "clock_ns", 10.0),
         interface_cycles_per_word=budget_cfg.get("interface_cycles_per_word", 2),
     )
-    batch_size = pick(getattr(args, "batch_size", None), "batch_size", 32)
-    if batch_size != dims.batch:
-        dims = ModelDims(batch=batch_size, image_x=dims.image_x,
-                         image_y=dims.image_y, kernel_x=dims.kernel_x,
-                         kernel_y=dims.kernel_y, hidden=dims.hidden,
-                         classes=dims.classes)
+    dims_cfg = file_cfg.get("dims", {})
+    batch = pick(getattr(args, "batch_size", None), "batch_size",
+                 dims_cfg.get("batch", 32))
     return RunConfig(
         data_dir=data_dir,
         synthetic_train=file_cfg.get("synthetic_train", 2048),
         synthetic_test=file_cfg.get("synthetic_test", 512),
         epochs=pick(getattr(args, "epochs", None), "epochs", 1),
-        batch_size=batch_size,
         seed=pick(args.seed, "seed", 0),
         mode=pick(getattr(args, "mode", None), "mode", PIPELINED),
-        dims=dims,
+        dims=_dims_from_dict({**dims_cfg, "batch": batch}),
         hyper=hyper,
         budget=budget,
         checkpoint_path=pick(getattr(args, "checkpoint", None),

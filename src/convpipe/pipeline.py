@@ -11,7 +11,7 @@ the accelerator side is modeled in cycles.
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import checkpoint as ckpt_mod
@@ -19,7 +19,7 @@ from .accelmodel import ResourceBudget, cycles_to_seconds, estimate_pass
 from .adam import AdamHyper
 from .dataio import load_idx_images, load_idx_labels, make_batches, synthetic_dataset
 from .dims import DEFAULT_DIMS, ModelDims
-from .hoststage import host_stage
+from .hoststage import SHARPEN_KERNEL, host_stage
 from .neuralcore import ModelState, accel_kernel, accuracy
 
 SEQUENTIAL = "sequential"
@@ -34,9 +34,6 @@ class StageLatency:
     index: int
     host_seconds: float
     accel_cycles: int
-
-    def host_cycles_equiv(self, budget: ResourceBudget):
-        return self.host_seconds / (budget.clock_ns * 1e-9)
 
 
 def sequential_seconds(host_times, accel_times):
@@ -177,13 +174,13 @@ def run_epoch(batches, state: ModelState, mode, is_training,
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; defaults reproduce the reference setup."""
+    """Everything a run needs; defaults reproduce the reference setup.
+    The batch size is dims.batch."""
 
     data_dir: str = None          # directory with IDX files; None -> synthetic
     synthetic_train: int = 2048   # used only when data_dir is None
     synthetic_test: int = 512
     epochs: int = 1
-    batch_size: int = 32
     seed: int = 0
     mode: str = PIPELINED
     dims: ModelDims = DEFAULT_DIMS
@@ -191,6 +188,17 @@ class RunConfig:
     budget: ResourceBudget = field(default_factory=ResourceBudget)
     checkpoint_path: str = None
     report_path: str = None
+
+    def __post_init__(self):
+        # the host stage always applies the fixed sharpening kernel
+        kernel = (self.dims.kernel_y, self.dims.kernel_x)
+        if kernel != SHARPEN_KERNEL.shape:
+            raise ValueError(f"kernel dims {kernel} do not match the host "
+                             f"stage's fixed {SHARPEN_KERNEL.shape} kernel")
+
+    @property
+    def batch_size(self):
+        return self.dims.batch
 
     def as_dict(self):
         return {
@@ -211,15 +219,8 @@ class RunConfig:
                 "hidden": self.dims.hidden,
                 "classes": self.dims.classes,
             },
-            "adam": {"beta1": self.hyper.beta1, "beta2": self.hyper.beta2,
-                     "eta": self.hyper.eta, "eps": self.hyper.eps},
-            "budget": {
-                "max_multipliers": self.budget.max_multipliers,
-                "max_adders": self.budget.max_adders,
-                "pipeline_depth": self.budget.pipeline_depth,
-                "clock_ns": self.budget.clock_ns,
-                "interface_cycles_per_word": self.budget.interface_cycles_per_word,
-            },
+            "adam": asdict(self.hyper),
+            "budget": asdict(self.budget),
             "checkpoint_path": self.checkpoint_path,
             "report_path": self.report_path,
         }

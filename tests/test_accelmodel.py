@@ -6,15 +6,15 @@ import pytest
 from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, PartitionSpec,
                                  ResourceBudget, check_port_conflicts,
                                  cyclic_bank, default_partitions, estimate_pass,
-                                 f64_words, fc_forward_nest, inference_nests,
-                                 model_transfer, out_forward_nest, schedule,
-                                 training_nests)
+                                 f64_words, model_transfer, pass_nests, schedule)
+from convpipe.dims import DEFAULT_DIMS, ModelDims
 
 from oracles import (count_transfer_cycles, enumerate_bank_conflicts,
                      make_random_nest, simulate_nest_cycles)
 
 BUDGET = ResourceBudget()
 UNBOUNDED = ResourceBudget(max_multipliers=10 ** 9, max_adders=10 ** 9)
+DEFAULT_NESTS = {n.name: n for n in pass_nests("training")}
 
 
 # -- cyclic_bank --------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_partition_sufficiency_for_stride1():
 # -- schedule -----------------------------------------------------------------
 
 def test_fc_nest_schedule_matches_frozen_value_and_oracle():
-    nest = fc_forward_nest()
+    nest = DEFAULT_NESTS["fc_forward"]
     parts = default_partitions()
     report = schedule(nest, parts, BUDGET)
     assert report.cycles == simulate_nest_cycles(nest, parts, BUDGET) == 45056
@@ -133,7 +133,7 @@ def test_fc_nest_schedule_matches_frozen_value_and_oracle():
 
 
 def test_out_nest_schedule_matches_frozen_value_and_oracle():
-    nest = out_forward_nest()
+    nest = DEFAULT_NESTS["out_forward"]
     parts = default_partitions()
     report = schedule(nest, parts, BUDGET)
     assert report.cycles == simulate_nest_cycles(nest, parts, BUDGET) == 2096
@@ -144,7 +144,7 @@ def test_out_nest_schedule_matches_frozen_value_and_oracle():
 
 
 def test_unrolled_out_nest_relaxes_with_more_multipliers():
-    nest = out_forward_nest()
+    nest = DEFAULT_NESTS["out_forward"]
     parts = default_partitions()
     report = schedule(nest, parts, ResourceBudget(max_multipliers=40,
                                                   max_adders=40))
@@ -263,21 +263,26 @@ def test_training_pass_costs_at_least_inference():
 def test_inference_pass_matches_oracle_sum():
     parts = default_partitions()
     expected = sum(simulate_nest_cycles(n, parts, BUDGET)
-                   for n in inference_nests())
+                   for n in pass_nests("inference"))
     expected += count_transfer_cycles(
         f64_words(32 * 169) + 2 * f64_words(32 * 10),
         BUDGET.interface_cycles_per_word)
     assert estimate_pass("inference", BUDGET).total_cycles == expected
 
 
-def test_training_pass_matches_oracle_sum():
-    parts = default_partitions()
-    nests = inference_nests() + training_nests()
+@pytest.mark.parametrize("dims", [
+    pytest.param(DEFAULT_DIMS, id="default"),
+    pytest.param(ModelDims(batch=8, hidden=16, classes=4), id="reduced"),
+])
+def test_training_pass_matches_oracle_sum(dims):
+    parts = default_partitions(dims)
+    nests = pass_nests("training", dims)
     expected = sum(simulate_nest_cycles(n, parts, BUDGET) for n in nests)
     expected += count_transfer_cycles(
-        f64_words(32 * 169) + 2 * f64_words(32 * 10),
+        f64_words(dims.batch * dims.pool_map)
+        + 2 * f64_words(dims.batch * dims.classes),
         BUDGET.interface_cycles_per_word)
-    assert estimate_pass("training", BUDGET).total_cycles == expected
+    assert estimate_pass("training", BUDGET, dims).total_cycles == expected
 
 
 def test_multiplier_peak_within_cap_at_defaults():
@@ -289,7 +294,7 @@ def test_multiplier_peak_within_cap_at_defaults():
 
 def test_default_nests_have_no_bank_conflicts():
     parts = default_partitions()
-    for nest in inference_nests() + training_nests():
+    for nest in DEFAULT_NESTS.values():
         report = check_port_conflicts(nest.accesses, parts)
         assert report.conflicts == [], nest.name
 
@@ -297,7 +302,7 @@ def test_default_nests_have_no_bank_conflicts():
 def test_storage_plan_covers_live_arrays():
     est = estimate_pass("training", BUDGET)
     assigned = set(est.storage.assignments)
-    for nest in inference_nests() + training_nests():
+    for nest in DEFAULT_NESTS.values():
         for acc in nest.accesses:
             assert acc.array_name in assigned, acc.array_name
     assert est.storage.assignments["W1"].storage_class == "fast-uram"
@@ -323,3 +328,37 @@ def test_fc_unroll_override_increases_cycles():
     base = estimate_pass("inference", BUDGET).total_cycles
     slow = estimate_pass("inference", BUDGET, fc_unroll=(1, 1)).total_cycles
     assert slow > base
+
+
+def test_default_partitions_pinned():
+    parts = [(p.array_name, p.dim, p.factor, p.style)
+             for p in default_partitions()]
+    assert parts == [
+        ("W1", 0, 4, "cyclic"), ("W1", 1, 4, "cyclic"),
+        ("W2", 0, 4, "cyclic"), ("W2", 1, 10, "complete"),
+        ("h1", 0, 4, "cyclic"), ("h1", 1, 4, "cyclic"),
+        ("h2", 0, 4, "cyclic"), ("h2", 1, 10, "complete"),
+        ("v", 0, 4, "cyclic"), ("v", 1, 4, "cyclic"),
+        ("outActual", 0, 4, "cyclic"), ("outActual", 1, 10, "complete"),
+        ("dZ", 0, 4, "cyclic"), ("dZ", 1, 10, "complete"),
+        ("dH1", 0, 4, "cyclic"), ("dH1", 1, 4, "cyclic"),
+        ("gW1", 0, 4, "cyclic"), ("gW1", 1, 4, "cyclic"),
+        ("gW2", 0, 4, "cyclic"), ("gW2", 1, 10, "complete"),
+        ("mW1", 0, 4, "cyclic"), ("mW1", 1, 4, "cyclic"),
+        ("vW1", 0, 4, "cyclic"), ("vW1", 1, 4, "cyclic"),
+        ("mW2", 0, 4, "cyclic"), ("mW2", 1, 10, "complete"),
+        ("vW2", 0, 4, "cyclic"), ("vW2", 1, 10, "complete"),
+    ]
+
+
+def test_fc_unroll_override_keeps_default_partitions():
+    # the 8x8 body spreads over 4-way banks: reads and writes stall
+    budget = ResourceBudget(max_multipliers=64, max_adders=64)
+    est = estimate_pass("inference", budget, fc_unroll=(8, 8))
+    fc = est.reports[0]
+    nest = pass_nests("inference", fc_unroll=(8, 8))[0]
+    assert fc.name == nest.name == "fc_forward"
+    assert fc.cycles == simulate_nest_cycles(nest, default_partitions(), budget) \
+        == 22016
+    assert fc.effective_ii == 2
+    assert len(fc.stall_events) == 24

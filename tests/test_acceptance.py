@@ -20,8 +20,7 @@ import pytest
 
 from convpipe.accelmodel import (ResourceBudget, check_port_conflicts,
                                  PartitionSpec, ArrayAccess,
-                                 default_partitions, fc_forward_nest,
-                                 out_forward_nest, schedule)
+                                 default_partitions, pass_nests, schedule)
 from convpipe.adam import AdamHyper, adam_update, correction_factors
 from convpipe.checkpoint import save_checkpoint
 from convpipe.dataio import ImageSet, LabelSet, make_batches, synthetic_dataset
@@ -183,14 +182,16 @@ def test_criterion_4_modes_produce_identical_checkpoints(tmp_path):
 def test_criterion_5_schedule_formula_vs_brute_force():
     parts = default_partitions()
     budget25 = ResourceBudget()
+    nests = {n.name: n for n in pass_nests("inference")}
 
-    fc = schedule(fc_forward_nest(), parts, budget25)
+    fc = schedule(nests["fc_forward"], parts, budget25)
     assert fc.effective_ii == 1 and fc.multipliers_demanded == 16
-    assert fc.cycles == simulate_nest_cycles(fc_forward_nest(), parts, budget25)
+    assert fc.cycles == simulate_nest_cycles(nests["fc_forward"], parts,
+                                             budget25)
 
-    out = schedule(out_forward_nest(), parts, budget25)
+    out = schedule(nests["out_forward"], parts, budget25)
     assert out.multipliers_demanded == 40 and out.effective_ii == 2
-    assert out.cycles == simulate_nest_cycles(out_forward_nest(), parts,
+    assert out.cycles == simulate_nest_cycles(nests["out_forward"], parts,
                                               budget25)
 
     rng = np.random.default_rng(5)

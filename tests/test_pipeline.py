@@ -5,6 +5,7 @@ import pytest
 
 from convpipe.accelmodel import ResourceBudget
 from convpipe.dataio import make_batches, synthetic_dataset
+from convpipe.dims import ModelDims
 from convpipe.neuralcore import ModelState
 from convpipe.pipeline import (PIPELINED, SEQUENTIAL, RunConfig, load_datasets,
                                run_epoch, run_training, sequential_seconds,
@@ -202,6 +203,23 @@ def test_run_training_saves_checkpoint(tmp_path):
 def test_load_datasets_synthetic_counts():
     train, test = load_datasets(_tiny_config())
     assert len(train) == 4 and len(test) == 2
+
+
+def test_batch_size_comes_from_dims():
+    cfg = _tiny_config(synthetic_train=64, synthetic_test=64,
+                       dims=ModelDims(batch=16))
+    assert cfg.batch_size == 16
+    train, test = load_datasets(cfg)
+    assert len(train) == len(test) == 4
+    assert all(b.out_actual.shape == (16, 10) for b in train + test)
+    report = run_training(cfg)
+    assert report.latency_model["per_batch_cycles_training"] == 82640
+    assert report.config["batch_size"] == 16
+
+
+def test_kernel_dims_must_match_host_kernel():
+    with pytest.raises(ValueError, match="kernel"):
+        RunConfig(dims=ModelDims(kernel_x=5, kernel_y=5))
 
 
 def test_load_datasets_missing_dir():
