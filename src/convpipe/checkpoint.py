@@ -14,6 +14,7 @@ The named section carries mW1, vW1, mW2, vW2 so training can resume
 exactly. Round-trips are bit-exact.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -26,7 +27,13 @@ VERSION = 1
 
 
 class CheckpointError(ValueError):
-    pass
+    """A checkpoint that cannot be used, with the byte offset of the field
+    that failed."""
+
+    def __init__(self, path, offset, message):
+        super().__init__(f"{path}: byte {offset}: {message}")
+        self.path = path
+        self.offset = offset
 
 
 def _write_array(f, a):
@@ -34,19 +41,26 @@ def _write_array(f, a):
     f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _read_bytes(f, n, path, what):
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if n > left:  # checked first: a corrupt size must not allocate n bytes
+        raise CheckpointError(path, offset, f"truncated {what}: "
+                                            f"{n} bytes needed, {left} left")
+    return f.read(n)
+
+
 def _read_struct(f, fmt, path, what):
-    size = struct.calcsize(fmt)
-    data = f.read(size)
-    if len(data) != size:
-        raise CheckpointError(f"{path}: truncated while reading {what}")
-    return struct.unpack(fmt, data)
+    return struct.unpack(fmt, _read_bytes(f, struct.calcsize(fmt), path, what))
 
 
-def _read_array(f, path):
-    rows, cols = _read_struct(f, "<II", path, "array header")
-    data = f.read(rows * cols * 8)
-    if len(data) != rows * cols * 8:
-        raise CheckpointError(f"{path}: truncated array data ({rows}x{cols})")
+def _read_array(f, path, name, expected_shape=None):
+    offset = f.tell()
+    rows, cols = _read_struct(f, "<II", path, f"{name} header")
+    if expected_shape is not None and (rows, cols) != expected_shape:
+        raise CheckpointError(path, offset, f"{name} is {rows}x{cols}, expected "
+                                            f"{expected_shape[0]}x{expected_shape[1]}")
+    data = _read_bytes(f, rows * cols * 8, path, f"{name} data ({rows}x{cols})")
     return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols)
 
 
@@ -67,28 +81,45 @@ def save_checkpoint(path, state: ModelState):
             _write_array(f, arr)
 
 
-def load_checkpoint(path, hyper=None) -> ModelState:
+def load_checkpoint(path, hyper=None, dims=None) -> ModelState:
     """Read a checkpoint back; hyperparameters are supplied by the caller
-    (they are configuration, not state)."""
+    (they are configuration, not state).
+
+    With `dims`, w1 and w2 must have the shapes those dims give; each
+    optimizer array must always have its layer's weight shape. Every
+    failure raises CheckpointError with the path and byte offset."""
+    w1_shape = w2_shape = None
+    if dims is not None:
+        w1_shape = (dims.pool_map, dims.hidden)
+        w2_shape = (dims.hidden, dims.classes)
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            raise CheckpointError(path, 0, f"bad magic {magic!r}, expected {MAGIC!r}")
         (version,) = _read_struct(f, "<I", path, "version")
         if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        w1 = _read_array(f, path)
-        w2 = _read_array(f, path)
+            raise CheckpointError(path, 4, f"unsupported version {version}")
+        w1 = _read_array(f, path, "w1", w1_shape)
+        w2 = _read_array(f, path, "w2", w2_shape)
         (step,) = _read_struct(f, "<Q", path, "step counter")
         (n_named,) = _read_struct(f, "<I", path, "array count")
+        layer_shape = {"mW1": w1.shape, "vW1": w1.shape,
+                       "mW2": w2.shape, "vW2": w2.shape}
         named = {}
         for _ in range(n_named):
             (name_len,) = _read_struct(f, "<I", path, "name length")
-            name = f.read(name_len).decode("ascii")
-            named[name] = _read_array(f, path)
-    missing = {"mW1", "vW1", "mW2", "vW2"} - set(named)
-    if missing:
-        raise CheckpointError(f"{path}: missing optimizer arrays {sorted(missing)}")
+            offset = f.tell()
+            raw = _read_bytes(f, name_len, path, "array name")
+            try:
+                name = raw.decode("ascii")
+            except UnicodeDecodeError:
+                raise CheckpointError(path, offset,
+                                      f"array name {raw!r} is not ASCII") from None
+            named[name] = _read_array(f, path, name, layer_shape.get(name))
+        missing = layer_shape.keys() - named.keys()
+        if missing:
+            raise CheckpointError(path, f.tell(),
+                                  f"missing optimizer arrays {sorted(missing)}")
     adam = AdamState(m_w1=named["mW1"], v_w1=named["vW1"],
                      m_w2=named["mW2"], v_w2=named["vW2"], step=step)
     return ModelState(weights=Weights(w1, w2), adam=adam,

@@ -153,7 +153,7 @@ def cmd_test(args):
     cfg = build_run_config(args)
     if not getattr(args, "checkpoint", None):
         raise ValueError("test requires --checkpoint")
-    state = load_checkpoint(args.checkpoint, cfg.hyper)
+    state = load_checkpoint(args.checkpoint, cfg.hyper, cfg.dims)
     _, test_batches = load_datasets(cfg)
     correct_sum = 0.0
     n = 0

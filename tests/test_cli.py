@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from convpipe.checkpoint import save_checkpoint
 from convpipe.cli import main
 from convpipe.dataio import synthetic_dataset, write_idx_images, write_idx_labels
+from convpipe.dims import ModelDims
+from convpipe.neuralcore import ModelState
 
 
 @pytest.fixture()
@@ -179,3 +182,13 @@ def test_estimate_unroll_from_config_file(tmp_path):
               if n["name"] == "fc_forward")
     assert fc["multipliers_demanded"] == 1  # unroll 1x1
     assert report["config"]["budget"]["pipeline_depth"] == 4
+
+
+def test_test_command_rejects_checkpoint_of_other_dims(tmp_path, capsys):
+    ckpt = tmp_path / "h64.ckpt"
+    save_checkpoint(ckpt, ModelState.initial(0, ModelDims(hidden=64)))
+    rc = main(["test", "--synthetic", "--checkpoint", str(ckpt)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{ckpt}: byte 8: w1 is 169x64, expected 169x128" in captured.err
+    assert "test accuracy" not in captured.out

@@ -1,11 +1,21 @@
+import hashlib
+import shutil
+import subprocess
+import warnings
+
 import numpy as np
 import pytest
 
+from convpipe import neuralcore
+from convpipe.accelmodel import ResourceBudget
+from convpipe.checkpoint import save_checkpoint
+from convpipe.dataio import make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
 from convpipe.hoststage import ConvBatch
 from convpipe.neuralcore import (ForwardTrace, ModelState, Weights,
                                  accel_kernel, accuracy, backward, fc_forward,
                                  init_weights, matmul_kseq, out_forward)
+from convpipe.pipeline import SEQUENTIAL, run_epoch
 
 from oracles import (finite_diff_gradient, naive_accuracy, naive_matmul,
                      softmax_rows_highprec)
@@ -35,15 +45,144 @@ def test_matmul_kseq_matches_triple_loop_bitwise():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(3, 2))
-    assert np.array_equal(matmul_kseq(a, b), naive_matmul(a, b))
+    assert matmul_kseq(a, b).tobytes() == naive_matmul(a, b).tobytes()
     a = rng.normal(size=(7, 31))
     b = rng.normal(size=(31, 5))
-    assert np.array_equal(matmul_kseq(a, b), naive_matmul(a, b))
+    assert matmul_kseq(a, b).tobytes() == naive_matmul(a, b).tobytes()
+
+
+def _production_operands():
+    """The five products of one training batch at the default dims, in the
+    layouts their call sites pass, with ReLU zeros and -0.0 entries."""
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(32, 169))
+    v[::3, ::5] = -0.0
+    w1 = rng.normal(0.0, 0.1, size=(169, 128))
+    w2 = rng.normal(0.0, 0.1, size=(128, 10))
+    h1 = fc_forward(v, w1)
+    h1[4] = -0.0  # a whole row of -0.0: its products are zeros of either sign
+    dz = rng.normal(size=(32, 10)) / 32
+    dz[7] = -0.0
+    dh1 = matmul_kseq(dz, w2.T) * (h1 > 0.0)
+    return {"v@w1": (v, w1), "h1@w2": (h1, w2), "h1.T@dz": (h1.T, dz),
+            "dz@w2.T": (dz, w2.T), "v.T@dh1": (v.T, dh1)}
+
+
+PRODUCTION_SHAPES = {"v@w1": (32, 128), "h1@w2": (32, 10), "h1.T@dz": (128, 10),
+                     "dz@w2.T": (32, 128), "v.T@dh1": (169, 128)}
+
+
+@pytest.mark.parametrize("layout", sorted(PRODUCTION_SHAPES))
+def test_matmul_kseq_production_shapes_bitwise(layout):
+    a, b = _production_operands()[layout]
+    got = matmul_kseq(a, b)
+    assert got.shape == PRODUCTION_SHAPES[layout]
+    assert got.tobytes() == naive_matmul(a, b).tobytes()
+    assert got.tobytes() == neuralcore._matmul_kseq_numpy(a, b).tobytes()
+
+
+def test_matmul_kseq_negative_zero_sums_to_positive_zero():
+    # the accumulator starts at +0.0, so a sum of -0.0 products is +0.0
+    got = matmul_kseq(np.full((2, 3), -0.0), np.ones((3, 4)))
+    assert got.tobytes() == np.zeros((2, 4)).tobytes()
+
+
+@pytest.mark.parametrize("m,k,n", [(3, 0, 4), (0, 5, 4), (3, 5, 0)])
+def test_matmul_kseq_empty_edges(m, k, n):
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    got = matmul_kseq(a, b)
+    assert got.shape == (m, n)
+    assert got.tobytes() == naive_matmul(a, b).tobytes()
 
 
 def test_matmul_kseq_shape_check():
     with pytest.raises(ValueError):
         matmul_kseq(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+# -- the compiled kernel: cache, fallback ------------------------------------
+
+def _compiler_on_path():
+    return shutil.which("cc") is not None or shutil.which("gcc") is not None
+
+
+def _epoch_sha(path):
+    """sha256 of the checkpoint after a sequential 4-batch training epoch."""
+    images, labels = synthetic_dataset(3, 4 * 32)
+    state, _ = run_epoch(make_batches(images, labels, 32), ModelState.initial(3),
+                         SEQUENTIAL, True, ResourceBudget())
+    save_checkpoint(path, state)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def empty_kernel_cache(tmp_path, monkeypatch):
+    """Point the kernel cache at an empty directory; the kernel is loaded
+    afresh on the next call and again after the test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    neuralcore._kseq_kernel.cache_clear()
+    yield tmp_path / "cache" / "convpipe"
+    neuralcore._kseq_kernel.cache_clear()
+
+
+def test_compiled_kernel_loads_when_a_compiler_is_present():
+    if not _compiler_on_path():
+        pytest.skip("no cc or gcc on PATH")
+    assert neuralcore._kseq_kernel() is not None
+
+
+def _no_compiler(monkeypatch, cache_dir):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+
+
+def _compiler_fails(monkeypatch, cache_dir):
+    def run(cmd, **kwargs):
+        raise subprocess.CalledProcessError(1, cmd, stderr=b"cc: internal error")
+    monkeypatch.setattr(subprocess, "run", run)
+
+
+def _cache_not_writable(monkeypatch, cache_dir):
+    cache_dir.parent.mkdir(parents=True)
+    cache_dir.write_bytes(b"")  # a file where the directory should be
+
+
+@pytest.mark.parametrize("breakage", [_no_compiler, _compiler_fails,
+                                      _cache_not_writable])
+def test_numpy_fallback_gives_the_same_bytes(breakage, tmp_path, monkeypatch):
+    operands = _production_operands()
+    compiled = {name: matmul_kseq(a, b).tobytes() for name, (a, b) in operands.items()}
+    compiled_sha = _epoch_sha(tmp_path / "compiled.ckpt")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    breakage(monkeypatch, tmp_path / "cache" / "convpipe")
+    neuralcore._kseq_kernel.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="numpy loop"):
+            assert neuralcore._kseq_kernel() is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # warned once, not per call
+            fallback = {name: matmul_kseq(a, b).tobytes()
+                        for name, (a, b) in operands.items()}
+            assert fallback == compiled
+            assert _epoch_sha(tmp_path / "fallback.ckpt") == compiled_sha
+    finally:
+        neuralcore._kseq_kernel.cache_clear()
+
+
+def test_second_load_reuses_the_cached_library(empty_kernel_cache, monkeypatch):
+    if not _compiler_on_path():
+        pytest.skip("no cc or gcc on PATH")
+    assert neuralcore._kseq_kernel() is not None
+    built = sorted(empty_kernel_cache.iterdir())
+    assert len(built) == 1 and built[0].name.startswith("kseq-")
+    assert built[0].suffix == ".so"  # no temporary files left behind
+    neuralcore._kseq_kernel.cache_clear()
+
+    def compiler_called(cmd, **kwargs):
+        raise AssertionError(f"compiler called on a warm cache: {cmd}")
+    monkeypatch.setattr(subprocess, "run", compiler_called)
+    assert neuralcore._kseq_kernel() is not None
+    assert sorted(empty_kernel_cache.iterdir()) == built
 
 
 def test_fc_forward_zero_weights():
