@@ -19,8 +19,8 @@ from .dims import ModelDims
 from .neuralcore import accuracy as _accuracy
 from .neuralcore import accel_kernel
 from .hoststage import host_stage
-from .pipeline import (MODES, PIPELINED, RunConfig, load_datasets,
-                       run_training, sequential_seconds, speedup_summary,
+from .pipeline import (MODES, PIPELINED, RunConfig, load_split, run_training,
+                       sequential_seconds, speedup_summary,
                        two_stage_pipeline_seconds)
 
 ENV_DATA_DIR = "CONVPIPE_DATA_DIR"
@@ -154,7 +154,7 @@ def cmd_test(args):
     if not getattr(args, "checkpoint", None):
         raise ValueError("test requires --checkpoint")
     state = load_checkpoint(args.checkpoint, cfg.hyper, cfg.dims)
-    _, test_batches = load_datasets(cfg)
+    test_batches = load_split(cfg, "test")
     correct_sum = 0.0
     n = 0
     for batch in test_batches:

@@ -34,6 +34,9 @@ class ImageSet:
     def __post_init__(self):
         if self.pixels.ndim != 3:
             raise ValueError(f"pixels must be 3-d, got shape {self.pixels.shape}")
+        # NaN compares false with everything, so the range check cannot see it
+        if not np.isfinite(self.pixels).all():
+            raise ValueError("pixel values must be finite (NaN or inf found)")
         if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
             raise ValueError("pixel values out of [0, 1]")
 

@@ -3,12 +3,21 @@
 The convolution kernel is a constant sharpening filter; it is never
 learned. All functions here are pure, so the pipelined runner can safely
 overlap this stage with the accelerator stage.
+
+host_stage runs all three steps as one compiled C pass from the native
+module, writing each pooled value straight into its flattened row. It is
+called through ctypes, which releases the GIL while it runs, so in
+pipelined mode the producer's host stage and the accelerator thread's
+matmuls run at the same time. conv2d_valid and maxpool2x2 are the numpy
+reference the tests compare it against, byte for byte, and the fallback
+host_stage runs when native.kernels() is unavailable.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .dataio import MiniBatch
 
 # Center-heavy sharpening filter. Entries sum to 1, and the pattern is
@@ -71,8 +80,31 @@ def maxpool2x2(feature):
 
 
 def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
-    """conv -> pool -> row-major flatten for every image in the batch."""
-    conv = conv2d_valid(batch.v_raw, kernel)
-    pooled = maxpool2x2(conv)
-    n = pooled.shape[0]
-    return ConvBatch(pooled.reshape(n, -1), batch.out_actual, batch.index)
+    """conv -> pool -> row-major flatten for every image in the batch.
+
+    v_raw is (n, rows, cols) and may be any strided view; v is
+    (n, pool_map), bit-identical to maxpool2x2(conv2d_valid(v_raw, kernel))
+    flattened per image.
+    """
+    images = np.require(batch.v_raw, np.float64, ("A",))
+    kernel = np.require(kernel, np.float64, ("C", "A"))
+    if images.ndim != 3:
+        raise ValueError(f"v_raw must be 3-d (batch, rows, cols), "
+                         f"got shape {images.shape}")
+    (n, h, w), (kh, kw) = images.shape, kernel.shape
+    if h < kh or w < kw:
+        raise ValueError(f"image {h}x{w} smaller than kernel {kh}x{kw}")
+    oh, ow = h - kh + 1, w - kw + 1
+    if oh % 2 or ow % 2:
+        raise ValueError(f"feature dims {oh}x{ow} must be even for 2x2 pooling")
+    lib = native.kernels()
+    if lib is None:
+        v = maxpool2x2(conv2d_valid(images, kernel)).reshape(n, oh * ow // 4)
+    else:
+        v = np.empty((n, oh * ow // 4), dtype=np.float64)
+        rows = np.empty(2 * ow, dtype=np.float64)  # two correlation rows
+        lib.host_stage(n, h, w, images.ctypes.data,
+                       *(s // images.itemsize for s in images.strides),
+                       kernel.ctypes.data, kh, kw, rows.ctypes.data,
+                       v.ctypes.data)
+    return ConvBatch(v, batch.out_actual, batch.index)

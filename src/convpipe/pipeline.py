@@ -243,27 +243,31 @@ def _find_idx(data_dir, stem):
         f"{stem}[.gz] not found in data dir {data_dir}")
 
 
-def load_datasets(cfg: RunConfig):
-    """(train_batches, test_batches) from IDX files or the synthetic fixture."""
+def load_split(cfg: RunConfig, split):
+    """The batches of one split, "train" or "test", from IDX files or the
+    synthetic fixture."""
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     dims = cfg.dims
     if cfg.data_dir is not None:
         if not Path(cfg.data_dir).is_dir():
             raise FileNotFoundError(f"data dir does not exist: {cfg.data_dir}")
-        tri = load_idx_images(_find_idx(cfg.data_dir, _IDX_NAMES["train_images"]),
-                              dims.image_x, dims.image_y)
-        trl = load_idx_labels(_find_idx(cfg.data_dir, _IDX_NAMES["train_labels"]),
-                              dims.classes)
-        tei = load_idx_images(_find_idx(cfg.data_dir, _IDX_NAMES["test_images"]),
-                              dims.image_x, dims.image_y)
-        tel = load_idx_labels(_find_idx(cfg.data_dir, _IDX_NAMES["test_labels"]),
-                              dims.classes)
+        images = load_idx_images(
+            _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_images"]),
+            dims.image_x, dims.image_y)
+        labels = load_idx_labels(
+            _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_labels"]), dims.classes)
     else:
-        tri, trl = synthetic_dataset(cfg.seed + 1, cfg.synthetic_train,
-                                     dims.image_x, dims.image_y, dims.classes)
-        tei, tel = synthetic_dataset(cfg.seed + 2, cfg.synthetic_test,
-                                     dims.image_x, dims.image_y, dims.classes)
-    return (make_batches(tri, trl, cfg.batch_size),
-            make_batches(tei, tel, cfg.batch_size))
+        seed, count = ((cfg.seed + 1, cfg.synthetic_train) if split == "train"
+                       else (cfg.seed + 2, cfg.synthetic_test))
+        images, labels = synthetic_dataset(seed, count, dims.image_x,
+                                           dims.image_y, dims.classes)
+    return make_batches(images, labels, cfg.batch_size)
+
+
+def load_datasets(cfg: RunConfig):
+    """(train_batches, test_batches) from IDX files or the synthetic fixture."""
+    return load_split(cfg, "train"), load_split(cfg, "test")
 
 
 @dataclass

@@ -192,3 +192,42 @@ def test_test_command_rejects_checkpoint_of_other_dims(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{ckpt}: byte 8: w1 is 169x64, expected 169x128" in captured.err
     assert "test accuracy" not in captured.out
+
+
+def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch,
+                                                  capsys):
+    from convpipe import pipeline
+
+    ckpt = tmp_path / "model.ckpt"
+    train_report = tmp_path / "train.json"
+    assert main(["train", "--data-dir", str(data_dir), "--epochs", "1",
+                 "--seed", "4", "--report", str(train_report),
+                 "--checkpoint", str(ckpt)]) == 0
+    final = json.loads(train_report.read_text())["epochs"][-1]["test_accuracy"]
+    loaded, synthesized = [], []
+
+    def record(calls, fn, key):
+        def wrapper(*args):
+            calls.append(key(*args))
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(pipeline, "load_idx_images",
+                        record(loaded, pipeline.load_idx_images,
+                               lambda path, *_: path.name))
+    monkeypatch.setattr(pipeline, "synthetic_dataset",
+                        record(synthesized, pipeline.synthetic_dataset,
+                               lambda seed, n, *_: (seed, n)))
+    capsys.readouterr()
+
+    test_report = tmp_path / "test.json"
+    assert main(["test", "--data-dir", str(data_dir), "--checkpoint", str(ckpt),
+                 "--report", str(test_report)]) == 0
+    assert loaded == ["t10k-images-idx3-ubyte"]
+    assert json.loads(test_report.read_text())["test_accuracy"] == final
+    assert f"test accuracy: {final:.4f} over 64 images" in capsys.readouterr().out
+
+    assert main(["test", "--synthetic", "--seed", "4",
+                 "--checkpoint", str(ckpt)]) == 0
+    assert synthesized == [(4 + 2, 512)]  # the test split's seed and count
+    assert "over 512 images" in capsys.readouterr().out
+    assert loaded == ["t10k-images-idx3-ubyte"]

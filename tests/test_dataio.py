@@ -185,6 +185,14 @@ def test_pixel_range_enforced():
         ImageSet(np.full((1, 2, 2), 1.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixels_rejected(bad):
+    pixels = np.full((2, 2, 2), 0.5)
+    pixels[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ImageSet(pixels)
+
+
 @pytest.mark.skipif(find_mnist_dir() is None,
                     reason="MNIST IDX files not available")
 def test_real_mnist_counts():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from convpipe import native
 from convpipe.dataio import MiniBatch, synthetic_dataset, make_batches
 from convpipe.hoststage import SHARPEN_KERNEL, conv2d_valid, host_stage, maxpool2x2
+from convpipe.pipeline import RunConfig, load_datasets
 
 from oracles import naive_conv2d, naive_maxpool2x2
 
@@ -135,3 +137,74 @@ def test_host_stage_flatten_is_row_major():
     batch = MiniBatch(images.pixels, np.eye(10)[[0]], 0)
     pooled = maxpool2x2(conv2d_valid(images.pixels[0]))
     assert np.array_equal(host_stage(batch).v[0], pooled.reshape(-1))
+
+
+# -- the fused pass against its numpy reference ------------------------------
+
+def _reference_bytes(v, kernel=SHARPEN_KERNEL):
+    pooled = maxpool2x2(conv2d_valid(v, kernel))
+    n, ph, pw = pooled.shape
+    return pooled.reshape(n, ph * pw).tobytes()
+
+
+def _batch(v):
+    return MiniBatch(v, np.zeros((v.shape[0], 10)), 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_host_stage_matches_reference_on_every_fixture_batch(seed):
+    train, test = load_datasets(RunConfig(seed=seed))
+    for batch in train + test:
+        assert host_stage(batch).v.tobytes() == _reference_bytes(batch.v_raw)
+
+
+def test_host_stage_negative_taps_on_zero_images_give_positive_zero():
+    # every product is -0.0 or +0.0; sums start from +0.0, so none is -0.0
+    kernel = -np.arange(1.0, 16.0).reshape(3, 5)
+    v = np.zeros((4, 28, 28))
+    got = host_stage(_batch(v), kernel).v
+    assert got.shape == (4, 13 * 12)
+    assert got.tobytes() == _reference_bytes(v, kernel)
+    assert got.tobytes() == np.zeros_like(got).tobytes()
+
+
+def test_host_stage_other_kernel_matches_reference():
+    rng = np.random.default_rng(3)
+    kernel = rng.normal(size=(3, 5))
+    v = rng.random((5, 28, 28))
+    assert host_stage(_batch(v), kernel).v.tobytes() == _reference_bytes(v, kernel)
+
+
+def test_host_stage_strided_views_match_reference():
+    rng = np.random.default_rng(4)
+    base = rng.random((6, 60, 31))
+    for v in (base[::2, 1::2, 2:30], base[:3, 28:0:-1, ::-1][:, :, 1:29],
+              base[:3, :28, :28].transpose(0, 2, 1)):
+        assert not v.flags.c_contiguous
+        assert host_stage(_batch(v)).v.tobytes() == _reference_bytes(v)
+
+
+def test_host_stage_empty_batch():
+    conv = host_stage(_batch(np.zeros((0, 28, 28))))
+    assert conv.v.shape == (0, 169)
+
+
+def test_host_stage_propagates_nan_like_numpy():
+    rng = np.random.default_rng(5)
+    v = rng.random((3, 28, 28))
+    v[0, 0, 0] = v[1, 13, 14] = v[2, 27, 27] = np.nan
+    got = host_stage(_batch(v)).v
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert got.tobytes() == _reference_bytes(v)
+
+
+@pytest.mark.parametrize("shape,match", [((2, 27, 28), "even"),
+                                         ((2, 28, 27), "even"),
+                                         ((2, 2, 28), "smaller than kernel"),
+                                         ((28, 28), "3-d")])
+def test_host_stage_rejects_bad_shapes_before_calling_c(shape, match, monkeypatch):
+    def no_kernels():
+        raise AssertionError("native kernels reached with a bad shape")
+    monkeypatch.setattr(native, "kernels", no_kernels)
+    with pytest.raises(ValueError, match=match):
+        host_stage(_batch(np.zeros(shape)))

@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from convpipe import neuralcore
+from convpipe import native, neuralcore
 from convpipe.accelmodel import ResourceBudget
 from convpipe.checkpoint import save_checkpoint
 from convpipe.dataio import make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
-from convpipe.hoststage import ConvBatch
+from convpipe.hoststage import ConvBatch, host_stage
 from convpipe.neuralcore import (ForwardTrace, ModelState, Weights,
                                  accel_kernel, accuracy, backward, fc_forward,
                                  init_weights, matmul_kseq, out_forward)
@@ -101,16 +101,20 @@ def test_matmul_kseq_shape_check():
         matmul_kseq(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
-# -- the compiled kernel: cache, fallback ------------------------------------
+# -- the compiled kernels: cache, fallback -----------------------------------
 
 def _compiler_on_path():
     return shutil.which("cc") is not None or shutil.which("gcc") is not None
 
 
+def _epoch_batches():
+    images, labels = synthetic_dataset(3, 4 * 32)
+    return make_batches(images, labels, 32)
+
+
 def _epoch_sha(path):
     """sha256 of the checkpoint after a sequential 4-batch training epoch."""
-    images, labels = synthetic_dataset(3, 4 * 32)
-    state, _ = run_epoch(make_batches(images, labels, 32), ModelState.initial(3),
+    state, _ = run_epoch(_epoch_batches(), ModelState.initial(3),
                          SEQUENTIAL, True, ResourceBudget())
     save_checkpoint(path, state)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -118,18 +122,21 @@ def _epoch_sha(path):
 
 @pytest.fixture
 def empty_kernel_cache(tmp_path, monkeypatch):
-    """Point the kernel cache at an empty directory; the kernel is loaded
+    """Point the kernel cache at an empty directory; the library is loaded
     afresh on the next call and again after the test."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    neuralcore._kseq_kernel.cache_clear()
+    native.kernels.cache_clear()
     yield tmp_path / "cache" / "convpipe"
-    neuralcore._kseq_kernel.cache_clear()
+    native.kernels.cache_clear()
 
 
 def test_compiled_kernel_loads_when_a_compiler_is_present():
     if not _compiler_on_path():
         pytest.skip("no cc or gcc on PATH")
-    assert neuralcore._kseq_kernel() is not None
+    lib = native.kernels()
+    assert lib is not None
+    assert lib.matmul_kseq.argtypes is not None
+    assert lib.host_stage.argtypes is not None
 
 
 def _no_compiler(monkeypatch, cache_dir):
@@ -151,37 +158,44 @@ def _cache_not_writable(monkeypatch, cache_dir):
                                       _cache_not_writable])
 def test_numpy_fallback_gives_the_same_bytes(breakage, tmp_path, monkeypatch):
     operands = _production_operands()
-    compiled = {name: matmul_kseq(a, b).tobytes() for name, (a, b) in operands.items()}
+    batches = _epoch_batches()
+
+    def outputs():
+        return ({name: matmul_kseq(a, b).tobytes() for name, (a, b) in operands.items()},
+                [host_stage(batch).v.tobytes() for batch in batches])
+
+    assert native.kernels() is not None or not _compiler_on_path()
+    compiled = outputs()
     compiled_sha = _epoch_sha(tmp_path / "compiled.ckpt")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     breakage(monkeypatch, tmp_path / "cache" / "convpipe")
-    neuralcore._kseq_kernel.cache_clear()
+    native.kernels.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="numpy loop"):
-            assert neuralcore._kseq_kernel() is None
+        with pytest.warns(RuntimeWarning, match="numpy loops") as warned:
+            fallback = outputs()  # the first call of either kernel warns
+        assert len(warned) == 1
+        assert native.kernels() is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # warned once, not per call
-            fallback = {name: matmul_kseq(a, b).tobytes()
-                        for name, (a, b) in operands.items()}
-            assert fallback == compiled
+            assert outputs() == fallback == compiled
             assert _epoch_sha(tmp_path / "fallback.ckpt") == compiled_sha
     finally:
-        neuralcore._kseq_kernel.cache_clear()
+        native.kernels.cache_clear()
 
 
 def test_second_load_reuses_the_cached_library(empty_kernel_cache, monkeypatch):
     if not _compiler_on_path():
         pytest.skip("no cc or gcc on PATH")
-    assert neuralcore._kseq_kernel() is not None
+    assert native.kernels() is not None
     built = sorted(empty_kernel_cache.iterdir())
-    assert len(built) == 1 and built[0].name.startswith("kseq-")
+    assert len(built) == 1 and built[0].name.startswith("native-")
     assert built[0].suffix == ".so"  # no temporary files left behind
-    neuralcore._kseq_kernel.cache_clear()
+    native.kernels.cache_clear()
 
     def compiler_called(cmd, **kwargs):
         raise AssertionError(f"compiler called on a warm cache: {cmd}")
     monkeypatch.setattr(subprocess, "run", compiler_called)
-    assert neuralcore._kseq_kernel() is not None
+    assert native.kernels() is not None
     assert sorted(empty_kernel_cache.iterdir()) == built
 
 
