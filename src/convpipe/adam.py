@@ -4,12 +4,20 @@ The bias-correction factors 1/(1-beta^t) involve a pow(), so they are
 computed once per mini-batch and reused by both layer updates; both layers
 therefore share a single step counter. The small constant is added outside
 the square root: step = eta * m_hat / (sqrt(v_hat) + eps).
+
+adam_update runs as compiled C from the native module: one pass over the
+elements that does numpy's operations in numpy's order for each of them,
+in place, with 1-beta1 and 1-beta2 computed here as before. When
+native.kernels() is unavailable, or an array is not one the kernel can
+update in place, _adam_update_numpy runs instead; it is also the reference
+the tests compare the kernel against, byte for byte.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .dims import DEFAULT_DIMS
 
 
@@ -61,19 +69,39 @@ def correction_factors(hyper: AdamHyper, t: int) -> CorrectionFactors:
                              t=t)
 
 
+def _adam_update_numpy(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
+    """The update as numpy array expressions: the fallback and the reference
+    for the compiled kernel."""
+    m[...] = hyper.beta1 * m + (1.0 - hyper.beta1) * g
+    v[...] = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
+    w -= hyper.eta * (m * corr.c1) / (np.sqrt(v * corr.c2) + hyper.eps)
+
+
 def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     """One elementwise moment + weight update, in place.
 
     m <- beta1*m + (1-beta1)*g
     v <- beta2*v + (1-beta2)*g^2
     w <- w - eta * (m*c1) / (sqrt(v*c2) + eps)
+
+    w, m and v are updated where they are. The compiled kernel runs on
+    float64 arrays only, and writes only w, m and v that are aligned,
+    writable and C-contiguous; for any other array the numpy body runs.
     """
     if not (w.shape == m.shape == v.shape == g.shape):
         raise ValueError(f"shape mismatch: w{w.shape} m{m.shape} "
                          f"v{v.shape} g{g.shape}")
-    m[...] = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-    v[...] = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
-    w -= hyper.eta * (m * corr.c1) / (np.sqrt(v * corr.c2) + hyper.eps)
+    lib = native.kernels()
+    if (lib is None or g.dtype != np.float64
+            or not all(a.dtype == np.float64 and a.flags.carray
+                       for a in (w, m, v))):
+        _adam_update_numpy(w, m, v, g, corr, hyper)
+        return
+    g = np.require(g, np.float64, ("C", "A"))
+    lib.adam_update(w.size, w.ctypes.data, m.ctypes.data, v.ctypes.data,
+                    g.ctypes.data, hyper.beta1, 1.0 - hyper.beta1,
+                    hyper.beta2, 1.0 - hyper.beta2, hyper.eta, corr.c1,
+                    corr.c2, hyper.eps)
 
 
 def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):

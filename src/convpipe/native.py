@@ -1,6 +1,6 @@
 """The compiled kernels: one C source, built on first use, loaded with ctypes.
 
-_SOURCE holds the two hot loops of a training step, each bit-identical to
+_SOURCE holds the three hot loops of a training step, each bit-identical to
 the numpy code that is its reference and fallback:
 
 - matmul_kseq: `out[i][j] += a[i][t] * b[t][j]` for t ascending, each
@@ -9,23 +9,40 @@ the numpy code that is its reference and fallback:
 - host_stage: valid correlation with the taps added in row-major kernel
   order from +0.0, then a NaN-propagating 2x2 max-pool written straight
   into the flattened (n, pool_map) rows (hoststage.host_stage, reference
-  hoststage.conv2d_valid and hoststage.maxpool2x2).
+  hoststage.conv2d_valid and hoststage.maxpool2x2);
+- adam_update: the moment and weight update, in place, with numpy's
+  operations in numpy's order for each element (adam.adam_update,
+  reference adam._adam_update_numpy).
 
 The source is compiled with `cc` (or `gcc`) and -O3 -std=c99
--ffp-contract=off: without -ffp-contract=off, GCC in its default GNU C mode
-fuses `acc += x * y` into one fused multiply-add on hardware that has it,
-which skips the rounding of the product and changes the bits. The library
-is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so (~/.cache when
-XDG_CACHE_HOME is unset), keyed by the source and flags, and written
-through a temporary file and os.replace so concurrent first builds are
-safe. ctypes releases the GIL for the duration of each call, so the
-pipelined producer and the accelerator thread run at the same time.
+-ffp-contract=off -fno-math-errno: without -ffp-contract=off, GCC in its
+default GNU C mode fuses `acc += x * y` into one fused multiply-add on
+hardware that has it, which skips the rounding of the product and changes
+the bits. -fno-math-errno only drops the errno write of sqrt(), so that the
+Adam loop vectorises; sqrt and division stay correctly rounded.
+
+On x86 each kernel is built as target clones, for AVX-512F, AVX2 and the
+baseline, and the dynamic loader picks the widest the CPU has once, when the
+library is loaded. The bits are the same on every clone: a vector lane is
+an independent output element, each element still accumulates in the same
+order from +0.0, and no clone may fuse a multiply and an add. A compiler
+without the target_clones attribute builds the baseline loops alone.
+
+The library is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
+(~/.cache when XDG_CACHE_HOME is unset), keyed by the source and flags, and
+written through a temporary file and os.replace so concurrent first builds
+are safe. A build then removes the cache's other native-*.so files (and
+kseq-*.so, the old name), so a changed source leaves no dead library
+behind; a process that has one loaded keeps using it. ctypes releases the
+GIL for the duration of each call, so the pipelined producer and the
+accelerator thread run at the same time.
 
 When there is no compiler, the build fails or the cache directory cannot be
-written, kernels() emits one RuntimeWarning and returns None, and both
-callers run their numpy code instead. Both paths give the same bytes.
+written, kernels() emits one RuntimeWarning and returns None, and every
+caller runs its numpy code instead. Both paths give the same bytes.
 """
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -39,8 +56,25 @@ from pathlib import Path
 # Every accumulator starts at +0.0 like the numpy loops: starting from the
 # first product instead would turn an all -0.0 sum into -0.0.
 _SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
 
+/* One clone per listed target, picked by glibc's loader (an ifunc
+   resolver) when the library is loaded. The target names are x86's; on
+   other machines or C libraries, or with a compiler without the attribute,
+   only the baseline loops are built. */
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GLIBC__)
+#if defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#endif
+#ifndef KERNEL
+#define KERNEL
+#endif
+
+KERNEL
 void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
                  const double *a, ptrdiff_t a_row, ptrdiff_t a_col,
                  const double *restrict b, double *restrict out)
@@ -67,6 +101,7 @@ static double max_nan(double m, double x)
 /* x is (n, h, w) with element strides x_n, x_h, x_w; the correlation
    output (h-kh+1) x (w-kw+1) must have even dims. rows is scratch for two
    output rows; out is (n, (h-kh+1)/2 * (w-kw+1)/2), row-major. */
+KERNEL
 void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
                 const double *x, ptrdiff_t x_n, ptrdiff_t x_h, ptrdiff_t x_w,
                 const double *restrict k, ptrdiff_t kh, ptrdiff_t kw,
@@ -95,14 +130,33 @@ void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
         }
     }
 }
-"""
-_CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
-_SSIZE, _PTR = ctypes.c_ssize_t, ctypes.c_void_p
+/* numpy's order of operations, element by element, on n contiguous
+   elements; b1c and b2c are 1-beta1 and 1-beta2 */
+KERNEL
+void adam_update(ptrdiff_t n, double *restrict w, double *restrict m,
+                 double *restrict v, const double *restrict g,
+                 double b1, double b1c, double b2, double b2c,
+                 double eta, double c1, double c2, double eps)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double mi = b1 * m[i] + b1c * g[i];
+        const double vi = b2 * v[i] + b2c * (g[i] * g[i]);
+        m[i] = mi;
+        v[i] = vi;
+        w[i] = w[i] - (eta * (mi * c1)) / (sqrt(vi * c2) + eps);
+    }
+}
+"""
+_CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
+           "-fPIC", "-shared")
+
+_SSIZE, _PTR, _DBL = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _SIGNATURES = {
     "matmul_kseq": (_SSIZE, _SSIZE, _SSIZE, _PTR, _SSIZE, _SSIZE, _PTR, _PTR),
     "host_stage": (_SSIZE, _SSIZE, _SSIZE, _PTR, _SSIZE, _SSIZE, _SSIZE,
                    _PTR, _SSIZE, _SSIZE, _PTR, _PTR),
+    "adam_update": (_SSIZE, _PTR, _PTR, _PTR, _PTR) + (_DBL,) * 8,
 }
 
 
@@ -127,24 +181,36 @@ def _build(path):
         subprocess.run([compiler, *_CFLAGS, "-o", str(lib), str(src)],
                        check=True, capture_output=True, timeout=300)
         os.replace(lib, path)
+    # libraries of other sources or flags, and of the old single-kernel
+    # name; a process that has one loaded keeps its mapping
+    for pattern in ("native-*.so", "kseq-*.so"):
+        for stale in path.parent.glob(pattern):
+            if stale != path:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+
+
+def _load(path):
+    """The library at `path`, with every kernel's signature set."""
+    lib = ctypes.CDLL(str(path))
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, None
+    return lib
 
 
 @functools.cache
 def kernels():
-    """The compiled library, built on first use, with matmul_kseq and
-    host_stage typed; None (after one RuntimeWarning) if unavailable."""
+    """The compiled library, built on first use, with every kernel typed;
+    None (after one RuntimeWarning) if unavailable."""
     try:
         path = _library_path()  # RuntimeError if there is no home directory
         if not path.exists():
             _build(path)
-        lib = ctypes.CDLL(str(path))
+        return _load(path)
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
         warnings.warn(f"compiled kernels unavailable, using the slower numpy "
                       f"loops: {exc} {stderr}".rstrip(), RuntimeWarning,
                       stacklevel=2)
         return None
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
-    return lib

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from convpipe.adam import (AdamHyper, AdamState, adam_update,
-                           apply_batch_update, correction_factors)
+from convpipe.adam import (AdamHyper, AdamState, _adam_update_numpy,
+                           adam_update, apply_batch_update, correction_factors)
 from convpipe.dims import ModelDims
 from convpipe.neuralcore import Gradients, Weights, init_weights
 
@@ -90,6 +90,68 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
         adam_update(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
                     np.zeros((2, 3)), correction_factors(HYPER, 1), HYPER)
+
+
+def _special_gradient(rng, shape):
+    """Normal entries with a few zeros, -0.0s, huge values, infs and NaNs."""
+    g = rng.normal(size=shape)
+    flat = g.reshape(-1)
+    specials = [0.0, -0.0, 1e300, -1e308, 1.7e308, np.inf, -np.inf, np.nan]
+    for value in specials:
+        flat[rng.integers(0, flat.size, 2)] = value
+    return g
+
+
+@pytest.mark.parametrize("shape", [(169, 128), (128, 10)])
+def test_compiled_update_matches_numpy_bytes(shape):
+    rng = np.random.default_rng(sum(shape))
+    w = rng.normal(0.0, 0.1, size=shape)
+    m, v = np.zeros(shape), np.zeros(shape)
+    ref_w, ref_m, ref_v = w.copy(), m.copy(), v.copy()
+    for t in range(1, 51):
+        g = _special_gradient(rng, shape)
+        corr = correction_factors(HYPER, t)
+        with np.errstate(all="ignore"):  # inf - inf and the like
+            adam_update(w, m, v, g, corr, HYPER)
+            _adam_update_numpy(ref_w, ref_m, ref_v, g, corr, HYPER)
+    assert np.isnan(w).any() and np.isfinite(w).any()
+    assert w.tobytes() == ref_w.tobytes()
+    assert m.tobytes() == ref_m.tobytes()
+    assert v.tobytes() == ref_v.tobytes()
+
+
+def _fortran(a):
+    return np.asfortranarray(a)
+
+
+def _strided(a):
+    base = np.zeros((a.shape[0], 2 * a.shape[1]))
+    base[:, ::2] = a
+    return base[:, ::2]
+
+
+def _float32(a):
+    return a.astype(np.float32)
+
+
+@pytest.mark.parametrize("name", ["w", "m", "v", "g"])
+@pytest.mark.parametrize("layout", [_fortran, _strided, _float32])
+def test_update_writes_the_callers_arrays_in_any_layout(name, layout):
+    # the kernel takes C-contiguous float64 only; it must never update a
+    # copy, nor compute in another precision than numpy would
+    rng = np.random.default_rng(7)
+    arrays = {"w": rng.normal(size=(6, 5)), "m": rng.normal(size=(6, 5)) * 0.01,
+              "v": np.abs(rng.normal(size=(6, 5))) * 0.001,
+              "g": rng.normal(size=(6, 5))}
+    arrays[name] = layout(arrays[name])
+    ref = {k: a.copy(order="K") for k, a in arrays.items()}
+    corr = correction_factors(HYPER, 4)
+    adam_update(arrays["w"], arrays["m"], arrays["v"], arrays["g"], corr, HYPER)
+    _adam_update_numpy(ref["w"], ref["m"], ref["v"], ref["g"], corr, HYPER)
+    for k in "wmvg":
+        assert arrays[k].dtype == ref[k].dtype
+        assert np.ascontiguousarray(arrays[k]).tobytes() == \
+            np.ascontiguousarray(ref[k]).tobytes(), k
 
 
 def _small_dims():

@@ -1,13 +1,16 @@
 import hashlib
+import re
 import shutil
 import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from convpipe import native, neuralcore
 from convpipe.accelmodel import ResourceBudget
+from convpipe.adam import AdamHyper, adam_update, correction_factors
 from convpipe.checkpoint import save_checkpoint
 from convpipe.dataio import make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
@@ -120,6 +123,24 @@ def _epoch_sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _adam_step_bytes():
+    """w, m and v after one update of a 169x128 layer at step 3."""
+    rng = np.random.default_rng(13)
+    w, m, g = rng.normal(size=(3, 169, 128))
+    v = np.abs(rng.normal(size=(169, 128)))
+    adam_update(w, m, v, g, correction_factors(AdamHyper(), 3), AdamHyper())
+    return w.tobytes() + m.tobytes() + v.tobytes()
+
+
+def _kernel_outputs():
+    """The bytes of all three kernels: the five production products, the
+    host stage of the epoch's batches, and an Adam step."""
+    return ({name: matmul_kseq(a, b).tobytes()
+             for name, (a, b) in _production_operands().items()},
+            [host_stage(batch).v.tobytes() for batch in _epoch_batches()],
+            _adam_step_bytes())
+
+
 @pytest.fixture
 def empty_kernel_cache(tmp_path, monkeypatch):
     """Point the kernel cache at an empty directory; the library is loaded
@@ -137,6 +158,7 @@ def test_compiled_kernel_loads_when_a_compiler_is_present():
     assert lib is not None
     assert lib.matmul_kseq.argtypes is not None
     assert lib.host_stage.argtypes is not None
+    assert lib.adam_update.argtypes is not None
 
 
 def _no_compiler(monkeypatch, cache_dir):
@@ -157,27 +179,20 @@ def _cache_not_writable(monkeypatch, cache_dir):
 @pytest.mark.parametrize("breakage", [_no_compiler, _compiler_fails,
                                       _cache_not_writable])
 def test_numpy_fallback_gives_the_same_bytes(breakage, tmp_path, monkeypatch):
-    operands = _production_operands()
-    batches = _epoch_batches()
-
-    def outputs():
-        return ({name: matmul_kseq(a, b).tobytes() for name, (a, b) in operands.items()},
-                [host_stage(batch).v.tobytes() for batch in batches])
-
     assert native.kernels() is not None or not _compiler_on_path()
-    compiled = outputs()
+    compiled = _kernel_outputs()
     compiled_sha = _epoch_sha(tmp_path / "compiled.ckpt")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     breakage(monkeypatch, tmp_path / "cache" / "convpipe")
     native.kernels.cache_clear()
     try:
         with pytest.warns(RuntimeWarning, match="numpy loops") as warned:
-            fallback = outputs()  # the first call of either kernel warns
+            fallback = _kernel_outputs()  # the first call of any kernel warns
         assert len(warned) == 1
         assert native.kernels() is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # warned once, not per call
-            assert outputs() == fallback == compiled
+            assert _kernel_outputs() == fallback == compiled
             assert _epoch_sha(tmp_path / "fallback.ckpt") == compiled_sha
     finally:
         native.kernels.cache_clear()
@@ -197,6 +212,48 @@ def test_second_load_reuses_the_cached_library(empty_kernel_cache, monkeypatch):
     monkeypatch.setattr(subprocess, "run", compiler_called)
     assert native.kernels() is not None
     assert sorted(empty_kernel_cache.iterdir()) == built
+
+
+def test_a_new_build_removes_stale_libraries(empty_kernel_cache):
+    if not _compiler_on_path():
+        pytest.skip("no cc or gcc on PATH")
+    empty_kernel_cache.mkdir(parents=True)
+    for name in ("native-0000.so", "kseq-0000.so", "other.so", "native-0000.c"):
+        (empty_kernel_cache / name).write_bytes(b"")
+    assert native.kernels() is not None
+    assert sorted(p.name for p in empty_kernel_cache.iterdir()) == \
+        ["native-0000.c", native._library_path().name, "other.so"]
+
+
+def _cpu_simd_flags():
+    """-mavx2 and -mavx512f, each if /proc/cpuinfo lists it."""
+    try:
+        words = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return []
+    return [f"-m{isa}" for isa in ("avx2", "avx512f") if isa in words]
+
+
+def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
+    """The clone the loader picks, a baseline build and a build for each
+    SIMD level the CPU has all give the same bytes, for all three kernels."""
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        pytest.skip("no cc or gcc on PATH")
+    assert native.kernels() is not None
+    dispatched = _kernel_outputs()
+    clones = re.findall(r"__attribute__\(\(target_clones\([^)]*\)\)\)",
+                        native._SOURCE)
+    assert len(clones) == 1
+    src = tmp_path / "single.c"
+    src.write_text(native._SOURCE.replace(clones[0], ""))
+    for flags in [[], *([f] for f in _cpu_simd_flags())]:
+        lib_path = tmp_path / f"single{''.join(flags)}.so"
+        subprocess.run([compiler, *native._CFLAGS, *flags, "-o", str(lib_path),
+                        str(src)], check=True, capture_output=True)
+        lib = native._load(lib_path)
+        monkeypatch.setattr(native, "kernels", lambda: lib)
+        assert _kernel_outputs() == dispatched, flags
 
 
 def test_fc_forward_zero_weights():
