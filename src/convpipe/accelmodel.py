@@ -32,7 +32,7 @@ tile reserves the same resources and cycles as a full one.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .dims import DEFAULT_DIMS
@@ -49,10 +49,9 @@ class ResourceBudget:
     interface_cycles_per_word: int = 2
 
     def __post_init__(self):
-        for name in ("max_multipliers", "max_adders", "pipeline_depth",
-                     "clock_ns", "interface_cycles_per_word"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Command-line entry point: train, test, and estimate workflows.
 
-Configuration precedence is defaults < JSON config file (--config) <
-command-line flags. CONVPIPE_DATA_DIR serves as the data-dir fallback.
-Reports are JSON with top-level keys config, epochs, latency_model and
-schedule_reports; --epochs-csv additionally exports the epochs table.
+Configuration precedence is dataclass defaults < CONVPIPE_DATA_DIR (the
+data-dir fallback) < JSON config file (--config) < command-line flags. The
+file takes a report's config keys and rejects any other key, or a value of
+the wrong JSON type, by its dotted path. Reports are JSON with top-level
+keys config, epochs, latency_model and schedule_reports; --epochs-csv
+additionally exports the epochs table.
 """
 
 import argparse
@@ -11,94 +13,113 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
-from .accelmodel import ResourceBudget, cycles_to_seconds, estimate_pass
-from .adam import AdamHyper
+from .accelmodel import cycles_to_seconds, estimate_pass
 from .checkpoint import load_checkpoint
-from .dims import ModelDims
 from .neuralcore import accuracy as _accuracy
 from .neuralcore import accel_kernel
 from .hoststage import host_stage
-from .pipeline import (MODES, PIPELINED, RunConfig, load_split, run_training,
+from .pipeline import (MODES, RunConfig, load_split, run_training,
                        sequential_seconds, speedup_summary,
                        two_stage_pipeline_seconds)
 
 ENV_DATA_DIR = "CONVPIPE_DATA_DIR"
 
+# field type -> (its JSON type, the Python types json.load gives for it)
+_JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
+               str: ("a string", str),
+               str | None: ("a string or null", (str, type(None)))}
 
-def _dims_from_dict(d):
-    dims = ModelDims(
-        batch=d.get("batch", 32),
-        image_x=d.get("image_x", 28),
-        image_y=d.get("image_y", 28),
-        kernel_x=d.get("kernel_x", 3),
-        kernel_y=d.get("kernel_y", 3),
-        hidden=d.get("hidden", 128),
-        classes=d.get("classes", 10),
-    )
-    if "pool_map" in d and d["pool_map"] != dims.pool_map:
-        raise ValueError(f"configured pool_map {d['pool_map']} does not match "
-                         f"value {dims.pool_map} derived from image/kernel dims")
-    return dims
+# report keys that are derived values, not fields; load_config checks them
+_DERIVED = {"batch_size": int}
 
 
-def _load_config_file(path):
-    with open(path) as f:
-        return json.load(f)
+def _field_values(cls, data, path, problems):
+    """data's values for dataclass cls by field name, each nested dataclass
+    as a dict of its own, plus any _DERIVED key; appends each unknown key
+    and ill-typed value to problems."""
+    if not isinstance(data, dict):
+        problems.append(f"{path} must be an object, got {json.dumps(data)}")
+        return {}
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    values = {}
+    for key, value in data.items():
+        dotted = f"{path}.{key}" if path else key
+        f = by_key.get(key)
+        kind = f.type if f else _DERIVED.get(dotted)
+        if kind is None:
+            problems.append(f"unknown key {dotted}")
+        elif is_dataclass(kind):
+            values[f.name] = _field_values(kind, value, dotted, problems)
+        else:
+            name, accepted = _JSON_TYPES[kind]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                problems.append(f"{dotted} must be {name}, got "
+                                f"{json.dumps(value)}")
+            values[f.name if f else key] = value
+    return values
 
 
-def build_run_config(args):
-    """Merge defaults, config file, environment and flags into a RunConfig."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
+def _build(cls, values):
+    """cls(**values), each nested dict built as its field's dataclass."""
+    types = {f.name: f.type for f in fields(cls)}
+    return cls(**{name: _build(types[name], v) if isinstance(v, dict) else v
+                  for name, v in values.items()})
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
 
-    data_dir = pick(getattr(args, "data_dir", None), "data_dir",
-                    os.environ.get(ENV_DATA_DIR))
+def _parse_unroll(spec, name):
+    """(a, b) from "a,b" or [a, b], each a positive integer."""
+    if isinstance(spec, str):
+        spec = [int(p) if p.strip().isdigit() else p for p in spec.split(",")]
+    if not (isinstance(spec, list) and len(spec) == 2
+            and all(type(f) is int and f > 0 for f in spec)):
+        raise ValueError(f"{name} expects two positive integers, e.g. 4,4")
+    return tuple(spec)
+
+
+def load_config(args):
+    """(RunConfig, fc_unroll) from args' flags, the config file,
+    $CONVPIPE_DATA_DIR and the dataclass defaults, highest first;
+    --synthetic forces data_dir to None."""
+    path, values, fc_unroll, problems = args.config, {}, None, []
+    if path:
+        try:
+            with open(path) as f:
+                data = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: the config must be a JSON object, "
+                             f"got {json.dumps(data)}")
+        if "unroll_fc" in data:
+            fc_unroll = _parse_unroll(data.pop("unroll_fc"),
+                                      f"{path}: unroll_fc")
+        values = _field_values(RunConfig, data, "", problems)
+        if problems:
+            raise ValueError(f"{path}: " + "; ".join(problems))
+    dims = values.setdefault("dims", {})
+    pool_map = dims.pop("pool_map", None)
+    batch = values.pop("batch_size", None)
+    if batch is not None and dims.setdefault("batch", batch) != batch:
+        raise ValueError(f"{path}: batch_size {batch} disagrees with "
+                         f"dims.batch {dims['batch']}")
+    if ENV_DATA_DIR in os.environ:
+        values.setdefault("data_dir", os.environ[ENV_DATA_DIR])
+    names = {f.name for f in fields(RunConfig)}
+    for key, value in vars(args).items():  # a flag's dest is its config key
+        group, _, name = key.rpartition(".")
+        if value is not None and (group or name) in names:
+            (values.setdefault(group, {}) if group else values)[name] = value
     if getattr(args, "synthetic", False):
-        data_dir = None
-
-    adam_cfg = file_cfg.get("adam", {})
-    hyper = AdamHyper(beta1=adam_cfg.get("beta1", 0.9),
-                      beta2=adam_cfg.get("beta2", 0.999),
-                      eta=adam_cfg.get("eta", 0.01),
-                      eps=adam_cfg.get("eps", 1e-7))
-    budget_cfg = file_cfg.get("budget", {})
-
-    def pick_budget(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return budget_cfg.get(key, default)
-
-    budget = ResourceBudget(
-        max_multipliers=pick_budget(args.max_multipliers, "max_multipliers", 25),
-        max_adders=budget_cfg.get("max_adders", 25),
-        pipeline_depth=pick_budget(args.pipeline_depth, "pipeline_depth", 8),
-        clock_ns=pick_budget(args.clock_ns, "clock_ns", 10.0),
-        interface_cycles_per_word=budget_cfg.get("interface_cycles_per_word", 2),
-    )
-    dims_cfg = file_cfg.get("dims", {})
-    batch = pick(getattr(args, "batch_size", None), "batch_size",
-                 dims_cfg.get("batch", 32))
-    return RunConfig(
-        data_dir=data_dir,
-        synthetic_train=file_cfg.get("synthetic_train", 2048),
-        synthetic_test=file_cfg.get("synthetic_test", 512),
-        epochs=pick(getattr(args, "epochs", None), "epochs", 1),
-        seed=pick(args.seed, "seed", 0),
-        mode=pick(getattr(args, "mode", None), "mode", PIPELINED),
-        dims=_dims_from_dict({**dims_cfg, "batch": batch}),
-        hyper=hyper,
-        budget=budget,
-        checkpoint_path=pick(getattr(args, "checkpoint", None),
-                             "checkpoint_path", None),
-        report_path=pick(getattr(args, "report", None), "report_path", None),
-    )
+        values["data_dir"] = None
+    if getattr(args, "unroll_fc", None):
+        fc_unroll = _parse_unroll(args.unroll_fc, "--unroll-fc")
+    cfg = _build(RunConfig, values)
+    if pool_map is not None and pool_map != cfg.dims.pool_map:
+        raise ValueError(f"{path}: dims.pool_map {pool_map} does not match "
+                         f"{cfg.dims.pool_map} derived from image/kernel dims")
+    return cfg, fc_unroll
 
 
 def _write_report(report_dict, path):
@@ -120,7 +141,7 @@ def _write_epochs_csv(epochs, path):
 
 
 def cmd_train(args):
-    cfg = build_run_config(args)
+    cfg, _ = load_config(args)
     report = run_training(cfg)
     for entry in report.epochs:
         if "train_loss" in entry:
@@ -150,10 +171,8 @@ def cmd_train(args):
 
 
 def cmd_test(args):
-    cfg = build_run_config(args)
-    if not getattr(args, "checkpoint", None):
-        raise ValueError("test requires --checkpoint")
-    state = load_checkpoint(args.checkpoint, cfg.hyper, cfg.dims)
+    cfg, _ = load_config(args)
+    state = load_checkpoint(cfg.checkpoint_path, cfg.hyper, cfg.dims)
     test_batches = load_split(cfg, "test")
     correct_sum = 0.0
     n = 0
@@ -162,7 +181,7 @@ def cmd_test(args):
         trace, state = accel_kernel(conv, state, False)
         correct_sum += _accuracy(trace.h2, conv.out_actual) * conv.v.shape[0]
         n += conv.v.shape[0]
-    acc = correct_sum / n if n else 0.0
+    acc = correct_sum / n
     est = estimate_pass("inference", cfg.budget, cfg.dims)
     per_batch_s = cycles_to_seconds(est.total_cycles, cfg.budget)
     print(f"test accuracy: {acc:.4f} over {n} images")
@@ -193,24 +212,8 @@ def _print_estimate(est, budget):
     print(f"  storage words: {est.storage_totals}")
 
 
-def _parse_unroll(spec):
-    if isinstance(spec, (list, tuple)):
-        parts = list(spec)
-    else:
-        parts = str(spec).split(",")
-    if len(parts) != 2:
-        raise ValueError("unroll-fc expects two comma-separated factors")
-    return int(parts[0]), int(parts[1])
-
-
 def cmd_estimate(args):
-    cfg = build_run_config(args)
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    fc_unroll = None
-    if getattr(args, "unroll_fc", None):
-        fc_unroll = _parse_unroll(args.unroll_fc)
-    elif "unroll_fc" in file_cfg:
-        fc_unroll = _parse_unroll(file_cfg["unroll_fc"])
+    cfg, fc_unroll = load_config(args)
     infer = estimate_pass("inference", cfg.budget, cfg.dims, fc_unroll)
     train = estimate_pass("training", cfg.budget, cfg.dims, fc_unroll)
     _print_estimate(infer, cfg.budget)
@@ -250,15 +253,18 @@ def build_parser():
     def common(p, with_data=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--report", help="write a JSON report here")
-        p.add_argument("--max-multipliers", type=int, default=None)
-        p.add_argument("--pipeline-depth", type=int, default=None)
-        p.add_argument("--clock-ns", type=float, default=None)
+        p.add_argument("--report", dest="report_path",
+                       help="write a JSON report here")
+        p.add_argument("--max-multipliers", dest="budget.max_multipliers",
+                       type=int)
+        p.add_argument("--pipeline-depth", dest="budget.pipeline_depth",
+                       type=int)
+        p.add_argument("--clock-ns", dest="budget.clock_ns", type=float)
         if with_data:
             p.add_argument("--data-dir",
                            help=f"directory with IDX files "
                                 f"(fallback: ${ENV_DATA_DIR})")
-            p.add_argument("--batch-size", type=int, default=None)
+            p.add_argument("--batch-size", dest="dims.batch", type=int)
             p.add_argument("--synthetic", action="store_true",
                            help="ignore data dir and use the synthetic fixture")
 
@@ -266,13 +272,14 @@ def build_parser():
     common(p_train)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--mode", choices=list(MODES), default=None)
-    p_train.add_argument("--checkpoint", help="write final weights here")
+    p_train.add_argument("--checkpoint", dest="checkpoint_path",
+                         help="write final weights here")
     p_train.add_argument("--epochs-csv", help="also write the epoch table as CSV")
     p_train.set_defaults(func=cmd_train)
 
     p_test = sub.add_parser("test", help="inference-only scoring of a checkpoint")
     common(p_test)
-    p_test.add_argument("--checkpoint", required=True)
+    p_test.add_argument("--checkpoint", dest="checkpoint_path", required=True)
     p_test.set_defaults(func=cmd_test)
 
     p_est = sub.add_parser("estimate",

@@ -32,8 +32,9 @@ The library is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
 (~/.cache when XDG_CACHE_HOME is unset), keyed by the source and flags, and
 written through a temporary file and os.replace so concurrent first builds
 are safe. A build then removes the cache's other native-*.so files (and
-kseq-*.so, the old name), so a changed source leaves no dead library
-behind; a process that has one loaded keeps using it. ctypes releases the
+kseq-*.so, the old name) not loaded for 30 days, as kernels() touches the
+library it loads: checkouts of other sources keep theirs, and a process
+that has one loaded keeps using it. ctypes releases the
 GIL for the duration of each call, so the pipelined producer and the
 accelerator thread run at the same time.
 
@@ -182,11 +183,13 @@ def _build(path):
                        check=True, capture_output=True, timeout=300)
         os.replace(lib, path)
     # libraries of other sources or flags, and of the old single-kernel
-    # name; a process that has one loaded keeps its mapping
+    # name, not loaded for 30 days; a process that has one loaded keeps
+    # its mapping
+    cutoff = path.stat().st_mtime - 30 * 24 * 3600
     for pattern in ("native-*.so", "kseq-*.so"):
         for stale in path.parent.glob(pattern):
-            if stale != path:
-                with contextlib.suppress(OSError):
+            with contextlib.suppress(OSError):
+                if stale != path and stale.stat().st_mtime < cutoff:
                     stale.unlink()
 
 
@@ -207,6 +210,8 @@ def kernels():
         path = _library_path()  # RuntimeError if there is no home directory
         if not path.exists():
             _build(path)
+        with contextlib.suppress(OSError):
+            os.utime(path)  # in use: a build elsewhere keeps it
         return _load(path)
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")

@@ -11,7 +11,7 @@ the accelerator side is modeled in cycles.
 import queue
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import checkpoint as ckpt_mod
@@ -177,19 +177,24 @@ class RunConfig:
     """Everything a run needs; defaults reproduce the reference setup.
     The batch size is dims.batch."""
 
-    data_dir: str = None          # directory with IDX files; None -> synthetic
+    data_dir: str | None = None   # directory with IDX files; None -> synthetic
     synthetic_train: int = 2048   # used only when data_dir is None
     synthetic_test: int = 512
     epochs: int = 1
     seed: int = 0
     mode: str = PIPELINED
     dims: ModelDims = DEFAULT_DIMS
-    hyper: AdamHyper = field(default_factory=AdamHyper)
+    # "key": the field's name in reports and config files
+    hyper: AdamHyper = field(default_factory=AdamHyper, metadata={"key": "adam"})
     budget: ResourceBudget = field(default_factory=ResourceBudget)
-    checkpoint_path: str = None
-    report_path: str = None
+    checkpoint_path: str | None = None
+    report_path: str | None = None
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         # the host stage always applies the fixed sharpening kernel
         kernel = (self.dims.kernel_y, self.dims.kernel_x)
         if kernel != SHARPEN_KERNEL.shape:
@@ -201,29 +206,14 @@ class RunConfig:
         return self.dims.batch
 
     def as_dict(self):
-        return {
-            "data_dir": self.data_dir,
-            "synthetic_train": self.synthetic_train,
-            "synthetic_test": self.synthetic_test,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "mode": self.mode,
-            "dims": {
-                "batch": self.dims.batch,
-                "image_x": self.dims.image_x,
-                "image_y": self.dims.image_y,
-                "kernel_x": self.dims.kernel_x,
-                "kernel_y": self.dims.kernel_y,
-                "pool_map": self.dims.pool_map,
-                "hidden": self.dims.hidden,
-                "classes": self.dims.classes,
-            },
-            "adam": asdict(self.hyper),
-            "budget": asdict(self.budget),
-            "checkpoint_path": self.checkpoint_path,
-            "report_path": self.report_path,
-        }
+        """The report's config section: every field under its key, and the
+        derived batch_size after epochs."""
+        config = {}
+        for f, value in zip(fields(self), asdict(self).values()):
+            config[f.metadata.get("key", f.name)] = value
+            if f.name == "epochs":
+                config["batch_size"] = self.batch_size
+        return config
 
 
 _IDX_NAMES = {
@@ -243,18 +233,17 @@ def _find_idx(data_dir, stem):
         f"{stem}[.gz] not found in data dir {data_dir}")
 
 
-def load_split(cfg: RunConfig, split):
-    """The batches of one split, "train" or "test", from IDX files or the
-    synthetic fixture."""
+def _split_batches(cfg: RunConfig, split):
+    """(batches, image count, image file or "synthetic") of one split,
+    "train" or "test", from IDX files or the synthetic fixture."""
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     dims = cfg.dims
     if cfg.data_dir is not None:
         if not Path(cfg.data_dir).is_dir():
             raise FileNotFoundError(f"data dir does not exist: {cfg.data_dir}")
-        images = load_idx_images(
-            _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_images"]),
-            dims.image_x, dims.image_y)
+        source = _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_images"])
+        images = load_idx_images(source, dims.image_x, dims.image_y)
         labels = load_idx_labels(
             _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_labels"]), dims.classes)
     else:
@@ -262,12 +251,24 @@ def load_split(cfg: RunConfig, split):
                        else (cfg.seed + 2, cfg.synthetic_test))
         images, labels = synthetic_dataset(seed, count, dims.image_x,
                                            dims.image_y, dims.classes)
-    return make_batches(images, labels, cfg.batch_size)
+        source = "synthetic"
+    return make_batches(images, labels, cfg.batch_size), images.count, source
+
+
+def load_split(cfg: RunConfig, split):
+    """The batches of one split, "train" or "test", from IDX files or the
+    synthetic fixture; ValueError if it holds less than one batch."""
+    batches, count, source = _split_batches(cfg, split)
+    if not batches:
+        raise ValueError(f"{split} split ({source}) has {count} images, "
+                         f"fewer than one batch of {cfg.batch_size}")
+    return batches
 
 
 def load_datasets(cfg: RunConfig):
-    """(train_batches, test_batches) from IDX files or the synthetic fixture."""
-    return load_split(cfg, "train"), load_split(cfg, "test")
+    """(train_batches, test_batches) from IDX files or the synthetic fixture;
+    unlike load_split, a split too small for one batch is left empty."""
+    return _split_batches(cfg, "train")[0], _split_batches(cfg, "test")[0]
 
 
 @dataclass
@@ -310,7 +311,9 @@ def run_training(cfg: RunConfig) -> RunReport:
     """Train for the configured epoch count, scoring the test set after each
     epoch (test inference is always booked sequentially). Saves a checkpoint
     when a path is configured."""
-    train_batches, test_batches = load_datasets(cfg)
+    # both splits are checked before any work; epochs=0 needs no training split
+    train_batches = load_split(cfg, "train") if cfg.epochs else []
+    test_batches = load_split(cfg, "test")
     state = ModelState.initial(cfg.seed, cfg.dims, cfg.hyper)
 
     entries = []

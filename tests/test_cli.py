@@ -231,3 +231,119 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
     assert synthesized == [(4 + 2, 512)]  # the test split's seed and count
     assert "over 512 images" in capsys.readouterr().out
     assert loaded == ["t10k-images-idx3-ubyte"]
+
+
+@pytest.mark.parametrize("config, fragments", [
+    ({"budget": {"max_multiplier": 8}, "dims": {"hiden": 64}, "epoch": 3},
+     ["unknown key budget.max_multiplier", "unknown key dims.hiden",
+      "unknown key epoch"]),
+    ([{"epochs": 2}],
+     ['the config must be a JSON object, got [{"epochs": 2}]']),
+    ({"epochs": "2"}, ['epochs must be an integer, got "2"']),
+    ({"dims": {"hidden": "64"}}, ['dims.hidden must be an integer, got "64"']),
+    ({"budget": {"max_adders": True}},
+     ["budget.max_adders must be an integer, got true"]),
+    ({"adam": {"eta": "0.1"}}, ['adam.eta must be a number, got "0.1"']),
+    ({"dims": [32]}, ["dims must be an object, got [32]"]),
+    ({"batch_size": 16, "dims": {"batch": 32}},
+     ["batch_size 16 disagrees with dims.batch 32"]),
+    ({"unroll_fc": [1, 2, 3]}, ["unroll_fc expects two positive integer"]),
+], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
+        "bool_for_int", "string_for_float", "list_for_object",
+        "batch_size_mismatch", "bad_unroll"])
+@pytest.mark.parametrize("command", [["estimate"], ["train", "--synthetic"]],
+                         ids=["estimate", "train"])
+def test_bad_config_file_is_rejected_by_path_and_key(tmp_path, capsys, config,
+                                                     fragments, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([*command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg_path}: ")
+    for fragment in fragments:
+        assert fragment in captured.err
+    assert captured.out == ""
+
+
+def test_malformed_json_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"epochs": 2,}')
+    assert main(["estimate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: invalid JSON")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--epochs", "-1"], {}, "epochs must be >= 0, got -1"),
+    ([], {"mode": "fast"}, "mode must be one of ('sequential', 'pipelined'), "
+                           "got 'fast'"),
+], ids=["negative_epochs", "unknown_mode"])
+def test_bad_run_values_fail_before_any_work(tmp_path, monkeypatch, capsys,
+                                             argv, config, message):
+    from convpipe import pipeline
+
+    def no_dataset(*args):
+        raise AssertionError("a dataset was built")
+    monkeypatch.setattr(pipeline, "synthetic_dataset", no_dataset)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    report = tmp_path / "out.json"
+    assert main(["train", "--synthetic", "--config", str(cfg_path), *argv,
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+def test_split_smaller_than_a_batch_fails_before_training(tmp_path, monkeypatch,
+                                                          capsys):
+    from convpipe import pipeline
+
+    def no_epoch(*args):
+        raise AssertionError("an epoch ran")
+    monkeypatch.setattr(pipeline, "run_epoch", no_epoch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"synthetic_test": 10}))
+    message = ("error: test split (synthetic) has 10 images, "
+               "fewer than one batch of 32\n")
+    assert main(["train", "--synthetic", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == message
+
+    ckpt = tmp_path / "fresh.ckpt"
+    save_checkpoint(ckpt, ModelState.initial(0))
+    assert main(["test", "--synthetic", "--config", str(cfg_path),
+                 "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert "test accuracy" not in captured.out
+
+
+def test_idx_split_smaller_than_a_batch_names_the_file(data_dir, tmp_path,
+                                                       capsys):
+    ckpt = tmp_path / "fresh.ckpt"
+    save_checkpoint(ckpt, ModelState.initial(0))
+    assert main(["test", "--data-dir", str(data_dir), "--batch-size", "128",
+                 "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: test split ({data_dir / 't10k-images-idx3-ubyte'}) has 64 "
+        f"images, fewer than one batch of 128\n")
+
+
+def test_zero_epochs_needs_no_training_split(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"synthetic_train": 10, "epochs": 0}))
+    assert main(["train", "--synthetic", "--config", str(cfg_path)]) == 0
+
+
+def test_report_config_round_trips_through_config(tmp_path, monkeypatch):
+    report = tmp_path / "out.json"
+    assert main(["train", "--synthetic", "--epochs", "0", "--seed", "5",
+                 "--batch-size", "16", "--max-multipliers", "8",
+                 "--clock-ns", "5", "--report", str(report)]) == 0
+    config = json.dumps(json.loads(report.read_text())["config"], indent=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config)
+    report.unlink()
+    # the file's "data_dir": null beats the environment, as any file value does
+    monkeypatch.setenv("CONVPIPE_DATA_DIR", str(tmp_path / "nowhere"))
+    assert main(["train", "--config", str(cfg_path)]) == 0  # report_path too
+    assert json.dumps(json.loads(report.read_text())["config"],
+                      indent=2) == config

@@ -1,7 +1,9 @@
 import hashlib
+import os
 import re
 import shutil
 import subprocess
+import time
 import warnings
 from pathlib import Path
 
@@ -215,14 +217,32 @@ def test_second_load_reuses_the_cached_library(empty_kernel_cache, monkeypatch):
 
 
 def test_a_new_build_removes_stale_libraries(empty_kernel_cache):
+    """Only libraries unused for longer than 30 days go: a fresh library of
+    another source belongs to another checkout and stays."""
     if not _compiler_on_path():
         pytest.skip("no cc or gcc on PATH")
     empty_kernel_cache.mkdir(parents=True)
+    aged = time.time() - 31 * 24 * 3600
     for name in ("native-0000.so", "kseq-0000.so", "other.so", "native-0000.c"):
         (empty_kernel_cache / name).write_bytes(b"")
+        os.utime(empty_kernel_cache / name, (aged, aged))
+    (empty_kernel_cache / "native-1111.so").write_bytes(b"")
     assert native.kernels() is not None
     assert sorted(p.name for p in empty_kernel_cache.iterdir()) == \
-        ["native-0000.c", native._library_path().name, "other.so"]
+        ["native-0000.c", "native-1111.so", native._library_path().name,
+         "other.so"]
+
+
+def test_loading_marks_the_library_in_use(empty_kernel_cache):
+    if not _compiler_on_path():
+        pytest.skip("no cc or gcc on PATH")
+    assert native.kernels() is not None
+    path = native._library_path()
+    aged = time.time() - 31 * 24 * 3600
+    os.utime(path, (aged, aged))
+    native.kernels.cache_clear()
+    assert native.kernels() is not None
+    assert path.stat().st_mtime > aged + 24 * 3600
 
 
 def _cpu_simd_flags():
