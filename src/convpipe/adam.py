@@ -71,10 +71,11 @@ def correction_factors(hyper: AdamHyper, t: int) -> CorrectionFactors:
 
 def _adam_update_numpy(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     """The update as numpy array expressions: the fallback and the reference
-    for the compiled kernel."""
+    for the compiled kernel. Returns the number of non-finite weights."""
     m[...] = hyper.beta1 * m + (1.0 - hyper.beta1) * g
     v[...] = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
     w -= hyper.eta * (m * corr.c1) / (np.sqrt(v * corr.c2) + hyper.eps)
+    return w.size - int(np.count_nonzero(np.isfinite(w)))
 
 
 def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
@@ -87,6 +88,7 @@ def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     w, m and v are updated where they are. The compiled kernel runs on
     float64 arrays only, and writes only w, m and v that are aligned,
     writable and C-contiguous; for any other array the numpy body runs.
+    Returns the number of non-finite weights the update wrote.
     """
     if not (w.shape == m.shape == v.shape == g.shape):
         raise ValueError(f"shape mismatch: w{w.shape} m{m.shape} "
@@ -95,13 +97,13 @@ def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     if (lib is None or g.dtype != np.float64
             or not all(a.dtype == np.float64 and a.flags.carray
                        for a in (w, m, v))):
-        _adam_update_numpy(w, m, v, g, corr, hyper)
-        return
-    g = np.require(g, np.float64, ("C", "A"))
-    lib.adam_update(w.size, w.ctypes.data, m.ctypes.data, v.ctypes.data,
-                    g.ctypes.data, hyper.beta1, 1.0 - hyper.beta1,
-                    hyper.beta2, 1.0 - hyper.beta2, hyper.eta, corr.c1,
-                    corr.c2, hyper.eps)
+        return _adam_update_numpy(w, m, v, g, corr, hyper)
+    if not (g.flags.c_contiguous and g.flags.aligned):
+        g = np.require(g, np.float64, ("C", "A"))
+    return lib.adam_update(w.size, *map(native.address, (w, m, v, g)),
+                           hyper.beta1, 1.0 - hyper.beta1, hyper.beta2,
+                           1.0 - hyper.beta2, hyper.eta, corr.c1, corr.c2,
+                           hyper.eps)
 
 
 def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
@@ -109,9 +111,11 @@ def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
 
     The output layer is updated first: its gradients come out of the backward
     pass first, and its update produces the factors the hidden layer reuses.
+    Returns the number of non-finite weights the two updates wrote.
     """
     state.step += 1
     corr = correction_factors(hyper, state.step)
-    adam_update(weights.w2, state.m_w2, state.v_w2, grads.g_w2, corr, hyper)
-    adam_update(weights.w1, state.m_w1, state.v_w1, grads.g_w1, corr, hyper)
-    return corr
+    return (adam_update(weights.w2, state.m_w2, state.v_w2, grads.g_w2, corr,
+                        hyper)
+            + adam_update(weights.w1, state.m_w1, state.v_w1, grads.g_w1,
+                          corr, hyper))

@@ -2,10 +2,10 @@
 
 Configuration precedence is dataclass defaults < CONVPIPE_DATA_DIR (the
 data-dir fallback) < JSON config file (--config) < command-line flags. The
-file takes a report's config keys and rejects any other key, or a value of
-the wrong JSON type, by its dotted path. Reports are JSON with top-level
-keys config, epochs, latency_model and schedule_reports; --epochs-csv
-additionally exports the epochs table.
+file takes a report's config keys and rejects any other key, a value of
+the wrong JSON type, or one below its field's "min", by its dotted path.
+Reports are JSON with top-level keys config, epochs, latency_model and
+schedule_reports; --epochs-csv additionally exports the epochs table.
 """
 
 import argparse
@@ -54,9 +54,12 @@ def _field_values(cls, data, path, problems):
             values[f.name] = _field_values(kind, value, dotted, problems)
         else:
             name, accepted = _JSON_TYPES[kind]
+            low = f.metadata.get("min") if f else None
             if isinstance(value, bool) or not isinstance(value, accepted):
                 problems.append(f"{dotted} must be {name}, got "
                                 f"{json.dumps(value)}")
+            elif low is not None and value < low:
+                problems.append(f"{dotted} must be >= {low}, got {value}")
             values[f.name if f else key] = value
     return values
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dims import DEFAULT_DIMS
+
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
@@ -58,7 +60,7 @@ class LabelSet:
     """Class indices, shape (count,) int64."""
 
     labels: np.ndarray
-    num_classes: int = 10
+    num_classes: int = DEFAULT_DIMS.classes
 
     def __post_init__(self):
         if self.labels.ndim != 1:
@@ -105,7 +107,8 @@ def _open_idx(path):
     return open(path, "rb")
 
 
-def load_idx_images(path, expected_rows=28, expected_cols=28):
+def load_idx_images(path, expected_rows=DEFAULT_DIMS.image_x,
+                    expected_cols=DEFAULT_DIMS.image_y):
     """Load an IDX image file into an ImageSet with pixels scaled by 1/255.
 
     Pass expected_rows/expected_cols=None to accept any geometry.
@@ -133,7 +136,7 @@ def load_idx_images(path, expected_rows=28, expected_cols=28):
     return ImageSet(pixels.reshape(count, rows, cols))
 
 
-def load_idx_labels(path, num_classes=10):
+def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
     """Load an IDX label file into a LabelSet, checking the class range."""
     path = Path(path)
     if not path.exists():
@@ -176,7 +179,8 @@ def write_idx_labels(labels: LabelSet, path):
         f.write(labels.labels.astype(np.uint8).tobytes())
 
 
-def make_batches(images: ImageSet, labels: LabelSet, batch_size=32):
+def make_batches(images: ImageSet, labels: LabelSet,
+                 batch_size=DEFAULT_DIMS.batch):
     """Slice a dataset into fixed-size mini-batches in dataset order.
 
     No shuffling, ever: epoch k sees exactly the same batch sequence as
@@ -199,7 +203,9 @@ def make_batches(images: ImageSet, labels: LabelSet, batch_size=32):
     return batches
 
 
-def synthetic_dataset(seed, n, rows=28, cols=28, num_classes=10):
+def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
+                      cols=DEFAULT_DIMS.image_y,
+                      num_classes=DEFAULT_DIMS.classes):
     """Deterministic random dataset for fixtures: byte-quantized pixels in
     [0, 1] and labels uniform over the classes."""
     if n < 0:

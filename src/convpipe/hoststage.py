@@ -103,8 +103,8 @@ def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     else:
         v = np.empty((n, oh * ow // 4), dtype=np.float64)
         rows = np.empty(2 * ow, dtype=np.float64)  # two correlation rows
-        lib.host_stage(n, h, w, images.ctypes.data,
+        lib.host_stage(n, h, w, native.address(images),
                        *(s // images.itemsize for s in images.strides),
-                       kernel.ctypes.data, kh, kw, rows.ctypes.data,
-                       v.ctypes.data)
+                       native.address(kernel), kh, kw, native.address(rows),
+                       native.address(v))
     return ConvBatch(v, batch.out_actual, batch.index)

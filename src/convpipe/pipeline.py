@@ -177,14 +177,16 @@ class RunConfig:
     """Everything a run needs; defaults reproduce the reference setup.
     The batch size is dims.batch."""
 
+    # metadata "min": the lowest value allowed; "key": the field's name in
+    # reports and config files
     data_dir: str | None = None   # directory with IDX files; None -> synthetic
-    synthetic_train: int = 2048   # used only when data_dir is None
-    synthetic_test: int = 512
-    epochs: int = 1
+    # used only when data_dir is None
+    synthetic_train: int = field(default=2048, metadata={"min": 0})
+    synthetic_test: int = field(default=512, metadata={"min": 0})
+    epochs: int = field(default=1, metadata={"min": 0})
     seed: int = 0
     mode: str = PIPELINED
     dims: ModelDims = DEFAULT_DIMS
-    # "key": the field's name in reports and config files
     hyper: AdamHyper = field(default_factory=AdamHyper, metadata={"key": "adam"})
     budget: ResourceBudget = field(default_factory=ResourceBudget)
     checkpoint_path: str | None = None
@@ -193,8 +195,10 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for f in fields(self):
+            low, value = f.metadata.get("min"), getattr(self, f.name)
+            if low is not None and value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value}")
         # the host stage always applies the fixed sharpening kernel
         kernel = (self.dims.kernel_y, self.dims.kernel_x)
         if kernel != SHARPEN_KERNEL.shape:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convpipe import native
 from convpipe.adam import (AdamHyper, AdamState, _adam_update_numpy,
                            adam_update, apply_batch_update, correction_factors)
 from convpipe.dims import ModelDims
@@ -112,12 +113,24 @@ def test_compiled_update_matches_numpy_bytes(shape):
         g = _special_gradient(rng, shape)
         corr = correction_factors(HYPER, t)
         with np.errstate(all="ignore"):  # inf - inf and the like
-            adam_update(w, m, v, g, corr, HYPER)
-            _adam_update_numpy(ref_w, ref_m, ref_v, g, corr, HYPER)
+            count = adam_update(w, m, v, g, corr, HYPER)
+            ref_count = _adam_update_numpy(ref_w, ref_m, ref_v, g, corr, HYPER)
+        assert count == ref_count == np.count_nonzero(~np.isfinite(ref_w))
     assert np.isnan(w).any() and np.isfinite(w).any()
     assert w.tobytes() == ref_w.tobytes()
     assert m.tobytes() == ref_m.tobytes()
     assert v.tobytes() == ref_v.tobytes()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_update_counts_nonfinite_weights(compiled, monkeypatch):
+    if not compiled:
+        monkeypatch.setattr(native, "kernels", lambda: None)
+    w = np.array([[np.nan, 1.0, np.inf], [-np.inf, -0.0, 2.0]])
+    m, v, g = np.zeros((3, 2, 3))
+    # a zero step leaves every weight as it was
+    assert adam_update(w, m, v, g, correction_factors(HYPER, 1), HYPER) == 3
+    assert np.count_nonzero(np.isfinite(w)) == 3
 
 
 def _fortran(a):

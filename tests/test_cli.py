@@ -248,9 +248,10 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
     ({"batch_size": 16, "dims": {"batch": 32}},
      ["batch_size 16 disagrees with dims.batch 32"]),
     ({"unroll_fc": [1, 2, 3]}, ["unroll_fc expects two positive integer"]),
+    ({"synthetic_test": -5}, ["synthetic_test must be >= 0, got -5"]),
 ], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
         "bool_for_int", "string_for_float", "list_for_object",
-        "batch_size_mismatch", "bad_unroll"])
+        "batch_size_mismatch", "bad_unroll", "negative_fixture_size"])
 @pytest.mark.parametrize("command", [["estimate"], ["train", "--synthetic"]],
                          ids=["estimate", "train"])
 def test_bad_config_file_is_rejected_by_path_and_key(tmp_path, capsys, config,

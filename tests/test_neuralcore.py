@@ -86,6 +86,46 @@ def test_matmul_kseq_production_shapes_bitwise(layout):
     assert got.tobytes() == neuralcore._matmul_kseq_numpy(a, b).tobytes()
 
 
+# (m, k, n, layout of a): every m, n and k below, above and at the edges of
+# the kernel's 4x32 register tile, with a contiguous, a transposed
+# (a_row == 1) and a strided a
+TILE_EDGE_CASES = [(1, 169, 32, "C"), (3, 169, 33, "T"), (3, 1, 1, "C"),
+                   (4, 169, 32, "C"), (4, 1, 31, "strided"),
+                   (4, 169, 128, "strided"), (5, 169, 33, "C"),
+                   (5, 0, 65, "C"), (5, 1, 128, "T"), (5, 169, 65, "strided"),
+                   (169, 1, 65, "strided"), (169, 169, 1, "T"),
+                   (169, 0, 32, "C")]
+
+
+def _tile_edge_operands():
+    """The TILE_EDGE_CASES products, with ReLU zeros in a, a row of -0.0
+    and a column of b whose products with it are all -0.0."""
+    rng = np.random.default_rng(14)
+    operands = {}
+    for m, k, n, layout in TILE_EDGE_CASES:
+        if layout == "T":
+            a = rng.normal(size=(k, m)).T
+        elif layout == "strided":
+            a = rng.normal(size=(2 * m, 3 * k))[::2, ::3]
+        else:
+            a = rng.normal(size=(m, k))
+        a[...] = np.maximum(a, 0.0)
+        a[min(1, m - 1)] = -0.0
+        b = rng.normal(size=(k, n))
+        b[:, min(3, n - 1)] = np.abs(b[:, min(3, n - 1)])
+        operands[f"{m}x{k}x{n}.{layout}"] = (a, b)
+    return operands
+
+
+@pytest.mark.parametrize("name", sorted(_tile_edge_operands()))
+def test_matmul_kseq_tile_edges_bitwise(name):
+    a, b = _tile_edge_operands()[name]
+    got = matmul_kseq(a, b)
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert got.tobytes() == naive_matmul(a, b).tobytes()
+    assert got.tobytes() == neuralcore._matmul_kseq_numpy(a, b).tobytes()
+
+
 def test_matmul_kseq_negative_zero_sums_to_positive_zero():
     # the accumulator starts at +0.0, so a sum of -0.0 products is +0.0
     got = matmul_kseq(np.full((2, 3), -0.0), np.ones((3, 4)))
@@ -107,6 +147,21 @@ def test_matmul_kseq_shape_check():
 
 
 # -- the compiled kernels: cache, fallback -----------------------------------
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("view", [
+    lambda x: x, lambda x: x.T, lambda x: x[:, ::2], lambda x: x[1:, 1:],
+    lambda x: x[2], lambda x: x[:0], _read_only, lambda x: _read_only(x).T,
+], ids=["C", "F", "strided", "offset", "row", "empty", "read_only",
+        "read_only_F"])
+def test_address_is_the_first_element(view):
+    x = view(np.arange(20.0).reshape(4, 5))
+    assert native.address(x) == x.ctypes.data
+
 
 def _compiler_on_path():
     return shutil.which("cc") is not None or shutil.which("gcc") is not None
@@ -135,10 +190,12 @@ def _adam_step_bytes():
 
 
 def _kernel_outputs():
-    """The bytes of all three kernels: the five production products, the
-    host stage of the epoch's batches, and an Adam step."""
+    """The bytes of all three kernels: the five production products and the
+    tile-edge products, the host stage of the epoch's batches, and an Adam
+    step."""
+    products = {**_production_operands(), **_tile_edge_operands()}
     return ({name: matmul_kseq(a, b).tobytes()
-             for name, (a, b) in _production_operands().items()},
+             for name, (a, b) in products.items()},
             [host_stage(batch).v.tobytes() for batch in _epoch_batches()],
             _adam_step_bytes())
 
@@ -274,6 +331,18 @@ def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
         lib = native._load(lib_path)
         monkeypatch.setattr(native, "kernels", lambda: lib)
         assert _kernel_outputs() == dispatched, flags
+
+
+def test_native_source_compiles_without_warnings(tmp_path):
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no cc on PATH")
+    src = tmp_path / "native.c"
+    src.write_text(native._SOURCE)
+    built = subprocess.run([compiler, *native._CFLAGS, "-Wall", "-Wextra",
+                            "-Werror", "-o", str(tmp_path / "native.so"),
+                            str(src)], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
 
 
 def test_fc_forward_zero_weights():
@@ -457,6 +526,22 @@ def test_accel_kernel_guards_nonfinite_weights():
     state.weights.w1[0, 0] = np.inf
     with pytest.raises(FloatingPointError):
         accel_kernel(_conv_batch(8, REDUCED), state, True)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_accel_kernel_guards_nonfinite_output_weights(compiled, monkeypatch):
+    # an infinite moment of w2 alone: the forward and backward passes stay
+    # finite, and only w2's update writes a non-finite weight
+    if not compiled:
+        monkeypatch.setattr(native, "kernels", lambda: None)
+    state = ModelState.initial(7, REDUCED)
+    state.adam.step = 4
+    state.adam.m_w2[3, 2] = np.inf
+    with pytest.raises(FloatingPointError, match="at step 5$"):
+        accel_kernel(_conv_batch(8, REDUCED), state, True)
+    assert np.isfinite(state.weights.w1).all()
+    assert not np.isfinite(state.weights.w2[3, 2])
 
 
 def test_accuracy_exact_match():

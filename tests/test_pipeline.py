@@ -222,6 +222,12 @@ def test_kernel_dims_must_match_host_kernel():
         RunConfig(dims=ModelDims(kernel_x=5, kernel_y=5))
 
 
+@pytest.mark.parametrize("name", ["synthetic_train", "synthetic_test", "epochs"])
+def test_run_config_rejects_negative_counts(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -5$"):
+        RunConfig(**{name: -5})
+
+
 def test_load_datasets_missing_dir():
     with pytest.raises(FileNotFoundError, match="no/such/dir"):
         load_datasets(_tiny_config(data_dir="no/such/dir"))
