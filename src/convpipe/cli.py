@@ -3,7 +3,7 @@
 Configuration precedence is dataclass defaults < CONVPIPE_DATA_DIR (the
 data-dir fallback) < JSON config file (--config) < command-line flags. The
 file takes a report's config keys and rejects any other key, a value of
-the wrong JSON type, or one below its field's "min", by its dotted path.
+the wrong JSON type, or one its dataclass rejects, by its dotted path.
 Reports are JSON with top-level keys config, epochs, latency_model and
 schedule_reports; --epochs-csv additionally exports the epochs table.
 """
@@ -17,11 +17,11 @@ from dataclasses import fields, is_dataclass
 
 from .accelmodel import cycles_to_seconds, estimate_pass
 from .checkpoint import load_checkpoint
-from .neuralcore import accuracy as _accuracy
-from .neuralcore import accel_kernel
+# unused here; perfbench/tracing.py patches cli.host_stage and cli.accel_kernel
 from .hoststage import host_stage
-from .pipeline import (MODES, RunConfig, load_split, run_training,
-                       sequential_seconds, speedup_summary,
+from .neuralcore import accel_kernel
+from .pipeline import (MODES, SEQUENTIAL, RunConfig, load_split, run_epoch,
+                       run_training, sequential_seconds, speedup_summary,
                        two_stage_pipeline_seconds)
 
 ENV_DATA_DIR = "CONVPIPE_DATA_DIR"
@@ -37,8 +37,8 @@ _DERIVED = {"batch_size": int}
 
 def _field_values(cls, data, path, problems):
     """data's values for dataclass cls by field name, each nested dataclass
-    as a dict of its own, plus any _DERIVED key; appends each unknown key
-    and ill-typed value to problems."""
+    as a dict of its own, plus any _DERIVED key; appends each unknown key,
+    ill-typed value and value its dataclass rejects to problems."""
     if not isinstance(data, dict):
         problems.append(f"{path} must be an object, got {json.dumps(data)}")
         return {}
@@ -54,12 +54,14 @@ def _field_values(cls, data, path, problems):
             values[f.name] = _field_values(kind, value, dotted, problems)
         else:
             name, accepted = _JSON_TYPES[kind]
-            low = f.metadata.get("min") if f else None
             if isinstance(value, bool) or not isinstance(value, accepted):
                 problems.append(f"{dotted} must be {name}, got "
                                 f"{json.dumps(value)}")
-            elif low is not None and value < low:
-                problems.append(f"{dotted} must be >= {low}, got {value}")
+            elif f is not None and f.init:
+                try:  # the value alone, every other field at its default
+                    cls(**{f.name: value})
+                except ValueError as exc:
+                    problems.append(f"{dotted}: {exc}")
             values[f.name if f else key] = value
     return values
 
@@ -176,24 +178,16 @@ def cmd_train(args):
 def cmd_test(args):
     cfg, _ = load_config(args)
     state = load_checkpoint(cfg.checkpoint_path, cfg.hyper, cfg.dims)
-    test_batches = load_split(cfg, "test")
-    correct_sum = 0.0
-    n = 0
-    for batch in test_batches:
-        conv = host_stage(batch)
-        trace, state = accel_kernel(conv, state, False)
-        correct_sum += _accuracy(trace.h2, conv.out_actual) * conv.v.shape[0]
-        n += conv.v.shape[0]
-    acc = correct_sum / n
-    est = estimate_pass("inference", cfg.budget, cfg.dims)
-    per_batch_s = cycles_to_seconds(est.total_cycles, cfg.budget)
-    print(f"test accuracy: {acc:.4f} over {n} images")
+    _, res = run_epoch(load_split(cfg, "test"), state, SEQUENTIAL, False,
+                       cfg.budget, cfg.dims)
+    n, est = res.n_batches * cfg.batch_size, res.estimate
+    print(f"test accuracy: {res.accuracy:.4f} over {n} images")
     print(f"modeled inference latency: {est.total_cycles} cycles/batch "
-          f"({per_batch_s * 1e6:.1f} us/batch, "
-          f"{per_batch_s * len(test_batches):.4f} s total)")
+          f"({cycles_to_seconds(est.total_cycles, cfg.budget) * 1e6:.1f} "
+          f"us/batch, {res.accel_seconds:.4f} s total)")
     if cfg.report_path:
         _write_report({"config": cfg.as_dict(),
-                       "test_accuracy": acc,
+                       "test_accuracy": res.accuracy,
                        "images": n,
                        "inference": est.as_dict()}, cfg.report_path)
     return 0

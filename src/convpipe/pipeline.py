@@ -1,21 +1,23 @@
 """Epoch orchestration in sequential and system-level-pipelined modes.
 
-Both modes run the identical batch sequence through host_stage and the
-accelerator kernel in order, so the numeric results are bit-identical; the
-modes differ only in overlap. Pipelined mode really overlaps the two stages
-(producer thread + depth-1 queue) and additionally books an analytic
-latency model, since measured host wall-times are machine-dependent while
+Training epochs, test epochs and `convpipe test` share run_epoch's one loop
+over a stream of host-stage results. The modes differ only in where that
+stream is produced (inline, or on a thread one batch ahead through a depth-1
+queue), so their numeric results are bit-identical. Each epoch also books an
+analytic latency model: measured host wall-times are machine-dependent, and
 the accelerator side is modeled in cycles.
 """
 
 import queue
 import threading
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import checkpoint as ckpt_mod
-from .accelmodel import ResourceBudget, cycles_to_seconds, estimate_pass
+from .accelmodel import (PassEstimate, ResourceBudget, cycles_to_seconds,
+                         estimate_pass)
 from .adam import AdamHyper
 from .dataio import load_idx_images, load_idx_labels, make_batches, synthetic_dataset
 from .dims import DEFAULT_DIMS, ModelDims
@@ -76,82 +78,85 @@ class EpochResult:
     pipelined_seconds: float       # analytic: two-stage overlap
     wall_seconds: float            # actually elapsed
     mode: str
+    estimate: PassEstimate         # the modeled pass of each batch
     stage_latencies: list = field(default_factory=list)
 
 
-def _host_worker(batches, out_q, stop):
+def _host_stream(batches):
+    """(ConvBatch, measured host seconds) of each batch, in order."""
+    for batch in batches:
+        t0 = time.perf_counter()
+        conv = host_stage(batch)
+        yield conv, time.perf_counter() - t0
+
+
+_DONE = ("done", None, 0.0)  # the producer's end marker
+
+
+def _prefetched(stream):
+    """stream's items, each produced on a thread one item ahead through a
+    depth-1 queue. Closing the generator stops and joins the thread."""
+    q = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def produce():
+        try:
+            for conv, host_dt in stream:
+                q.put(("batch", conv, host_dt))
+                if stop.is_set():
+                    break
+            q.put(_DONE)
+        except BaseException as exc:  # re-raised in the consumer thread
+            q.put(("error", exc, 0.0))
+
+    worker = threading.Thread(target=produce, daemon=True)
+    worker.start()
     try:
-        for batch in batches:
-            if stop.is_set():
-                break
-            t0 = time.perf_counter()
-            conv = host_stage(batch)
-            dt = time.perf_counter() - t0
-            out_q.put(("batch", conv, dt))
-        out_q.put(("done", None, 0.0))
-    except BaseException as exc:  # surface in the consumer thread
-        out_q.put(("error", exc, 0.0))
+        for tag, payload, host_dt in iter(q.get, _DONE):
+            if tag == "error":
+                raise payload
+            yield payload, host_dt
+    finally:
+        # tell the producer to wind down, and keep draining so one
+        # blocked on the full queue can finish
+        stop.set()
+        while worker.is_alive():
+            try:
+                q.get_nowait()
+            except queue.Empty:
+                pass
+            worker.join(timeout=0.005)
 
 
 def run_epoch(batches, state: ModelState, mode, is_training,
               budget: ResourceBudget, dims: ModelDims = DEFAULT_DIMS):
     """Run every batch through host stage + accelerator kernel, in order.
 
-    Weight updates happen in batch order in both modes; only the latency
-    accounting and the real overlap differ.
+    Weight updates happen in batch order in both modes; they differ only in
+    where the host stage runs.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not batches:
         raise ValueError("empty batch sequence")
 
-    per_batch_cycles = estimate_pass(
-        "training" if is_training else "inference", budget, dims).total_cycles
-    accel_secs = cycles_to_seconds(per_batch_cycles, budget)
+    estimate = estimate_pass("training" if is_training else "inference",
+                             budget, dims)
+    accel_secs = cycles_to_seconds(estimate.total_cycles, budget)
 
     losses = []
     accs = []
     latencies = []
     wall_start = time.perf_counter()
-
-    if mode == SEQUENTIAL:
-        for batch in batches:
-            t0 = time.perf_counter()
-            conv = host_stage(batch)
-            host_dt = time.perf_counter() - t0
+    stream = _host_stream(batches)
+    if mode == PIPELINED:
+        stream = _prefetched(stream)
+    with closing(stream):
+        for conv, host_dt in stream:
             trace, state = accel_kernel(conv, state, is_training)
             losses.append(trace.loss)
             accs.append(accuracy(trace.h2, conv.out_actual))
-            latencies.append(StageLatency(batch.index, host_dt, per_batch_cycles))
-    else:
-        q = queue.Queue(maxsize=1)
-        stop = threading.Event()
-        worker = threading.Thread(target=_host_worker, args=(batches, q, stop),
-                                  daemon=True)
-        worker.start()
-        try:
-            while True:
-                tag, payload, host_dt = q.get()
-                if tag == "done":
-                    break
-                if tag == "error":
-                    raise payload
-                conv = payload
-                trace, state = accel_kernel(conv, state, is_training)
-                losses.append(trace.loss)
-                accs.append(accuracy(trace.h2, conv.out_actual))
-                latencies.append(StageLatency(conv.index, host_dt,
-                                              per_batch_cycles))
-        finally:
-            # tell the producer to wind down, and keep draining so one
-            # blocked on the full queue can finish
-            stop.set()
-            while worker.is_alive():
-                try:
-                    q.get_nowait()
-                except queue.Empty:
-                    pass
-                worker.join(timeout=0.005)
+            latencies.append(StageLatency(conv.index, host_dt, estimate.total_cycles))
 
     wall = time.perf_counter() - wall_start
     host_times = [l.host_seconds for l in latencies]
@@ -161,12 +166,13 @@ def run_epoch(batches, state: ModelState, mode, is_training,
         mean_loss=sum(losses) / len(losses),
         accuracy=sum(accs) / len(accs),
         host_seconds=sum(host_times),
-        accel_cycles=per_batch_cycles * len(latencies),
+        accel_cycles=estimate.total_cycles * len(latencies),
         accel_seconds=accel_secs * len(latencies),
         sequential_seconds=sequential_seconds(host_times, accel_times),
         pipelined_seconds=two_stage_pipeline_seconds(host_times, accel_times),
         wall_seconds=wall,
         mode=mode,
+        estimate=estimate,
         stage_latencies=latencies,
     )
     return state, result
@@ -333,10 +339,8 @@ def run_training(cfg: RunConfig) -> RunReport:
         state, test_res = run_epoch(test_batches, state, SEQUENTIAL, False,
                                     cfg.budget, cfg.dims)
         entries.append(_epoch_entry(epoch, train_res, test_res))
-        train_totals["host_seconds"] += train_res.host_seconds
-        train_totals["accel_seconds"] += train_res.accel_seconds
-        train_totals["sequential_seconds"] += train_res.sequential_seconds
-        train_totals["pipelined_seconds"] += train_res.pipelined_seconds
+        for key in train_totals:
+            train_totals[key] += getattr(train_res, key)
 
     train_est = estimate_pass("training", cfg.budget, cfg.dims)
     infer_est = estimate_pass("inference", cfg.budget, cfg.dims)

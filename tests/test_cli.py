@@ -108,6 +108,22 @@ def test_test_command_matches_training_accuracy(data_dir, tmp_path):
     assert scored == final
 
 
+def test_test_command_matches_training_accuracy_at_batch_20(tmp_path):
+    # 25 test batches of 20: a mean over batches and one over images can
+    # differ in the last bit, so both commands must use the same one
+    train_report, test_report = tmp_path / "train.json", tmp_path / "test.json"
+    ckpt = tmp_path / "model.ckpt"
+    common = ["--synthetic", "--seed", "1", "--batch-size", "20"]
+    assert main(["train", *common, "--epochs", "1", "--report",
+                 str(train_report), "--checkpoint", str(ckpt)]) == 0
+    assert main(["test", *common, "--checkpoint", str(ckpt),
+                 "--report", str(test_report)]) == 0
+    final = json.loads(train_report.read_text())["epochs"][-1]["test_accuracy"]
+    scored = json.loads(test_report.read_text())
+    assert scored["test_accuracy"] == final
+    assert scored["images"] == 25 * 20
+
+
 def test_test_command_corrupt_checkpoint(data_dir, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -249,9 +265,16 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
      ["batch_size 16 disagrees with dims.batch 32"]),
     ({"unroll_fc": [1, 2, 3]}, ["unroll_fc expects two positive integer"]),
     ({"synthetic_test": -5}, ["synthetic_test must be >= 0, got -5"]),
+    ({"dims": {"hidden": 0}}, ["dims.hidden: hidden must be positive, got 0"]),
+    ({"mode": "fast"}, ["mode: mode must be one of"]),
+    ({"adam": {"eta": -1}}, ["adam.eta: eta and eps must be positive"]),
+    ({"budget": {"clock_ns": 0}, "dims": {"image_x": 27}},
+     ["budget.clock_ns: clock_ns must be positive",
+      "dims.image_x: conv output 25x26 not even"]),
 ], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
         "bool_for_int", "string_for_float", "list_for_object",
-        "batch_size_mismatch", "bad_unroll", "negative_fixture_size"])
+        "batch_size_mismatch", "bad_unroll", "negative_fixture_size",
+        "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image"])
 @pytest.mark.parametrize("command", [["estimate"], ["train", "--synthetic"]],
                          ids=["estimate", "train"])
 def test_bad_config_file_is_rejected_by_path_and_key(tmp_path, capsys, config,
@@ -275,9 +298,10 @@ def test_malformed_json_names_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, config, message", [
     (["--epochs", "-1"], {}, "epochs must be >= 0, got -1"),
-    ([], {"mode": "fast"}, "mode must be one of ('sequential', 'pipelined'), "
-                           "got 'fast'"),
-], ids=["negative_epochs", "unknown_mode"])
+    (["--batch-size", "0"], {}, "batch must be positive, got 0"),
+    ([], {"mode": "fast"}, "{path}: mode: mode must be one of "
+                           "('sequential', 'pipelined'), got 'fast'"),
+], ids=["negative_epochs", "zero_batch_flag", "unknown_mode"])
 def test_bad_run_values_fail_before_any_work(tmp_path, monkeypatch, capsys,
                                              argv, config, message):
     from convpipe import pipeline
@@ -290,7 +314,7 @@ def test_bad_run_values_fail_before_any_work(tmp_path, monkeypatch, capsys,
     report = tmp_path / "out.json"
     assert main(["train", "--synthetic", "--config", str(cfg_path), *argv,
                  "--report", str(report)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=cfg_path)}\n"
     assert not report.exists()
 
 

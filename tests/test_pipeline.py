@@ -1,10 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from convpipe.accelmodel import ResourceBudget
-from convpipe.dataio import make_batches, synthetic_dataset
+from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
 from convpipe.neuralcore import ModelState
 from convpipe.pipeline import (PIPELINED, SEQUENTIAL, RunConfig, load_datasets,
@@ -132,6 +133,10 @@ def test_run_epoch_rejects_bad_input():
         run_epoch(_batches(0, 32), state, "overlapped", True, BUDGET)
 
 
+def _new_threads(before):
+    return [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pipelined_consumer_failure_does_not_hang():
     # a failing accelerator stage must propagate promptly even while the
@@ -139,8 +144,22 @@ def test_pipelined_consumer_failure_does_not_hang():
     batches = _batches(4, 8 * 32)
     state = ModelState.initial(4)
     state.weights.w1[0, 0] = np.inf
-    with pytest.raises(FloatingPointError):
+    before = threading.enumerate()
+    # the exception bound to failure keeps run_epoch's frame alive, so only
+    # an explicit close can have stopped the producer
+    with pytest.raises(FloatingPointError) as failure:
         run_epoch(batches, state, PIPELINED, True, BUDGET)
+    assert _new_threads(before) == []
+
+
+@pytest.mark.parametrize("mode", [SEQUENTIAL, PIPELINED])
+def test_host_stage_failure_propagates_in_both_modes(mode):
+    good = _batches(5, 2 * 32)
+    flat = MiniBatch(np.zeros((32, 28 * 28)), good[0].out_actual, 2)
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="v_raw must be 3-d"):
+        run_epoch(good + [flat], ModelState.initial(5), mode, True, BUDGET)
+    assert _new_threads(before) == []
 
 
 def test_training_epoch_updates_once_per_batch():
