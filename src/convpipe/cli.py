@@ -3,7 +3,9 @@
 Configuration precedence is dataclass defaults < CONVPIPE_DATA_DIR (the
 data-dir fallback) < JSON config file (--config) < command-line flags. The
 file takes a report's config keys and rejects any other key, a value of
-the wrong JSON type, or one its dataclass rejects, by its dotted path.
+the wrong JSON type, or one its dataclass rejects, by its dotted path;
+values rejected only together, such as a kernel larger than the image,
+fail with the file's path and the dotted key of the section rejecting them.
 Reports are JSON with top-level keys config, epochs, latency_model and
 schedule_reports; --epochs-csv additionally exports the epochs table.
 """
@@ -31,8 +33,9 @@ _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
                str: ("a string", str),
                str | None: ("a string or null", (str, type(None)))}
 
-# report keys that are derived values, not fields; load_config checks them
-_DERIVED = {"batch_size": int}
+# report keys that are derived values, not fields: key -> (the nested
+# field it sets, that field's name within it)
+_DERIVED = {"batch_size": ("dims", "batch")}
 
 
 def _field_values(cls, data, path, problems):
@@ -46,31 +49,50 @@ def _field_values(cls, data, path, problems):
     values = {}
     for key, value in data.items():
         dotted = f"{path}.{key}" if path else key
-        f = by_key.get(key)
-        kind = f.type if f else _DERIVED.get(dotted)
-        if kind is None:
+        owner, f = cls, by_key.get(key)
+        if f is None and dotted in _DERIVED:
+            group, name = _DERIVED[dotted]
+            owner = by_key[group].type
+            f = next(g for g in fields(owner) if g.name == name)
+        if f is None:
             problems.append(f"unknown key {dotted}")
-        elif is_dataclass(kind):
-            values[f.name] = _field_values(kind, value, dotted, problems)
+        elif is_dataclass(f.type):
+            values[f.name] = _field_values(f.type, value, dotted, problems)
         else:
-            name, accepted = _JSON_TYPES[kind]
+            name, accepted = _JSON_TYPES[f.type]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 problems.append(f"{dotted} must be {name}, got "
                                 f"{json.dumps(value)}")
-            elif f is not None and f.init:
+            elif f.init:
                 try:  # the value alone, every other field at its default
-                    cls(**{f.name: value})
+                    owner(**{f.name: value})
                 except ValueError as exc:
                     problems.append(f"{dotted}: {exc}")
-            values[f.name if f else key] = value
+            values[f.name if owner is cls else key] = value
     return values
 
 
-def _build(cls, values):
-    """cls(**values), each nested dict built as its field's dataclass."""
-    types = {f.name: f.type for f in fields(cls)}
-    return cls(**{name: _build(types[name], v) if isinstance(v, dict) else v
-                  for name, v in values.items()})
+def _build(cls, values, path=None):
+    """cls(**values), each nested dict built as its field's dataclass. Given
+    the dotted path of values ("" at the top), a ValueError from a nested
+    dataclass is prefixed with that dataclass's dotted key."""
+    built = {}
+    for f in fields(cls):
+        if f.name in values:
+            value = values[f.name]
+            if isinstance(value, dict):
+                nested = None
+                if path is not None:
+                    key = f.metadata.get("key", f.name)
+                    nested = f"{path}.{key}" if path else key
+                value = _build(f.type, value, nested)
+            built[f.name] = value
+    try:
+        return cls(**built)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_unroll(spec, name):
@@ -109,6 +131,11 @@ def load_config(args):
     if batch is not None and dims.setdefault("batch", batch) != batch:
         raise ValueError(f"{path}: batch_size {batch} disagrees with "
                          f"dims.batch {dims['batch']}")
+    if path:  # the file's values together, every other field at its default
+        try:
+            _build(RunConfig, values, "")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if ENV_DATA_DIR in os.environ:
         values.setdefault("data_dir", os.environ[ENV_DATA_DIR])
     names = {f.name for f in fields(RunConfig)}

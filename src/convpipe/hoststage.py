@@ -86,8 +86,8 @@ def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     (n, pool_map), bit-identical to maxpool2x2(conv2d_valid(v_raw, kernel))
     flattened per image.
     """
-    images = np.require(batch.v_raw, np.float64, ("A",))
-    kernel = np.require(kernel, np.float64, ("C", "A"))
+    images = native.operand(batch.v_raw)
+    kernel = native.operand(kernel, c_contiguous=True)
     if images.ndim != 3:
         raise ValueError(f"v_raw must be 3-d (batch, rows, cols), "
                          f"got shape {images.shape}")

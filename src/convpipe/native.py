@@ -5,23 +5,35 @@ the numpy code that is its reference and fallback:
 
 - matmul_kseq: `out[i][j] += a[i][t] * b[t][j]` for t ascending, each
   element starting from +0.0 (neuralcore.matmul_kseq, reference
-  neuralcore._matmul_kseq_numpy). Every block of 4 rows by 32 columns of
-  out is register-tiled (Goto and van de Geijn, ACM TOMS 2008): its 128
-  sums stay in local accumulators, zeroed to +0.0, for the whole ascending
-  t loop and are stored once after it, which saves a load and a store of
-  out per product. The columns past the last full strip (n % 32, so every
-  n = 10 product) and the rows past the last block of 4 (m % 4) run the
-  plain loop, one row at a time. Tiling only reorders which elements are
-  summed when, never the terms of one element's sum, so the bits are the
-  same;
+  neuralcore._matmul_kseq_numpy). out is register-tiled (Goto and van de
+  Geijn, ACM TOMS 2008): each block of 4 rows by 32 columns keeps its 128
+  sums in local accumulators, zeroed to +0.0, over the whole ascending t
+  loop and stores them once after it, which saves a load and a store of
+  out per product. The n % 32 columns past the last full block (all of
+  every n = 10 product) run a narrow tile of 4 rows by 12 columns: b's
+  columns are copied, zero-padded to 12, 128 rows of t at a time; a
+  block's sums pass from one copy to the next through out, which holds a
+  double exactly, and only its real columns are stored. The rows past the
+  last block of 4 (m % 4) run the plain loop, one row at a time;
 - host_stage: valid correlation with the taps added in row-major kernel
   order from +0.0, then a NaN-propagating 2x2 max-pool written straight
   into the flattened (n, pool_map) rows (hoststage.host_stage, reference
-  hoststage.conv2d_valid and hoststage.maxpool2x2);
+  hoststage.conv2d_valid and hoststage.maxpool2x2). On a CPU with AVX2 the
+  two output rows that each pooled row needs are done in blocks of 16
+  columns, whose 32 sums stay in registers over all the taps; the last
+  block is moved left to end at the last column, and recomputes the
+  values it shares with the block before it. A contiguous row is read with
+  vector loads, a strided one element by element. Elsewhere, and for an
+  output narrower than a block, two output rows are summed in memory, one
+  tap at a time;
 - adam_update: the moment and weight update, in place, with numpy's
   operations in numpy's order for each element (adam.adam_update,
   reference adam._adam_update_numpy); it returns the number of non-finite
   weights it wrote, so the caller's check needs no second pass.
+
+A tile only changes which elements are summed when, never the terms of one
+element's sum or their order, and padding lanes are never stored, so every
+path gives the same bits.
 
 The source is compiled with `cc` (or `gcc`) and -O3 -std=c99
 -ffp-contract=off -fno-math-errno: without -ffp-contract=off, GCC in its
@@ -36,9 +48,14 @@ library is loaded. The bits are the same on every clone: a vector lane is
 an independent output element, each element still accumulates in the same
 order from +0.0, and no clone may fuse a multiply and an add. A compiler
 without the target_clones attribute builds the baseline loops alone. The
-matmul tile is plain C with fixed trip counts, not GCC vector types, so
-each clone vectorises it at its own width; a vector type has one width for
-every clone, and one wider than a clone's registers is split and spilled.
+matmul tiles are plain C with fixed trip counts, so each clone vectorises
+them at its own width. The host stage's block is written with GCC/Clang
+vectors of four doubles, as GCC vectorised none of the plain-C forms of
+its pooling that were tried; without AVX such a vector lives in memory and the block runs
+several times slower than the plain loop, so it runs only in the AVX2 and
+AVX-512F clones. Every helper of a kernel is inlined into it
+(always_inline): a helper left out of line would be built for the
+baseline alone.
 
 The library is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
 (~/.cache when XDG_CACHE_HOME is unset), keyed by the source and flags, and
@@ -66,41 +83,50 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 # Every accumulator starts at +0.0 like the numpy loops: starting from the
 # first product instead would turn an all -0.0 sum into -0.0.
 _SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
 /* One clone per listed target, picked by glibc's loader (an ifunc
    resolver) when the library is loaded. The target names are x86's; on
    other machines or C libraries, or with a compiler without the attribute,
-   only the baseline loops are built. */
+   only the baseline loops are built. AVX2_CPU is true in the AVX2 and
+   AVX-512F clones, as the loader picks the baseline clone only on a CPU
+   without AVX2, and false wherever there are no clones. */
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GLIBC__)
 #if defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
+#define AVX2_CPU __builtin_cpu_supports("avx2")
 #endif
 #endif
 #endif
 #ifndef KERNEL
 #define KERNEL
+#define AVX2_CPU 0
 #endif
+/* A helper of a KERNEL loop: inlined into each clone, so that it is
+   compiled for that clone's target and not only the baseline. */
+#define HELPER static inline __attribute__((always_inline))
 
-/* rows [i0, i1) and columns [j0, j1) of out, one row at a time */
-static void kseq_rows(ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t j0, ptrdiff_t j1,
-                      ptrdiff_t k, ptrdiff_t n,
+/* rows [i0, i1) of out, one row at a time */
+HELPER void kseq_rows(ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t k, ptrdiff_t n,
                       const double *a, ptrdiff_t a_row, ptrdiff_t a_col,
                       const double *restrict b, double *restrict out)
 {
     for (ptrdiff_t i = i0; i < i1; i++) {
         double *restrict o = out + i * n;
-        for (ptrdiff_t j = j0; j < j1; j++)
+        for (ptrdiff_t j = 0; j < n; j++)
             o[j] = 0.0;
         for (ptrdiff_t t = 0; t < k; t++) {
             const double x = a[i * a_row + t * a_col];
             const double *restrict bt = b + t * n;
-            for (ptrdiff_t j = j0; j < j1; j++)
+            for (ptrdiff_t j = 0; j < n; j++)
                 o[j] += x * bt[j];
         }
     }
@@ -111,6 +137,46 @@ static void kseq_rows(ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t j0, ptrdiff_t j1,
    trip counts let each clone vectorise the tile at its own width. */
 #define TILE_R 4
 #define TILE_C 32
+
+/* Columns [j0, j0 + nw) of rows [0, mt) of out, nw <= NARROW_C: the tile
+   of the n % TILE_C columns. Its TILE_R x NARROW_C blocks are zero-padded
+   past the nw real columns and read b's columns from bp, a padded copy of
+   PACK_K rows of t at a time. A block's sums stay in accumulators over one
+   copy and pass to the next through out, which holds a double exactly;
+   only the real columns are stored. */
+#define NARROW_C 12
+#define PACK_K 128
+
+HELPER void kseq_narrow(ptrdiff_t mt, ptrdiff_t k, ptrdiff_t n,
+                        ptrdiff_t j0, ptrdiff_t nw,
+                        const double *a, ptrdiff_t a_row, ptrdiff_t a_col,
+                        const double *restrict b, double *restrict out)
+{
+    double bp[PACK_K][NARROW_C];
+    const size_t row_bytes = (size_t)nw * sizeof(double);
+    ptrdiff_t t0 = 0;
+    do {
+        const ptrdiff_t tk = k - t0 < PACK_K ? k - t0 : PACK_K;
+        for (ptrdiff_t t = 0; t < tk; t++)
+            for (int j = 0; j < NARROW_C; j++)
+                bp[t][j] = j < nw ? b[(t0 + t) * n + j0 + j] : 0.0;
+        for (ptrdiff_t i0 = 0; i0 < mt; i0 += TILE_R) {
+            double *restrict o = out + i0 * n + j0;
+            double c[TILE_R][NARROW_C] = {{0.0}};
+            if (t0 > 0)
+                for (int r = 0; r < TILE_R; r++)
+                    memcpy(c[r], o + r * n, row_bytes);
+            for (ptrdiff_t t = 0; t < tk; t++)
+                for (int r = 0; r < TILE_R; r++) {
+                    const double x = a[(i0 + r) * a_row + (t0 + t) * a_col];
+                    for (int j = 0; j < NARROW_C; j++)
+                        c[r][j] += x * bp[t][j];
+                }
+            for (int r = 0; r < TILE_R; r++)
+                memcpy(o + r * n, c[r], row_bytes);
+        }
+    } while ((t0 += PACK_K) < k);
+}
 
 KERNEL
 void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
@@ -136,19 +202,84 @@ void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
                 for (int j = 0; j < TILE_C; j++)
                     out[(i0 + r) * n + j0 + j] = c[r][j];
         }
-    kseq_rows(0, mt, nt, n, k, n, a, a_row, a_col, b, out);
-    kseq_rows(mt, m, 0, n, k, n, a, a_row, a_col, b, out);
+    for (ptrdiff_t j0 = nt; j0 < n; j0 += NARROW_C)
+        kseq_narrow(mt, k, n, j0, n - j0 < NARROW_C ? n - j0 : NARROW_C,
+                    a, a_row, a_col, b, out);
+    kseq_rows(mt, m, k, n, a, a_row, a_col, b, out);
 }
 
 /* numpy's max: a NaN operand wins, and stays once taken */
-static double max_nan(double m, double x)
+HELPER double max_nan(double m, double x)
 {
     return (x > m || x != x) ? x : m;
 }
 
+/* Four doubles, for the host stage's block: GCC and Clang run each
+   operation on it lane by lane, with the rounding of the scalar
+   operation, as one AVX instruction. Without AVX, GCC keeps such a vector
+   in memory, so only AVX2_CPU code uses it. */
+typedef double v4d __attribute__((vector_size(32)));
+typedef long long v4i __attribute__((vector_size(32)));
+
+/* lanes 0, 2, 4, 6 and lanes 1, 3, 5, 7 of the eight in a and b */
+#if defined(__clang__) || __GNUC__ >= 12
+#define EVEN(a, b) __builtin_shufflevector(a, b, 0, 2, 4, 6)
+#define ODD(a, b) __builtin_shufflevector(a, b, 1, 3, 5, 7)
+#else
+#define EVEN(a, b) __builtin_shuffle(a, b, (v4i){0, 2, 4, 6})
+#define ODD(a, b) __builtin_shuffle(a, b, (v4i){1, 3, 5, 7})
+#endif
+
+#define HOST_V 4             /* vectors per row of a block */
+#define HOST_C (4 * HOST_V)  /* columns per block */
+
+/* Output rows 0 and 1 of the correlation of img over columns
+   [0, HOST_C), pooled 2x2 into out[0, HOST_C / 2). Each sum starts from
+   +0.0 and adds the taps in row-major kernel order, and the 2 x HOST_C
+   sums stay in registers over all the taps. A contiguous row (x_w == 1 at
+   the call) is read with vector loads. */
+HELPER void corr_pool(const double *img, ptrdiff_t x_h, ptrdiff_t x_w,
+                      const double *restrict k, ptrdiff_t kh, ptrdiff_t kw,
+                      double *restrict out)
+{
+    v4d s[2][HOST_V] = {{{0.0}}};
+    for (ptrdiff_t i = 0; i < kh; i++)
+        for (ptrdiff_t j = 0; j < kw; j++) {
+            const double kv = k[i * kw + j];
+            for (int r = 0; r < 2; r++)
+                for (int v = 0; v < HOST_V; v++) {
+                    const double *p = img + (i + r) * x_h + (j + 4 * v) * x_w;
+                    v4d xv;
+                    if (x_w == 1)
+                        memcpy(&xv, p, sizeof xv);
+                    else
+                        xv = (v4d){p[0], p[x_w], p[2 * x_w], p[3 * x_w]};
+                    s[r][v] += kv * xv;
+                }
+        }
+    /* max_nan lane by lane, over each 2x2 window in row-major order */
+    for (int v = 0; v < HOST_V; v += 2) {
+        const v4d xs[3] = {ODD(s[0][v], s[0][v + 1]),
+                           EVEN(s[1][v], s[1][v + 1]),
+                           ODD(s[1][v], s[1][v + 1])};
+        v4d m = EVEN(s[0][v], s[0][v + 1]);
+        for (int q = 0; q < 3; q++) {
+            const v4i take = (v4i)((xs[q] > m) | (xs[q] != xs[q]));
+            m = (v4d)(((v4i)xs[q] & take) | ((v4i)m & ~take));
+        }
+        memcpy(out + 2 * v, &m, sizeof m);
+    }
+}
+
 /* x is (n, h, w) with element strides x_n, x_h, x_w; the correlation
    output (h-kh+1) x (w-kw+1) must have even dims. rows is scratch for two
-   output rows; out is (n, (h-kh+1)/2 * (w-kw+1)/2), row-major. */
+   output rows; out is (n, (h-kh+1)/2 * (w-kw+1)/2), row-major.
+
+   With AVX2, each pair of output rows runs in blocks of HOST_C columns;
+   the last block is moved left to end at the last column and recomputes
+   the same values where it overlaps the one before it. Otherwise, and for
+   an output narrower than a block, two rows are summed in rows, one tap
+   at a time, and then pooled. */
 KERNEL
 void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
                 const double *x, ptrdiff_t x_n, ptrdiff_t x_h, ptrdiff_t x_w,
@@ -156,6 +287,22 @@ void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
                 double *restrict rows, double *restrict out)
 {
     const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
+    if (AVX2_CPU && ow >= HOST_C) {
+        for (ptrdiff_t b = 0; b < n; b++)
+            for (ptrdiff_t r = 0; r < oh; r += 2) {
+                const double *img = x + b * x_n + r * x_h;
+                double *restrict o = out + (b * oh + r) / 2 * (ow / 2);
+                for (ptrdiff_t c0 = 0; c0 < ow; c0 += HOST_C) {
+                    const ptrdiff_t c = c0 < ow - HOST_C ? c0 : ow - HOST_C;
+                    if (x_w == 1)
+                        corr_pool(img + c, x_h, 1, k, kh, kw, o + c / 2);
+                    else
+                        corr_pool(img + c * x_w, x_h, x_w, k, kh, kw,
+                                  o + c / 2);
+                }
+            }
+        return;
+    }
     double *restrict r0 = rows, *restrict r1 = rows + ow;
     for (ptrdiff_t b = 0; b < n; b++) {
         const double *img = x + b * x_n;
@@ -269,6 +416,20 @@ def address(x):
         if flags.f_contiguous:
             return ctypes.addressof(ctypes.c_char.from_buffer(x.T))
     return x.ctypes.data
+
+
+_FLOAT64 = np.dtype(np.float64)  # native byte order
+
+
+def operand(x, c_contiguous=False):
+    """x as an aligned float64 ndarray, C-contiguous if asked: x itself
+    when it is one already, which the flag tests find in a tenth of
+    np.require's ~2 us."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        flags = x.flags
+        if flags.aligned and (not c_contiguous or flags.c_contiguous):
+            return x
+    return np.require(x, np.float64, ("C", "A") if c_contiguous else ("A",))
 
 
 @functools.cache

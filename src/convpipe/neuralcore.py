@@ -26,7 +26,6 @@ from .dims import DEFAULT_DIMS
 from .hoststage import ConvBatch
 
 LOG_EPS = 1e-12  # guards ln() against exact-zero probabilities
-_FLOAT64 = np.dtype(np.float64)  # native byte order
 
 
 @dataclass
@@ -88,13 +87,7 @@ def matmul_kseq(a, b):
     bit for bit, starting from acc = +0.0. `a` may be any strided view
     (h1.T and v.T are not copied); `b` is copied only if not C-contiguous.
     """
-    # np.require costs ~2 us a call, the flag tests a tenth of that
-    if not (type(a) is np.ndarray and a.dtype is _FLOAT64
-            and a.flags.aligned):
-        a = np.require(a, np.float64, ("A",))
-    if not (type(b) is np.ndarray and b.dtype is _FLOAT64
-            and b.flags.c_contiguous and b.flags.aligned):
-        b = np.require(b, np.float64, ("C", "A"))
+    a, b = native.operand(a), native.operand(b, c_contiguous=True)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
     lib = native.kernels()

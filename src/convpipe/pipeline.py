@@ -8,6 +8,8 @@ analytic latency model: measured host wall-times are machine-dependent, and
 the accelerator side is modeled in cycles.
 """
 
+import functools
+import pickle
 import queue
 import threading
 import time
@@ -128,6 +130,20 @@ def _prefetched(stream):
             worker.join(timeout=0.005)
 
 
+@functools.cache
+def _pickled_estimate(mode, budget, dims):
+    return pickle.dumps(estimate_pass(mode, budget, dims))
+
+
+def cached_estimate(mode, budget: ResourceBudget,
+                    dims: ModelDims = DEFAULT_DIMS):
+    """estimate_pass(mode, budget, dims), modeled once per process for each
+    key. PassEstimate is mutable, so every call returns its own copy,
+    unpickled from the first result: about a sixth of copy.deepcopy's time
+    and a twelfth of the model's."""
+    return pickle.loads(_pickled_estimate(mode, budget, dims))
+
+
 def run_epoch(batches, state: ModelState, mode, is_training,
               budget: ResourceBudget, dims: ModelDims = DEFAULT_DIMS):
     """Run every batch through host stage + accelerator kernel, in order.
@@ -140,7 +156,7 @@ def run_epoch(batches, state: ModelState, mode, is_training,
     if not batches:
         raise ValueError("empty batch sequence")
 
-    estimate = estimate_pass("training" if is_training else "inference",
+    estimate = cached_estimate("training" if is_training else "inference",
                              budget, dims)
     accel_secs = cycles_to_seconds(estimate.total_cycles, budget)
 
@@ -342,8 +358,8 @@ def run_training(cfg: RunConfig) -> RunReport:
         for key in train_totals:
             train_totals[key] += getattr(train_res, key)
 
-    train_est = estimate_pass("training", cfg.budget, cfg.dims)
-    infer_est = estimate_pass("inference", cfg.budget, cfg.dims)
+    train_est = cached_estimate("training", cfg.budget, cfg.dims)
+    infer_est = cached_estimate("inference", cfg.budget, cfg.dims)
     latency_model = {
         "clock_ns": cfg.budget.clock_ns,
         "per_batch_cycles_training": train_est.total_cycles,

@@ -271,10 +271,16 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
     ({"budget": {"clock_ns": 0}, "dims": {"image_x": 27}},
      ["budget.clock_ns: clock_ns must be positive",
       "dims.image_x: conv output 25x26 not even"]),
+    ({"batch_size": 0}, ["batch_size: batch must be positive, got 0"]),
+    ({"dims": {"kernel_x": 5, "kernel_y": 5}},
+     ["kernel dims (5, 5) do not match the host stage's fixed (3, 3) kernel"]),
+    ({"dims": {"image_x": 4, "kernel_x": 5}},
+     ["dims: kernel larger than image"]),
 ], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
         "bool_for_int", "string_for_float", "list_for_object",
         "batch_size_mismatch", "bad_unroll", "negative_fixture_size",
-        "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image"])
+        "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image",
+        "zero_batch_size", "kernel_dims_together", "kernel_larger_than_image"])
 @pytest.mark.parametrize("command", [["estimate"], ["train", "--synthetic"]],
                          ids=["estimate", "train"])
 def test_bad_config_file_is_rejected_by_path_and_key(tmp_path, capsys, config,

@@ -184,6 +184,19 @@ def test_host_stage_strided_views_match_reference():
         assert host_stage(_batch(v)).v.tobytes() == _reference_bytes(v)
 
 
+@pytest.mark.parametrize("convert", [
+    lambda v, k: (v.astype(np.int64), k), lambda v, k: (v, k.T.copy().T),
+    lambda v, k: (v, k.tolist())], ids=["int_images", "fortran_kernel",
+                                        "list_kernel"])
+def test_host_stage_converts_other_operands(convert):
+    rng = np.random.default_rng(6)
+    v = rng.integers(-3, 4, size=(2, 28, 28)).astype(np.float64)
+    kernel = rng.normal(size=(3, 3))
+    want = _reference_bytes(v, kernel)
+    v, kernel = convert(v, kernel)
+    assert host_stage(_batch(v), kernel).v.tobytes() == want
+
+
 def test_host_stage_empty_batch():
     conv = host_stage(_batch(np.zeros((0, 28, 28))))
     assert conv.v.shape == (0, 169)

@@ -14,9 +14,9 @@ from convpipe import native, neuralcore
 from convpipe.accelmodel import ResourceBudget
 from convpipe.adam import AdamHyper, adam_update, correction_factors
 from convpipe.checkpoint import save_checkpoint
-from convpipe.dataio import make_batches, synthetic_dataset
+from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
-from convpipe.hoststage import ConvBatch, host_stage
+from convpipe.hoststage import ConvBatch, conv2d_valid, host_stage, maxpool2x2
 from convpipe.neuralcore import (ForwardTrace, ModelState, Weights,
                                  accel_kernel, accuracy, backward, fc_forward,
                                  init_weights, matmul_kseq, out_forward)
@@ -88,13 +88,21 @@ def test_matmul_kseq_production_shapes_bitwise(layout):
 
 # (m, k, n, layout of a): every m, n and k below, above and at the edges of
 # the kernel's 4x32 register tile, with a contiguous, a transposed
-# (a_row == 1) and a strided a
+# (a_row == 1) and a strided a; then the n % 32 columns of the narrow
+# 4x12 tile: one, two and three 12-column strips, alone and next to 32-column
+# tiles, with k below, at and past the 128 rows of b it copies at a time
 TILE_EDGE_CASES = [(1, 169, 32, "C"), (3, 169, 33, "T"), (3, 1, 1, "C"),
                    (4, 169, 32, "C"), (4, 1, 31, "strided"),
                    (4, 169, 128, "strided"), (5, 169, 33, "C"),
                    (5, 0, 65, "C"), (5, 1, 128, "T"), (5, 169, 65, "strided"),
                    (169, 1, 65, "strided"), (169, 169, 1, "T"),
-                   (169, 0, 32, "C")]
+                   (169, 0, 32, "C"),
+                   (4, 128, 1, "C"), (5, 1, 9, "T"), (32, 128, 10, "C"),
+                   (128, 32, 10, "T"), (7, 0, 10, "strided"),
+                   (6, 129, 11, "strided"), (8, 300, 12, "T"),
+                   (9, 1, 16, "C"), (4, 256, 17, "strided"), (13, 0, 31, "T"),
+                   (3, 169, 31, "C"), (11, 169, 42, "C"),
+                   (12, 257, 42, "T"), (5, 1, 42, "strided")]
 
 
 def _tile_edge_operands():
@@ -146,6 +154,38 @@ def test_matmul_kseq_shape_check():
         matmul_kseq(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+# correlation output widths below, at and above the host stage's 16-column
+# block, and not a multiple of it; the last block overlaps the one before
+HOST_EDGE_WIDTHS = (4, 8, 16, 24, 26, 30, 50)
+
+
+def _host_edge_inputs():
+    """(images, kernel) for each HOST_EDGE_WIDTHS output width, contiguous
+    and as a strided view, with NaN pixels and a random 3x3 kernel, so that
+    another order of the taps changes the bits."""
+    rng = np.random.default_rng(15)
+    inputs = {}
+    for ow in HOST_EDGE_WIDTHS:
+        kernel = rng.normal(size=(3, 3))
+        h, w = 8, ow + 2
+        base = rng.normal(size=(6, 2 * h, 3 * w))
+        for layout, v in (("C", base[:3, :h, :w].copy()),
+                          ("strided", base[::2, ::2, ::3])):
+            v[1, 3, 5] = v[2, h - 1, w - 2] = np.nan
+            inputs[f"{ow}.{layout}"] = (v, kernel)
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(_host_edge_inputs()))
+def test_host_stage_block_edges_bitwise(name):
+    v, kernel = _host_edge_inputs()[name]
+    assert v.flags.c_contiguous == name.endswith(".C")
+    got = host_stage(MiniBatch(v, np.zeros((3, 10)), 0), kernel).v
+    want = maxpool2x2(conv2d_valid(v, kernel))
+    assert np.isnan(got).any()
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
 # -- the compiled kernels: cache, fallback -----------------------------------
 
 def _read_only(x):
@@ -191,12 +231,14 @@ def _adam_step_bytes():
 
 def _kernel_outputs():
     """The bytes of all three kernels: the five production products and the
-    tile-edge products, the host stage of the epoch's batches, and an Adam
-    step."""
+    tile-edge products, the host stage of the epoch's batches and of the
+    block-edge images, and an Adam step."""
     products = {**_production_operands(), **_tile_edge_operands()}
     return ({name: matmul_kseq(a, b).tobytes()
              for name, (a, b) in products.items()},
             [host_stage(batch).v.tobytes() for batch in _epoch_batches()],
+            {name: host_stage(MiniBatch(v, np.zeros((3, 10)), 0), kernel)
+             .v.tobytes() for name, (v, kernel) in _host_edge_inputs().items()},
             _adam_step_bytes())
 
 
@@ -285,9 +327,9 @@ def test_a_new_build_removes_stale_libraries(empty_kernel_cache):
         os.utime(empty_kernel_cache / name, (aged, aged))
     (empty_kernel_cache / "native-1111.so").write_bytes(b"")
     assert native.kernels() is not None
-    assert sorted(p.name for p in empty_kernel_cache.iterdir()) == \
-        ["native-0000.c", "native-1111.so", native._library_path().name,
-         "other.so"]
+    assert {p.name for p in empty_kernel_cache.iterdir()} == \
+        {"native-0000.c", "native-1111.so", native._library_path().name,
+         "other.so"}
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):
@@ -313,7 +355,9 @@ def _cpu_simd_flags():
 
 def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
     """The clone the loader picks, a baseline build and a build for each
-    SIMD level the CPU has all give the same bytes, for all three kernels."""
+    SIMD level the CPU has all give the same bytes, for all three kernels,
+    with the host stage's AVX2 block and with the plain loop that a CPU
+    without AVX2 runs instead."""
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         pytest.skip("no cc or gcc on PATH")
@@ -322,15 +366,20 @@ def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
     clones = re.findall(r"__attribute__\(\(target_clones\([^)]*\)\)\)",
                         native._SOURCE)
     assert len(clones) == 1
-    src = tmp_path / "single.c"
-    src.write_text(native._SOURCE.replace(clones[0], ""))
-    for flags in [[], *([f] for f in _cpu_simd_flags())]:
-        lib_path = tmp_path / f"single{''.join(flags)}.so"
-        subprocess.run([compiler, *native._CFLAGS, *flags, "-o", str(lib_path),
-                        str(src)], check=True, capture_output=True)
-        lib = native._load(lib_path)
-        monkeypatch.setattr(native, "kernels", lambda: lib)
-        assert _kernel_outputs() == dispatched, flags
+    single = native._SOURCE.replace(clones[0], "")
+    plain = single.replace('__builtin_cpu_supports("avx2")', "0")
+    assert plain != single
+    for name, source in (("single", single), ("plain", plain)):
+        src = tmp_path / f"{name}.c"
+        src.write_text(source)
+        for flags in [[], *([f] for f in _cpu_simd_flags())]:
+            lib_path = tmp_path / f"{name}{''.join(flags)}.so"
+            subprocess.run([compiler, *native._CFLAGS, *flags, "-o",
+                            str(lib_path), str(src)], check=True,
+                           capture_output=True)
+            lib = native._load(lib_path)
+            monkeypatch.setattr(native, "kernels", lambda: lib)
+            assert _kernel_outputs() == dispatched, (name, flags)
 
 
 def test_native_source_compiles_without_warnings(tmp_path):
