@@ -32,7 +32,7 @@ tile reserves the same resources and cycles as a full one.
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 from .dims import DEFAULT_DIMS
@@ -50,8 +50,10 @@ class ResourceBudget:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -159,22 +161,10 @@ class ScheduleReport:
     stall_events: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "cycles": self.cycles,
-            "effective_ii": self.effective_ii,
-            "tiles": self.tiles,
-            "launches_per_tile": self.launches_per_tile,
-            "multipliers_demanded": self.multipliers_demanded,
-            "adders_demanded": self.adders_demanded,
-            "multipliers_used": self.multipliers_used,
-            "adders_used": self.adders_used,
-            "stall_events": [
-                {"array": c.array_name, "dim": c.dim, "bank": c.bank,
-                 "kind": c.kind, "excess": c.excess}
-                for c in self.stall_events
-            ],
-        }
+        out = asdict(self)
+        out["stall_events"] = [{"array": e.pop("array_name"), **e}
+                               for e in out["stall_events"]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -204,61 +194,43 @@ def cyclic_bank(index, factor):
     return index % factor, index // factor
 
 
-def _partition_lookup(partitions):
-    by_dim = {}
-    arrays = set()
-    for p in partitions:
-        arrays.add(p.array_name)
-        by_dim[(p.array_name, p.dim)] = p
-    return by_dim, arrays
-
-
 def check_port_conflicts(accesses, partitions) -> ConflictReport:
-    """Count same-bank accesses of each kind within one body launch.
+    """Count the accesses of one body launch on each bank port.
 
-    Accesses are grouped by (array, dimension): references that spread along
-    the same partitioned dimension contend for the same banks and their
-    pattern offsets are assumed base-aligned. Dual-port banks serve one read
-    and one write per cycle; single-port banks serve one access total.
+    The count is keyed (array, dim, port, bank): bank is offset mod the
+    dimension's partition factor (1 when the dimension has no partition
+    spec), and port is the access's kind on a dual-port bank, which serves
+    one read and one write per cycle, and "access" on a single-port bank,
+    which serves one access of either kind. References along the same
+    dimension are assumed base-aligned. Every port count above 1 is a
+    conflict with excess count - 1, listed in key order; the stall is the
+    largest count, or 1 when nothing is accessed.
     """
-    by_dim, arrays = _partition_lookup(partitions)
-    groups = {}
+    by_dim = {(p.array_name, p.dim): p for p in partitions}
+    arrays = {name for name, _ in by_dim}
+    demand = {}
     for acc in accesses:
         if acc.array_name not in arrays:
             raise ValueError(f"array {acc.array_name!r} referenced but has no "
                              f"partition spec (factor 1 is allowed)")
-        part = by_dim.get((acc.array_name, acc.accessed_dim))
-        if part is not None and part.style == "complete" \
-                and part.factor != acc.dim_sizes[part.dim]:
-            raise ValueError(
-                f"complete partition of {acc.array_name} dim {part.dim} has "
-                f"factor {part.factor} != dim size {acc.dim_sizes[part.dim]}")
-        groups.setdefault((acc.array_name, acc.accessed_dim), []).append(acc)
-
-    conflicts = []
-    worst = 1
-    for (name, dim), group in sorted(groups.items()):
-        part = by_dim.get((name, dim))
-        factor = part.factor if part is not None else 1
-        ports = part.ports_per_bank if part is not None else 2
-        if ports == 2:
-            kinds = ("read", "write")
-        else:
-            kinds = ("access",)  # single port: reads and writes share it
-        for kind in kinds:
-            counts = {}
-            for acc in group:
-                if ports == 2 and acc.kind != kind:
-                    continue
-                for off in acc.stride_pattern:
-                    bank, _ = cyclic_bank(off, factor)
-                    counts[bank] = counts.get(bank, 0) + 1
-            for bank in sorted(counts):
-                n = counts[bank]
-                worst = max(worst, n)
-                if n > 1:
-                    conflicts.append(BankConflict(name, dim, bank, kind, n - 1))
-    return ConflictReport(conflicts, worst)
+        key = (acc.array_name, acc.accessed_dim)
+        part = by_dim.get(key)
+        factor, port = 1, acc.kind
+        if part is not None:
+            if part.style == "complete" and part.factor != acc.dim_sizes[part.dim]:
+                raise ValueError(
+                    f"complete partition of {acc.array_name} dim {part.dim} has "
+                    f"factor {part.factor} != dim size {acc.dim_sizes[part.dim]}")
+            factor = part.factor
+            if part.ports_per_bank == 1:
+                port = "access"
+        for off in acc.stride_pattern:
+            bank_key = (*key, port, off % factor)
+            demand[bank_key] = demand.get(bank_key, 0) + 1
+    conflicts = [BankConflict(name, dim, bank, port, n - 1)
+                 for (name, dim, port, bank), n
+                 in sorted((k, n) for k, n in demand.items() if n > 1)]
+    return ConflictReport(conflicts, max(demand.values(), default=1))
 
 
 def schedule(nest: LoopNestSpec, partitions, budget: ResourceBudget) -> ScheduleReport:
@@ -269,21 +241,13 @@ def schedule(nest: LoopNestSpec, partitions, budget: ResourceBudget) -> Schedule
     body_copies = math.prod(unrolls)
     mult_demand = nest.mults_per_body * body_copies
     add_demand = nest.adds_per_body * body_copies
-
-    if nest.accesses:
-        report = check_port_conflicts(nest.accesses, partitions)
-        stall = report.stall_cycles
-        events = report.conflicts
-    else:
-        stall, events = 1, []
-
-    ii = max(1,
-             math.ceil(mult_demand / budget.max_multipliers),
+    ports = check_port_conflicts(nest.accesses, partitions)
+    ii = max(math.ceil(mult_demand / budget.max_multipliers),
              math.ceil(add_demand / budget.max_adders),
-             stall)
+             ports.stall_cycles)
 
     per_level = [math.ceil(t / u) for t, u in zip(nest.trip_counts, unrolls)]
-    tiles = math.prod(per_level[:nest.pipelined_level]) if nest.pipelined_level else 1
+    tiles = math.prod(per_level[:nest.pipelined_level])
     launches = math.prod(per_level[nest.pipelined_level:])
     cycles = tiles * (ii * (launches - 1) + budget.pipeline_depth)
 
@@ -297,7 +261,7 @@ def schedule(nest: LoopNestSpec, partitions, budget: ResourceBudget) -> Schedule
         adders_demanded=add_demand,
         multipliers_used=min(mult_demand, budget.max_multipliers),
         adders_used=min(add_demand, budget.max_adders),
-        stall_events=events,
+        stall_events=ports.conflicts,
     )
 
 

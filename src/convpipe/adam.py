@@ -13,6 +13,7 @@ update in place, _adam_update_numpy runs instead; it is also the reference
 the tests compare the kernel against, byte for byte.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ class AdamHyper:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1/beta2 must lie in (0, 1)")
-        if self.eta <= 0.0 or self.eps <= 0.0:
-            raise ValueError("eta and eps must be positive")
+        if not (0.0 < self.eta < math.inf and 0.0 < self.eps < math.inf):
+            raise ValueError(f"eta and eps must be positive and finite, got "
+                             f"eta={self.eta}, eps={self.eps}")
 
 
 @dataclass

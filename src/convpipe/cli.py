@@ -13,6 +13,7 @@ schedule_reports; --epochs-csv additionally exports the epochs table.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields, is_dataclass
@@ -237,6 +238,12 @@ def _print_estimate(est, budget):
 
 
 def cmd_estimate(args):
+    if args.num_batches < 1:
+        raise ValueError(f"--num-batches must be >= 1, got {args.num_batches}")
+    host = args.host_batch_seconds
+    if host is not None and not 0 <= host < math.inf:
+        raise ValueError(f"--host-batch-seconds must be finite and >= 0, "
+                         f"got {host}")
     cfg, fc_unroll = load_config(args)
     infer = estimate_pass("inference", cfg.budget, cfg.dims, fc_unroll)
     train = estimate_pass("training", cfg.budget, cfg.dims, fc_unroll)
@@ -246,7 +253,6 @@ def cmd_estimate(args):
     n = args.num_batches
     accel_train = cycles_to_seconds(train.total_cycles, cfg.budget)
     accel_infer = cycles_to_seconds(infer.total_cycles, cfg.budget)
-    host = args.host_batch_seconds
     if host is not None:
         for label, accel in (("training", accel_train), ("inference", accel_infer)):
             hs, as_ = [host] * n, [accel] * n

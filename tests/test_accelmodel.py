@@ -9,8 +9,9 @@ from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, PartitionSpec,
                                  f64_words, model_transfer, pass_nests, schedule)
 from convpipe.dims import DEFAULT_DIMS, ModelDims
 
-from oracles import (count_transfer_cycles, enumerate_bank_conflicts,
-                     make_random_nest, simulate_nest_cycles)
+from oracles import (_bank_demand_per_launch, count_transfer_cycles,
+                     enumerate_bank_conflicts, make_random_nest,
+                     simulate_nest_cycles)
 
 BUDGET = ResourceBudget()
 UNBOUNDED = ResourceBudget(max_multipliers=10 ** 9, max_adders=10 ** 9)
@@ -117,6 +118,25 @@ def test_partition_sufficiency_for_stride1():
         report = check_port_conflicts(
             _reads("arr", range(unroll)), [PartitionSpec("arr", 0, factor)])
         assert report.conflicts == []
+
+
+def test_conflict_list_matches_oracle_bank_demand():
+    # conflicts come in order of array, dim, read before write, bank; the
+    # oracle calls a single-port bank's one port "shared"
+    port_order = {"read": 0, "write": 1, "access": 0}
+    rng = np.random.default_rng(6)
+    for i in range(600):
+        nest, parts = make_random_nest(rng, name=f"p{i}")
+        demand = _bank_demand_per_launch(nest.accesses, parts)
+        want = sorted(
+            ((name, dim, bank, "access" if port == "shared" else port, n - 1)
+             for (name, dim, port, bank), n in demand.items() if n > 1),
+            key=lambda c: (c[0], c[1], port_order[c[3]], c[2]))
+        report = check_port_conflicts(nest.accesses, parts)
+        got = [(c.array_name, c.dim, c.bank, c.kind, c.excess)
+               for c in report.conflicts]
+        assert got == want, nest
+        assert report.stall_cycles == max(demand.values(), default=1), nest
 
 
 # -- schedule -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -180,6 +181,27 @@ def test_estimate_mode_algebra(capsys):
     assert "speedup" in out and "bottleneck" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--host-batch-seconds", "0.001", "--num-batches", "0"],
+     "--num-batches must be >= 1, got 0"),
+    (["--host-batch-seconds", "0.001", "--num-batches", "-3"],
+     "--num-batches must be >= 1, got -3"),
+    (["--host-batch-seconds", "-0.5"],
+     "--host-batch-seconds must be finite and >= 0, got -0.5"),
+    (["--host-batch-seconds", "nan"],
+     "--host-batch-seconds must be finite and >= 0, got nan"),
+    (["--host-batch-seconds", "inf"],
+     "--host-batch-seconds must be finite and >= 0, got inf"),
+], ids=["zero_batches", "negative_batches", "negative_host", "nan_host",
+        "inf_host"])
+def test_estimate_bad_mode_algebra_flags_fail_before_output(capsys, argv,
+                                                             message):
+    assert main(["estimate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_estimate_bad_unroll_flag(capsys):
     rc = main(["estimate", "--unroll-fc", "1,2,3"])
     assert rc != 0
@@ -276,11 +298,20 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
      ["kernel dims (5, 5) do not match the host stage's fixed (3, 3) kernel"]),
     ({"dims": {"image_x": 4, "kernel_x": 5}},
      ["dims: kernel larger than image"]),
+    ({"budget": {"clock_ns": math.inf}},
+     ["budget.clock_ns: clock_ns must be positive and finite, got inf"]),
+    ({"budget": {"clock_ns": math.nan}},
+     ["budget.clock_ns: clock_ns must be positive and finite, got nan"]),
+    ({"adam": {"eps": math.inf}},
+     ["adam.eps: eta and eps must be positive and finite"]),
+    ({"adam": {"eta": math.nan}},
+     ["adam.eta: eta and eps must be positive and finite"]),
 ], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
         "bool_for_int", "string_for_float", "list_for_object",
         "batch_size_mismatch", "bad_unroll", "negative_fixture_size",
         "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image",
-        "zero_batch_size", "kernel_dims_together", "kernel_larger_than_image"])
+        "zero_batch_size", "kernel_dims_together", "kernel_larger_than_image",
+        "infinite_clock", "nan_clock", "infinite_eps", "nan_eta"])
 @pytest.mark.parametrize("command", [["estimate"], ["train", "--synthetic"]],
                          ids=["estimate", "train"])
 def test_bad_config_file_is_rejected_by_path_and_key(tmp_path, capsys, config,
@@ -305,9 +336,10 @@ def test_malformed_json_names_the_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv, config, message", [
     (["--epochs", "-1"], {}, "epochs must be >= 0, got -1"),
     (["--batch-size", "0"], {}, "batch must be positive, got 0"),
+    (["--clock-ns", "nan"], {}, "clock_ns must be positive and finite, got nan"),
     ([], {"mode": "fast"}, "{path}: mode: mode must be one of "
                            "('sequential', 'pipelined'), got 'fast'"),
-], ids=["negative_epochs", "zero_batch_flag", "unknown_mode"])
+], ids=["negative_epochs", "zero_batch_flag", "nan_clock_flag", "unknown_mode"])
 def test_bad_run_values_fail_before_any_work(tmp_path, monkeypatch, capsys,
                                              argv, config, message):
     from convpipe import pipeline
