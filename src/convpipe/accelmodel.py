@@ -8,6 +8,9 @@ unrolled loops, arrays read and written, ops per body). Nest specs, partitions
 and storage plans are derived from them. Each array dimension is partitioned
 by the default unroll of its axis over the nests touching the array; an
 fc_unroll override changes fc_forward's unroll but never the partitions.
+The partitions are an (array, dim) -> PartitionSpec lookup, built once per
+dims; a pass's storage assignments are derived once per (dims, mode).
+estimate_pass itself caches nothing and schedules every nest on every call.
 
 Nothing in this module reads or writes numeric weights or activations;
 it only analyses loop structure, so functional results can never depend
@@ -26,6 +29,10 @@ A nest is scheduled as `tiles * (II * (K - 1) + depth)` cycles:
   launches are spaced by the worst ceil(demand/capacity);
 * `depth` covers the launch-to-result latency of the last body.
 
+Bank ports: a body launch's accesses are counted into one list of per-bank
+counts for each (array, dim, port) they touch, offset o landing in bank
+o mod factor (cyclic partitioning). The largest count is the port stall.
+
 Ragged edges (unroll not dividing the trip count) are padded: a partial
 tile reserves the same resources and cycles as a full one.
 """
@@ -33,6 +40,7 @@ tile reserves the same resources and cycles as a full one.
 import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .dims import DEFAULT_DIMS
@@ -185,57 +193,60 @@ class StoragePlan:
         return out
 
 
-def cyclic_bank(index, factor):
-    """Map a flat index to (bank, offset-within-bank) under cyclic split."""
-    if factor < 1:
-        raise ValueError(f"partition factor must be >= 1, got {factor}")
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    return index % factor, index // factor
+def partitions_by_dim(specs):
+    """The read-only (array, dim) -> PartitionSpec lookup that schedule and
+    check_port_conflicts take as their partitions."""
+    return MappingProxyType({(p.array_name, p.dim): p for p in specs})
 
 
 def check_port_conflicts(accesses, partitions) -> ConflictReport:
     """Count the accesses of one body launch on each bank port.
 
-    The count is keyed (array, dim, port, bank): bank is offset mod the
-    dimension's partition factor (1 when the dimension has no partition
-    spec), and port is the access's kind on a dual-port bank, which serves
-    one read and one write per cycle, and "access" on a single-port bank,
-    which serves one access of either kind. References along the same
-    dimension are assumed base-aligned. Every port count above 1 is a
-    conflict with excess count - 1, listed in key order; the stall is the
-    largest count, or 1 when nothing is accessed.
+    partitions maps (array, dim) to its PartitionSpec; a dimension without
+    one has a single bank. Each (array, dim, port) gets one list of per-bank
+    counts, and an offset lands in bank offset mod factor. The port is the
+    access's kind on a dual-port bank, which serves one read and one write
+    per cycle, and "access" on a single-port bank, which serves one access
+    of either kind. References along the same dimension are assumed
+    base-aligned. The stall is the largest count, or 1 when nothing is
+    accessed. Every count above 1 is a conflict with excess count - 1,
+    listed in order of array, dim, port and bank; the list is built only
+    when the stall exceeds 1.
     """
-    by_dim = {(p.array_name, p.dim): p for p in partitions}
-    arrays = {name for name, _ in by_dim}
-    demand = {}
+    counts = {}
     for acc in accesses:
-        if acc.array_name not in arrays:
-            raise ValueError(f"array {acc.array_name!r} referenced but has no "
-                             f"partition spec (factor 1 is allowed)")
-        key = (acc.array_name, acc.accessed_dim)
-        part = by_dim.get(key)
-        factor, port = 1, acc.kind
-        if part is not None:
+        part = partitions.get((acc.array_name, acc.accessed_dim))
+        if part is None:
+            if all(name != acc.array_name for name, _ in partitions):
+                raise ValueError(f"array {acc.array_name!r} referenced but has "
+                                 f"no partition spec (factor 1 is allowed)")
+            factor, port = 1, acc.kind
+        else:
             if part.style == "complete" and part.factor != acc.dim_sizes[part.dim]:
                 raise ValueError(
                     f"complete partition of {acc.array_name} dim {part.dim} has "
                     f"factor {part.factor} != dim size {acc.dim_sizes[part.dim]}")
             factor = part.factor
-            if part.ports_per_bank == 1:
-                port = "access"
+            port = acc.kind if part.ports_per_bank == 2 else "access"
+        key = (acc.array_name, acc.accessed_dim, port)
+        banks = counts.get(key)
+        if banks is None:
+            banks = counts[key] = [0] * factor
         for off in acc.stride_pattern:
-            bank_key = (*key, port, off % factor)
-            demand[bank_key] = demand.get(bank_key, 0) + 1
-    conflicts = [BankConflict(name, dim, bank, port, n - 1)
-                 for (name, dim, port, bank), n
-                 in sorted((k, n) for k, n in demand.items() if n > 1)]
-    return ConflictReport(conflicts, max(demand.values(), default=1))
+            banks[off % factor] += 1
+    stall = max([1, *map(max, counts.values())])
+    conflicts = []
+    if stall > 1:
+        conflicts = [BankConflict(name, dim, bank, port, n - 1)
+                     for (name, dim, port), banks in sorted(counts.items())
+                     for bank, n in enumerate(banks) if n > 1]
+    return ConflictReport(conflicts, stall)
 
 
 def schedule(nest: LoopNestSpec, partitions, budget: ResourceBudget) -> ScheduleReport:
-    """Cycle estimate for one nest under the budget. See the module docstring
-    for the exact semantics; tests hold this to exact agreement with an
+    """Cycle estimate for one nest under the budget; partitions is the
+    (array, dim) lookup of partitions_by_dim. See the module docstring for
+    the exact semantics; tests hold this to exact agreement with an
     event-driven simulation."""
     unrolls = nest.clamped_unrolls()
     body_copies = math.prod(unrolls)
@@ -405,9 +416,10 @@ def pass_nests(mode, dims=DEFAULT_DIMS, fc_unroll=None):
 
 @functools.cache
 def default_partitions(dims=DEFAULT_DIMS):
-    """One partition per array dimension. Its factor is the axis's default
-    unroll when some nest touching the array unrolls that axis, else 1; a
-    class dimension split into every index is complete, the rest cyclic."""
+    """One partition per array dimension, as a partitions_by_dim lookup
+    built once per dims. Its factor is the axis's default unroll when some
+    nest touching the array unrolls that axis, else 1; a class dimension
+    split into every index is complete, the rest cyclic."""
     sizes = _axis_sizes(dims)
     defaults = _default_unrolls(sizes)
     specs = []
@@ -417,18 +429,25 @@ def default_partitions(dims=DEFAULT_DIMS):
             factor = defaults[axis] if unrolled else 1
             style = "complete" if axis == "c" and factor == sizes["c"] else "cyclic"
             specs.append(PartitionSpec(name, dim, factor, style))
-    return tuple(specs)
+    return partitions_by_dim(specs)
+
+
+@functools.cache
+def _storage_assignments(dims, mode):
+    sizes = _axis_sizes(dims)
+    touched = set().union(*map(_touched, _pass_rows(mode)))
+    return tuple(
+        StorageAssignment(name, storage, math.prod(sizes[a] for a in axes))
+        for name, (axes, storage) in ARRAYS.items() if name in touched)
 
 
 def default_storage_plan(dims=DEFAULT_DIMS, mode="training") -> StoragePlan:
     """A pass stores every array its nests touch, in the array table's
     storage class: weights in the fast RAM tier, on-chip intermediates in
-    block RAM, host-transferred blocks in interface registers."""
-    sizes = _axis_sizes(dims)
-    touched = set().union(*map(_touched, _pass_rows(mode)))
-    return StoragePlan({
-        name: StorageAssignment(name, storage, math.prod(sizes[a] for a in axes))
-        for name, (axes, storage) in ARRAYS.items() if name in touched})
+    block RAM, host-transferred blocks in interface registers. The frozen
+    assignments are derived once per (dims, mode); each call returns a
+    fresh plan, so no two estimates share one."""
+    return StoragePlan({a.array_name: a for a in _storage_assignments(dims, mode)})
 
 
 @dataclass

@@ -287,6 +287,7 @@ def build_parser():
                        help="write a JSON report here")
         p.add_argument("--max-multipliers", dest="budget.max_multipliers",
                        type=int)
+        p.add_argument("--max-adders", dest="budget.max_adders", type=int)
         p.add_argument("--pipeline-depth", dest="budget.pipeline_depth",
                        type=int)
         p.add_argument("--clock-ns", dest="budget.clock_ns", type=float)

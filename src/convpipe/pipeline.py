@@ -305,9 +305,7 @@ class RunReport:
     schedule_reports: list
 
     def as_dict(self):
-        return {"config": self.config, "epochs": self.epochs,
-                "latency_model": self.latency_model,
-                "schedule_reports": self.schedule_reports}
+        return asdict(self)
 
 
 def _epoch_entry(epoch, train: EpochResult, test: EpochResult):

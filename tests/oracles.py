@@ -145,7 +145,7 @@ def _bank_demand_per_launch(accesses, partitions):
     """
     part_by_dim = {}
     arrays = set()
-    for p in partitions:
+    for p in partitions.values():
         arrays.add(p.array_name)
         part_by_dim[(p.array_name, p.dim)] = p
     demand = Counter()
@@ -226,7 +226,8 @@ def count_transfer_cycles(words, cycles_per_word):
 def make_random_nest(rng, name="nest", max_loops=3, max_trip=16,
                      unroll_choices=(1, 2, 4), access_probability=0.7):
     """Random small LoopNestSpec (plus matching partitions) for sweeps."""
-    from convpipe.accelmodel import ArrayAccess, LoopNestSpec, PartitionSpec
+    from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, PartitionSpec,
+                                     partitions_by_dim)
 
     n_loops = int(rng.integers(1, max_loops + 1))
     trips = tuple(int(rng.integers(1, max_trip + 1)) for _ in range(n_loops))
@@ -254,7 +255,7 @@ def make_random_nest(rng, name="nest", max_loops=3, max_trip=16,
         mults_per_body=int(rng.integers(0, 4)),
         adds_per_body=int(rng.integers(0, 4)),
     )
-    return nest, partitions
+    return nest, partitions_by_dim(partitions)
 
 
 # -- two-stage pipeline -------------------------------------------------------

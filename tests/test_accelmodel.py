@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, PartitionSpec,
                                  ResourceBudget, check_port_conflicts,
-                                 cyclic_bank, default_partitions, estimate_pass,
-                                 f64_words, model_transfer, pass_nests, schedule)
+                                 default_partitions, estimate_pass, f64_words,
+                                 model_transfer, partitions_by_dim, pass_nests,
+                                 schedule)
 from convpipe.dims import DEFAULT_DIMS, ModelDims
 
 from oracles import (_bank_demand_per_launch, count_transfer_cycles,
@@ -16,36 +18,7 @@ from oracles import (_bank_demand_per_launch, count_transfer_cycles,
 BUDGET = ResourceBudget()
 UNBOUNDED = ResourceBudget(max_multipliers=10 ** 9, max_adders=10 ** 9)
 DEFAULT_NESTS = {n.name: n for n in pass_nests("training")}
-
-
-# -- cyclic_bank --------------------------------------------------------------
-
-def test_cyclic_bank_factor_one_is_identity():
-    for i in (0, 3, 17):
-        assert cyclic_bank(i, 1) == (0, i)
-
-
-def test_cyclic_bank_pattern():
-    banks = [cyclic_bank(i, 4)[0] for i in range(8)]
-    offsets = [cyclic_bank(i, 4)[1] for i in range(8)]
-    assert banks == [0, 1, 2, 3, 0, 1, 2, 3]
-    assert offsets == [0, 0, 0, 0, 1, 1, 1, 1]
-
-
-def test_cyclic_bank_consecutive_indices_hit_distinct_banks():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        factor = int(rng.integers(1, 12))
-        start = int(rng.integers(0, 100))
-        banks = {cyclic_bank(i, factor)[0] for i in range(start, start + factor)}
-        assert len(banks) == factor
-
-
-def test_cyclic_bank_errors():
-    with pytest.raises(ValueError):
-        cyclic_bank(1, 0)
-    with pytest.raises(ValueError):
-        cyclic_bank(-1, 4)
+NO_PARTITIONS = partitions_by_dim([])
 
 
 # -- port conflicts -----------------------------------------------------------
@@ -55,45 +28,51 @@ def _reads(name, offsets, dim_size=32):
 
 
 def test_four_reads_factor_four_no_conflict():
-    report = check_port_conflicts(_reads("v", range(4)),
-                                  [PartitionSpec("v", 0, 4)])
+    report = check_port_conflicts(
+        _reads("v", range(4)), partitions_by_dim([PartitionSpec("v", 0, 4)]))
     assert report.conflicts == []
     assert report.stall_cycles == 1
 
 
 def test_four_reads_factor_two_double_hits_two_banks():
-    report = check_port_conflicts(_reads("v", range(4)),
-                                  [PartitionSpec("v", 0, 2)])
+    report = check_port_conflicts(
+        _reads("v", range(4)), partitions_by_dim([PartitionSpec("v", 0, 2)]))
     assert len(report.conflicts) == 2
     assert {(c.bank, c.excess) for c in report.conflicts} == {(0, 1), (1, 1)}
     assert report.stall_cycles == 2
 
 
 def test_single_read_factor_one_no_conflict():
-    report = check_port_conflicts(_reads("v", [0]), [PartitionSpec("v", 0, 1)])
+    report = check_port_conflicts(
+        _reads("v", [0]), partitions_by_dim([PartitionSpec("v", 0, 1)]))
     assert report.conflicts == []
 
 
 def test_unpartitioned_array_rejected():
     with pytest.raises(ValueError, match="partition"):
-        check_port_conflicts(_reads("v", range(4)), [PartitionSpec("w", 0, 4)])
+        check_port_conflicts(_reads("v", range(4)),
+                             partitions_by_dim([PartitionSpec("w", 0, 4)]))
 
 
 def test_complete_partition_must_cover_dim():
     acc = _reads("h2", range(10), dim_size=10)
     with pytest.raises(ValueError, match="complete"):
-        check_port_conflicts(acc, [PartitionSpec("h2", 0, 4, "complete")])
-    ok = check_port_conflicts(acc, [PartitionSpec("h2", 0, 10, "complete")])
+        check_port_conflicts(
+            acc, partitions_by_dim([PartitionSpec("h2", 0, 4, "complete")]))
+    ok = check_port_conflicts(
+        acc, partitions_by_dim([PartitionSpec("h2", 0, 10, "complete")]))
     assert ok.conflicts == []
 
 
 def test_dual_port_serves_one_read_and_one_write():
     accesses = [ArrayAccess("h1", (32,), 0, (0, 1), "read"),
                 ArrayAccess("h1", (32,), 0, (0, 1), "write")]
-    dual = check_port_conflicts(accesses, [PartitionSpec("h1", 0, 2)])
+    dual = check_port_conflicts(
+        accesses, partitions_by_dim([PartitionSpec("h1", 0, 2)]))
     assert dual.conflicts == []
-    single = check_port_conflicts(accesses,
-                                  [PartitionSpec("h1", 0, 2, ports_per_bank=1)])
+    single = check_port_conflicts(
+        accesses, partitions_by_dim([PartitionSpec("h1", 0, 2,
+                                                   ports_per_bank=1)]))
     assert len(single.conflicts) == 2  # read + write collide on one port
     assert single.stall_cycles == 2
 
@@ -103,7 +82,7 @@ def test_conflicts_match_brute_force_enumeration():
         brute = enumerate_bank_conflicts(40, unroll, factor)
         report = check_port_conflicts(
             _reads("arr", range(unroll), dim_size=40),
-            [PartitionSpec("arr", 0, factor)])
+            partitions_by_dim([PartitionSpec("arr", 0, factor)]))
         assert bool(brute) == bool(report.conflicts)
         if brute:
             worst = max(n for _, _, n in brute) + 1
@@ -116,27 +95,56 @@ def test_partition_sufficiency_for_stride1():
         unroll = int(rng.integers(1, 9))
         factor = int(rng.integers(unroll, 13))
         report = check_port_conflicts(
-            _reads("arr", range(unroll)), [PartitionSpec("arr", 0, factor)])
+            _reads("arr", range(unroll)),
+            partitions_by_dim([PartitionSpec("arr", 0, factor)]))
         assert report.conflicts == []
 
 
-def test_conflict_list_matches_oracle_bank_demand():
-    # conflicts come in order of array, dim, read before write, bank; the
-    # oracle calls a single-port bank's one port "shared"
+def _oracle_conflicts(accesses, parts):
+    """(conflicts, stall) implied by the oracle's per-bank demand. Conflicts
+    come in order of array, dim, read before write, bank; the oracle calls a
+    single-port bank's one port "shared"."""
     port_order = {"read": 0, "write": 1, "access": 0}
+    demand = _bank_demand_per_launch(accesses, parts)
+    conflicts = sorted(
+        ((name, dim, bank, "access" if port == "shared" else port, n - 1)
+         for (name, dim, port, bank), n in demand.items() if n > 1),
+        key=lambda c: (c[0], c[1], port_order[c[3]], c[2]))
+    return conflicts, max(demand.values(), default=1)
+
+
+def _conflict_tuples(conflicts):
+    return [(c.array_name, c.dim, c.bank, c.kind, c.excess) for c in conflicts]
+
+
+def test_conflict_list_matches_oracle_bank_demand():
     rng = np.random.default_rng(6)
     for i in range(600):
         nest, parts = make_random_nest(rng, name=f"p{i}")
-        demand = _bank_demand_per_launch(nest.accesses, parts)
-        want = sorted(
-            ((name, dim, bank, "access" if port == "shared" else port, n - 1)
-             for (name, dim, port, bank), n in demand.items() if n > 1),
-            key=lambda c: (c[0], c[1], port_order[c[3]], c[2]))
+        want, stall = _oracle_conflicts(nest.accesses, parts)
         report = check_port_conflicts(nest.accesses, parts)
-        got = [(c.array_name, c.dim, c.bank, c.kind, c.excess)
-               for c in report.conflicts]
-        assert got == want, nest
-        assert report.stall_cycles == max(demand.values(), default=1), nest
+        assert _conflict_tuples(report.conflicts) == want, nest
+        assert report.stall_cycles == stall, nest
+    # through estimate_pass on the default partitions: large unrolls stall,
+    # so both the listing and the conflict-free path run
+    parts = default_partitions()
+    stalled = clean = 0
+    for mode in ("inference", "training"):
+        for cap in (8, 16, 25, 64):
+            budget = ResourceBudget(max_multipliers=cap)
+            for fc_unroll in itertools.product((1, 2, 4, 8, 16, 32), repeat=2):
+                est = estimate_pass(mode, budget, fc_unroll=fc_unroll)
+                nests = pass_nests(mode, fc_unroll=fc_unroll)
+                for nest, report in zip(nests, est.reports, strict=True):
+                    want, stall = _oracle_conflicts(nest.accesses, parts)
+                    assert _conflict_tuples(report.stall_events) == want
+                    assert report.effective_ii == max(
+                        math.ceil(report.multipliers_demanded / cap),
+                        math.ceil(report.adders_demanded / budget.max_adders),
+                        stall), (mode, cap, fc_unroll, nest.name)
+                    stalled += bool(want)
+                    clean += not want
+    assert stalled and clean
 
 
 # -- schedule -----------------------------------------------------------------
@@ -173,10 +181,10 @@ def test_unrolled_out_nest_relaxes_with_more_multipliers():
 
 def test_no_unroll_degenerate_formula():
     nest = LoopNestSpec("plain", (6, 9), (1, 1), 1, (), 1, 1)
-    report = schedule(nest, [], BUDGET)
+    report = schedule(nest, NO_PARTITIONS, BUDGET)
     assert report.effective_ii == 1
     assert report.cycles == 6 * ((9 - 1) + BUDGET.pipeline_depth)
-    assert report.cycles == simulate_nest_cycles(nest, [], BUDGET)
+    assert report.cycles == simulate_nest_cycles(nest, NO_PARTITIONS, BUDGET)
 
 
 def test_zero_trip_count_rejected():
@@ -186,7 +194,7 @@ def test_zero_trip_count_rejected():
 
 def test_pipeline_level_everything_pipelined():
     nest = LoopNestSpec("flat", (5, 4), (1, 1), 0, (), 1, 1)
-    report = schedule(nest, [], BUDGET)
+    report = schedule(nest, NO_PARTITIONS, BUDGET)
     assert report.tiles == 1
     assert report.launches_per_tile == 20
     assert report.cycles == (20 - 1) + BUDGET.pipeline_depth
@@ -194,17 +202,17 @@ def test_pipeline_level_everything_pipelined():
 
 def test_unroll_clamped_to_trip_count():
     nest = LoopNestSpec("clamp", (2, 8), (4, 1), 1, (), 1, 0)
-    report = schedule(nest, [], BUDGET)
+    report = schedule(nest, NO_PARTITIONS, BUDGET)
     assert report.multipliers_demanded == 2  # unroll 4 clamped to trip 2
-    assert report.cycles == simulate_nest_cycles(nest, [], BUDGET)
+    assert report.cycles == simulate_nest_cycles(nest, NO_PARTITIONS, BUDGET)
 
 
 def test_ragged_unroll_pads_partial_tiles():
     nest = LoopNestSpec("ragged", (7, 10), (2, 4), 1, (), 1, 1)
-    report = schedule(nest, [], BUDGET)
+    report = schedule(nest, NO_PARTITIONS, BUDGET)
     assert report.tiles == 4          # ceil(7/2)
     assert report.launches_per_tile == 3  # ceil(10/4)
-    assert report.cycles == simulate_nest_cycles(nest, [], BUDGET)
+    assert report.cycles == simulate_nest_cycles(nest, NO_PARTITIONS, BUDGET)
 
 
 def test_cycles_never_below_post_unroll_iteration_count():
@@ -231,14 +239,14 @@ def test_more_unroll_never_slower_without_cap():
     rng = np.random.default_rng(4)
     for i in range(30):
         nest, _ = make_random_nest(rng, name=f"m{i}", access_probability=0.0)
-        base = schedule(nest, [], UNBOUNDED).cycles
+        base = schedule(nest, NO_PARTITIONS, UNBOUNDED).cycles
         for lvl in range(len(nest.trip_counts)):
             bumped = list(nest.unroll_factors)
             bumped[lvl] *= 2
             faster = LoopNestSpec(nest.name, nest.trip_counts, tuple(bumped),
                                   nest.pipelined_level, (),
                                   nest.mults_per_body, nest.adds_per_body)
-            assert schedule(faster, [], UNBOUNDED).cycles <= base
+            assert schedule(faster, NO_PARTITIONS, UNBOUNDED).cycles <= base
 
 
 def test_more_multipliers_never_slower():
@@ -329,6 +337,12 @@ def test_storage_plan_covers_live_arrays():
     assert est.storage.assignments["v"].storage_class == "interface-register"
     assert est.storage.assignments["h1"].storage_class == "block-ram"
     assert est.storage_totals["fast-uram"] == 169 * 128 + 128 * 10
+    # each estimate owns its plan: mutating one leaves the next intact
+    est.storage.assignments.clear()
+    again = estimate_pass("training", BUDGET)
+    assert again.storage.assignments["W1"].storage_class == "fast-uram"
+    assert set(again.storage.assignments) == assigned
+    assert again.storage_totals == est.storage_totals
 
 
 def test_estimate_rejects_unknown_mode():
@@ -352,7 +366,7 @@ def test_fc_unroll_override_increases_cycles():
 
 def test_default_partitions_pinned():
     parts = [(p.array_name, p.dim, p.factor, p.style)
-             for p in default_partitions()]
+             for p in default_partitions().values()]
     assert parts == [
         ("W1", 0, 4, "cyclic"), ("W1", 1, 4, "cyclic"),
         ("W2", 0, 4, "cyclic"), ("W2", 1, 10, "complete"),

@@ -20,7 +20,8 @@ import pytest
 
 from convpipe.accelmodel import (ResourceBudget, check_port_conflicts,
                                  PartitionSpec, ArrayAccess,
-                                 default_partitions, pass_nests, schedule)
+                                 default_partitions, partitions_by_dim,
+                                 pass_nests, schedule)
 from convpipe.adam import AdamHyper, adam_update, correction_factors
 from convpipe.checkpoint import save_checkpoint
 from convpipe.dataio import ImageSet, LabelSet, make_batches, synthetic_dataset
@@ -223,15 +224,15 @@ def test_criterion_6_partition_feasibility():
     # the model agrees with the enumeration
     ok4 = check_port_conflicts(
         [ArrayAccess("a", (128,), 0, (0, 1, 2, 3), "read")],
-        [PartitionSpec("a", 0, 4)])
+        partitions_by_dim([PartitionSpec("a", 0, 4)]))
     assert ok4.conflicts == []
     ok10 = check_port_conflicts(
         [ArrayAccess("b", (10,), 0, tuple(range(10)), "read")],
-        [PartitionSpec("b", 0, 10, "complete")])
+        partitions_by_dim([PartitionSpec("b", 0, 10, "complete")]))
     assert ok10.conflicts == []
     bad = check_port_conflicts(
         [ArrayAccess("c", (128,), 0, (0, 1, 2, 3), "read")],
-        [PartitionSpec("c", 0, 2)])
+        partitions_by_dim([PartitionSpec("c", 0, 2)]))
     assert len(bad.conflicts) == 2 and bad.stall_cycles == 2
     _report(6, "unroll4/cyclic4 and unroll10/complete10 conflict-free; "
                "unroll4/cyclic2 double-hits two banks")

@@ -400,7 +400,10 @@ def test_report_config_round_trips_through_config(tmp_path, monkeypatch):
     report = tmp_path / "out.json"
     assert main(["train", "--synthetic", "--epochs", "0", "--seed", "5",
                  "--batch-size", "16", "--max-multipliers", "8",
-                 "--clock-ns", "5", "--report", str(report)]) == 0
+                 "--max-adders", "12", "--clock-ns", "5",
+                 "--report", str(report)]) == 0
+    budget = json.loads(report.read_text())["config"]["budget"]
+    assert (budget["max_multipliers"], budget["max_adders"]) == (8, 12)
     config = json.dumps(json.loads(report.read_text())["config"], indent=2)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config)
