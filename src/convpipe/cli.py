@@ -3,9 +3,9 @@
 Configuration precedence is dataclass defaults < CONVPIPE_DATA_DIR (the
 data-dir fallback) < JSON config file (--config) < command-line flags. The
 file takes a report's config keys and rejects any other key, a value of
-the wrong JSON type, or one its dataclass rejects, by its dotted path;
-values rejected only together, such as a kernel larger than the image,
-fail with the file's path and the dotted key of the section rejecting them.
+the wrong JSON type, or one its dataclass rejects, by its dotted path. A
+derived key (batch_size, dims.kernel_x, dims.kernel_y, dims.pool_map) sets
+nothing: the file may state it only at the value its own values derive.
 Reports are JSON with top-level keys config, epochs, latency_model and
 schedule_reports; --epochs-csv additionally exports the epochs table.
 """
@@ -14,9 +14,11 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import fields, is_dataclass
+from functools import reduce
 
 from .accelmodel import cycles_to_seconds, estimate_pass
 from .checkpoint import load_checkpoint
@@ -34,15 +36,12 @@ _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
                str: ("a string", str),
                str | None: ("a string or null", (str, type(None)))}
 
-# report keys that are derived values, not fields: key -> (the nested
-# field it sets, that field's name within it)
-_DERIVED = {"batch_size": ("dims", "batch")}
 
-
-def _field_values(cls, data, path, problems):
-    """data's values for dataclass cls by field name, each nested dataclass
-    as a dict of its own, plus any _DERIVED key; appends each unknown key,
-    ill-typed value and value its dataclass rejects to problems."""
+def _field_values(cls, data, path, problems, derived):
+    """data's values for dataclass cls's init fields by name, each nested
+    dataclass as a dict of its own; appends each unknown key, ill-typed
+    value and value its dataclass rejects to problems, and the (dotted key,
+    value) of each derived (init=False) field to derived."""
     if not isinstance(data, dict):
         problems.append(f"{path} must be an object, got {json.dumps(data)}")
         return {}
@@ -50,50 +49,38 @@ def _field_values(cls, data, path, problems):
     values = {}
     for key, value in data.items():
         dotted = f"{path}.{key}" if path else key
-        owner, f = cls, by_key.get(key)
-        if f is None and dotted in _DERIVED:
-            group, name = _DERIVED[dotted]
-            owner = by_key[group].type
-            f = next(g for g in fields(owner) if g.name == name)
+        f = by_key.get(key)
         if f is None:
             problems.append(f"unknown key {dotted}")
         elif is_dataclass(f.type):
-            values[f.name] = _field_values(f.type, value, dotted, problems)
+            values[f.name] = _field_values(f.type, value, dotted, problems,
+                                           derived)
         else:
             name, accepted = _JSON_TYPES[f.type]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 problems.append(f"{dotted} must be {name}, got "
                                 f"{json.dumps(value)}")
-            elif f.init:
+            elif not f.init:
+                derived.append((dotted, value))
+            else:
                 try:  # the value alone, every other field at its default
-                    owner(**{f.name: value})
+                    cls(**{f.name: value})
                 except ValueError as exc:
                     problems.append(f"{dotted}: {exc}")
-            values[f.name if owner is cls else key] = value
+                values[f.name] = value
     return values
 
 
-def _build(cls, values, path=None):
-    """cls(**values), each nested dict built as its field's dataclass. Given
-    the dotted path of values ("" at the top), a ValueError from a nested
-    dataclass is prefixed with that dataclass's dotted key."""
+def _build(cls, values):
+    """cls(**values), each nested dict built as its field's dataclass."""
     built = {}
     for f in fields(cls):
         if f.name in values:
             value = values[f.name]
             if isinstance(value, dict):
-                nested = None
-                if path is not None:
-                    key = f.metadata.get("key", f.name)
-                    nested = f"{path}.{key}" if path else key
-                value = _build(f.type, value, nested)
+                value = _build(f.type, value)
             built[f.name] = value
-    try:
-        return cls(**built)
-    except ValueError as exc:
-        if not path:
-            raise
-        raise ValueError(f"{path}: {exc}") from None
+    return cls(**built)
 
 
 def _parse_unroll(spec, name):
@@ -110,7 +97,7 @@ def load_config(args):
     """(RunConfig, fc_unroll) from args' flags, the config file,
     $CONVPIPE_DATA_DIR and the dataclass defaults, highest first;
     --synthetic forces data_dir to None."""
-    path, values, fc_unroll, problems = args.config, {}, None, []
+    path, values, fc_unroll, problems, derived = args.config, {}, None, [], []
     if path:
         try:
             with open(path) as f:
@@ -123,20 +110,16 @@ def load_config(args):
         if "unroll_fc" in data:
             fc_unroll = _parse_unroll(data.pop("unroll_fc"),
                                       f"{path}: unroll_fc")
-        values = _field_values(RunConfig, data, "", problems)
+        values = _field_values(RunConfig, data, "", problems, derived)
+        if not problems:  # each derived key against the file's own values
+            report = _build(RunConfig, values).as_dict()
+            for dotted, value in derived:
+                want = reduce(operator.getitem, dotted.split("."), report)
+                if value != want:
+                    problems.append(f"{dotted} {value} differs from its "
+                                    f"derived value {want}")
         if problems:
             raise ValueError(f"{path}: " + "; ".join(problems))
-    dims = values.setdefault("dims", {})
-    pool_map = dims.pop("pool_map", None)
-    batch = values.pop("batch_size", None)
-    if batch is not None and dims.setdefault("batch", batch) != batch:
-        raise ValueError(f"{path}: batch_size {batch} disagrees with "
-                         f"dims.batch {dims['batch']}")
-    if path:  # the file's values together, every other field at its default
-        try:
-            _build(RunConfig, values, "")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
     if ENV_DATA_DIR in os.environ:
         values.setdefault("data_dir", os.environ[ENV_DATA_DIR])
     names = {f.name for f in fields(RunConfig)}
@@ -148,11 +131,7 @@ def load_config(args):
         values["data_dir"] = None
     if getattr(args, "unroll_fc", None):
         fc_unroll = _parse_unroll(args.unroll_fc, "--unroll-fc")
-    cfg = _build(RunConfig, values)
-    if pool_map is not None and pool_map != cfg.dims.pool_map:
-        raise ValueError(f"{path}: dims.pool_map {pool_map} does not match "
-                         f"{cfg.dims.pool_map} derived from image/kernel dims")
-    return cfg, fc_unroll
+    return _build(RunConfig, values), fc_unroll
 
 
 def _write_report(report_dict, path):

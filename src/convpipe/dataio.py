@@ -90,12 +90,20 @@ class MiniBatch:
     index: int
 
 
+_READ_CHUNK = 1 << 20
+
+
 def _read_exact(f, n, path, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise IdxFormatError(f"truncated file while reading {what}: "
-                             f"wanted {n} bytes, got {len(data)}",
-                             path, f.tell() - len(data))
+    """n bytes from f, read a chunk at a time, so that a corrupt size in a
+    header never allocates more than the bytes the file holds."""
+    offset, data = f.tell(), bytearray()
+    while len(data) < n:
+        chunk = f.read(min(n - len(data), _READ_CHUNK))
+        if not chunk:
+            raise IdxFormatError(f"truncated file while reading {what}: "
+                                 f"wanted {n} bytes, got {len(data)}",
+                                 path, offset)
+        data += chunk
     return data
 
 

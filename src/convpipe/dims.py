@@ -2,6 +2,18 @@
 
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
+# The host stage's fixed convolution kernel, a center-heavy sharpening
+# filter. Entries sum to 1, and the pattern is symmetric under 180-degree
+# rotation, so correlation vs. convolution is numerically indistinguishable
+# here (we use correlation, no flip). It is never learned, so its shape is a
+# constant of the design, not a parameter.
+SHARPEN_KERNEL = np.array([[0.0, -1.0, 0.0],
+                           [-1.0, 5.0, -1.0],
+                           [0.0, -1.0, 0.0]])
+SHARPEN_KERNEL.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -9,15 +21,16 @@ class ModelDims:
 
     Defaults are the validated 28x28 / 10-class configuration; other sizes are
     accepted as long as the conv output has even sides (2x2 pooling needs it).
+    The kernel dims are SHARPEN_KERNEL's shape and pool_map follows from
+    them and the image dims; none of the three can be set.
     """
 
     batch: int = 32
     image_x: int = 28
     image_y: int = 28
-    kernel_x: int = 3
-    kernel_y: int = 3
-    # length of one flattened pooled feature map (169 at the defaults),
-    # derived from the image and kernel dims
+    kernel_x: int = field(init=False, default=SHARPEN_KERNEL.shape[0])
+    kernel_y: int = field(init=False, default=SHARPEN_KERNEL.shape[1])
+    # length of one flattened pooled feature map (169 at the defaults)
     pool_map: int = field(init=False)
     hidden: int = 128
     classes: int = 10

@@ -19,14 +19,7 @@ import numpy as np
 
 from . import native
 from .dataio import MiniBatch
-
-# Center-heavy sharpening filter. Entries sum to 1, and the pattern is
-# symmetric under 180-degree rotation, so correlation vs. convolution is
-# numerically indistinguishable here (we use correlation, no flip).
-SHARPEN_KERNEL = np.array([[0.0, -1.0, 0.0],
-                           [-1.0, 5.0, -1.0],
-                           [0.0, -1.0, 0.0]])
-SHARPEN_KERNEL.setflags(write=False)
+from .dims import SHARPEN_KERNEL
 
 
 @dataclass

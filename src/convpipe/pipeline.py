@@ -8,8 +8,6 @@ analytic latency model: measured host wall-times are machine-dependent, and
 the accelerator side is modeled in cycles.
 """
 
-import functools
-import pickle
 import queue
 import threading
 import time
@@ -23,7 +21,7 @@ from .accelmodel import (PassEstimate, ResourceBudget, cycles_to_seconds,
 from .adam import AdamHyper
 from .dataio import load_idx_images, load_idx_labels, make_batches, synthetic_dataset
 from .dims import DEFAULT_DIMS, ModelDims
-from .hoststage import SHARPEN_KERNEL, host_stage
+from .hoststage import host_stage
 from .neuralcore import ModelState, accel_kernel, accuracy
 
 SEQUENTIAL = "sequential"
@@ -33,11 +31,11 @@ MODES = (SEQUENTIAL, PIPELINED)
 
 @dataclass
 class StageLatency:
-    """Per-batch stage costs: measured host seconds, modeled accel cycles."""
+    """A batch's measured host-stage seconds; every batch of an epoch has
+    the same modeled accelerator cost, EpochResult.estimate."""
 
     index: int
     host_seconds: float
-    accel_cycles: int
 
 
 def sequential_seconds(host_times, accel_times):
@@ -130,20 +128,6 @@ def _prefetched(stream):
             worker.join(timeout=0.005)
 
 
-@functools.cache
-def _pickled_estimate(mode, budget, dims):
-    return pickle.dumps(estimate_pass(mode, budget, dims))
-
-
-def cached_estimate(mode, budget: ResourceBudget,
-                    dims: ModelDims = DEFAULT_DIMS):
-    """estimate_pass(mode, budget, dims), modeled once per process for each
-    key. PassEstimate is mutable, so every call returns its own copy,
-    unpickled from the first result: about a sixth of copy.deepcopy's time
-    and a twelfth of the model's."""
-    return pickle.loads(_pickled_estimate(mode, budget, dims))
-
-
 def run_epoch(batches, state: ModelState, mode, is_training,
               budget: ResourceBudget, dims: ModelDims = DEFAULT_DIMS):
     """Run every batch through host stage + accelerator kernel, in order.
@@ -156,7 +140,7 @@ def run_epoch(batches, state: ModelState, mode, is_training,
     if not batches:
         raise ValueError("empty batch sequence")
 
-    estimate = cached_estimate("training" if is_training else "inference",
+    estimate = estimate_pass("training" if is_training else "inference",
                              budget, dims)
     accel_secs = cycles_to_seconds(estimate.total_cycles, budget)
 
@@ -172,7 +156,7 @@ def run_epoch(batches, state: ModelState, mode, is_training,
             trace, state = accel_kernel(conv, state, is_training)
             losses.append(trace.loss)
             accs.append(accuracy(trace.h2, conv.out_actual))
-            latencies.append(StageLatency(conv.index, host_dt, estimate.total_cycles))
+            latencies.append(StageLatency(conv.index, host_dt))
 
     wall = time.perf_counter() - wall_start
     host_times = [l.host_seconds for l in latencies]
@@ -196,8 +180,7 @@ def run_epoch(batches, state: ModelState, mode, is_training,
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; defaults reproduce the reference setup.
-    The batch size is dims.batch."""
+    """Everything a run needs; defaults reproduce the reference setup."""
 
     # metadata "min": the lowest value allowed; "key": the field's name in
     # reports and config files
@@ -206,6 +189,7 @@ class RunConfig:
     synthetic_train: int = field(default=2048, metadata={"min": 0})
     synthetic_test: int = field(default=512, metadata={"min": 0})
     epochs: int = field(default=1, metadata={"min": 0})
+    batch_size: int = field(init=False)  # derived: dims.batch
     seed: int = 0
     mode: str = PIPELINED
     dims: ModelDims = DEFAULT_DIMS
@@ -217,29 +201,16 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        self.batch_size = self.dims.batch
         for f in fields(self):
             low, value = f.metadata.get("min"), getattr(self, f.name)
             if low is not None and value < low:
                 raise ValueError(f"{f.name} must be >= {low}, got {value}")
-        # the host stage always applies the fixed sharpening kernel
-        kernel = (self.dims.kernel_y, self.dims.kernel_x)
-        if kernel != SHARPEN_KERNEL.shape:
-            raise ValueError(f"kernel dims {kernel} do not match the host "
-                             f"stage's fixed {SHARPEN_KERNEL.shape} kernel")
-
-    @property
-    def batch_size(self):
-        return self.dims.batch
 
     def as_dict(self):
-        """The report's config section: every field under its key, and the
-        derived batch_size after epochs."""
-        config = {}
-        for f, value in zip(fields(self), asdict(self).values()):
-            config[f.metadata.get("key", f.name)] = value
-            if f.name == "epochs":
-                config["batch_size"] = self.batch_size
-        return config
+        """The report's config section: every field under its key."""
+        return {f.metadata.get("key", f.name): value
+                for f, value in zip(fields(self), asdict(self).values())}
 
 
 _IDX_NAMES = {
@@ -356,8 +327,8 @@ def run_training(cfg: RunConfig) -> RunReport:
         for key in train_totals:
             train_totals[key] += getattr(train_res, key)
 
-    train_est = cached_estimate("training", cfg.budget, cfg.dims)
-    infer_est = cached_estimate("inference", cfg.budget, cfg.dims)
+    train_est = estimate_pass("training", cfg.budget, cfg.dims)
+    infer_est = estimate_pass("inference", cfg.budget, cfg.dims)
     latency_model = {
         "clock_ns": cfg.budget.clock_ns,
         "per_batch_cycles_training": train_est.total_cycles,

@@ -98,8 +98,8 @@ def test_supplementary_end_to_end_learnability():
 # -- criterion 2: gradient correctness ----------------------------------------
 
 def test_criterion_2_gradients_match_finite_differences():
-    dims = ModelDims(batch=4, image_x=8, image_y=8, kernel_x=3, kernel_y=3,
-                     hidden=8, classes=10)  # pool_map = 9
+    dims = ModelDims(batch=4, image_x=8, image_y=8, hidden=8,
+                     classes=10)  # pool_map = 9
     rng = np.random.default_rng(12)
     v = rng.normal(size=(dims.batch, dims.pool_map)) * 0.5
     weights = Weights(rng.normal(size=(dims.pool_map, dims.hidden)) * 0.1,

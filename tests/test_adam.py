@@ -168,8 +168,7 @@ def test_update_writes_the_callers_arrays_in_any_layout(name, layout):
 
 
 def _small_dims():
-    return ModelDims(batch=4, image_x=8, image_y=8, kernel_x=3, kernel_y=3,
-                     hidden=6, classes=10)
+    return ModelDims(batch=4, image_x=8, image_y=8, hidden=6, classes=10)
 
 
 def test_two_zero_grad_batches_advance_t_only():

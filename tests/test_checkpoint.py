@@ -8,8 +8,7 @@ from convpipe.dims import ModelDims
 from convpipe.hoststage import ConvBatch
 from convpipe.neuralcore import ModelState, accel_kernel
 
-DIMS = ModelDims(batch=4, image_x=8, image_y=8, kernel_x=3, kernel_y=3,
-                 hidden=5, classes=10)
+DIMS = ModelDims(batch=4, image_x=8, image_y=8, hidden=5, classes=10)
 
 
 def _trained_state(seed, steps=3):

@@ -284,7 +284,7 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
     ({"adam": {"eta": "0.1"}}, ['adam.eta must be a number, got "0.1"']),
     ({"dims": [32]}, ["dims must be an object, got [32]"]),
     ({"batch_size": 16, "dims": {"batch": 32}},
-     ["batch_size 16 disagrees with dims.batch 32"]),
+     ["batch_size 16 differs from its derived value 32"]),
     ({"unroll_fc": [1, 2, 3]}, ["unroll_fc expects two positive integer"]),
     ({"synthetic_test": -5}, ["synthetic_test must be >= 0, got -5"]),
     ({"dims": {"hidden": 0}}, ["dims.hidden: hidden must be positive, got 0"]),
@@ -293,11 +293,12 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
     ({"budget": {"clock_ns": 0}, "dims": {"image_x": 27}},
      ["budget.clock_ns: clock_ns must be positive",
       "dims.image_x: conv output 25x26 not even"]),
-    ({"batch_size": 0}, ["batch_size: batch must be positive, got 0"]),
+    ({"batch_size": 0}, ["batch_size 0 differs from its derived value 32"]),
+    ({"batch_size": 16}, ["batch_size 16 differs from its derived value 32"]),
     ({"dims": {"kernel_x": 5, "kernel_y": 5}},
-     ["kernel dims (5, 5) do not match the host stage's fixed (3, 3) kernel"]),
-    ({"dims": {"image_x": 4, "kernel_x": 5}},
-     ["dims: kernel larger than image"]),
+     ["dims.kernel_x 5 differs from its derived value 3; "
+      "dims.kernel_y 5 differs from its derived value 3"]),
+    ({"dims": {"image_x": 2}}, ["dims.image_x: kernel larger than image"]),
     ({"budget": {"clock_ns": math.inf}},
      ["budget.clock_ns: clock_ns must be positive and finite, got inf"]),
     ({"budget": {"clock_ns": math.nan}},
@@ -310,7 +311,8 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
         "bool_for_int", "string_for_float", "list_for_object",
         "batch_size_mismatch", "bad_unroll", "negative_fixture_size",
         "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image",
-        "zero_batch_size", "kernel_dims_together", "kernel_larger_than_image",
+        "zero_batch_size", "batch_size_alone", "kernel_dims_together",
+        "kernel_larger_than_image",
         "infinite_clock", "nan_clock", "infinite_eps", "nan_eta"])
 @pytest.mark.parametrize("command", [["estimate"], ["train", "--synthetic"]],
                          ids=["estimate", "train"])
@@ -324,6 +326,43 @@ def test_bad_config_file_is_rejected_by_path_and_key(tmp_path, capsys, config,
     for fragment in fragments:
         assert fragment in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("config, dotted, derived", [
+    ({"batch_size": 32}, "batch_size", 32),
+    ({"dims": {"batch": 16}, "batch_size": 16}, "batch_size", 16),
+    ({"dims": {"kernel_x": 3}}, "dims.kernel_x", 3),
+    ({"dims": {"kernel_y": 3}}, "dims.kernel_y", 3),
+    ({"dims": {"pool_map": 169}}, "dims.pool_map", 169),
+    ({"dims": {"image_x": 8, "image_y": 10, "pool_map": 12}},
+     "dims.pool_map", 12),
+], ids=["batch_size", "batch_size_of_dims_batch", "kernel_x", "kernel_y",
+        "pool_map", "pool_map_of_image_dims"])
+def test_derived_key_is_checked_and_sets_nothing(tmp_path, capsys, config,
+                                                 dotted, derived):
+    group, _, key = dotted.rpartition(".")
+    cfg_path, report = tmp_path / "cfg.json", tmp_path / "est.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["estimate", "--config", str(cfg_path),
+                 "--report", str(report)]) == 0
+    written = json.loads(report.read_text())["config"]
+    assert (written[group] if group else written)[key] == derived
+    for other in (derived - 1, derived + 1):
+        (config[group] if group else config)[key] = other
+        cfg_path.write_text(json.dumps(config))
+        assert main(["estimate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: {dotted} {other} differs from its derived "
+            f"value {derived}\n")
+
+
+def test_batch_size_flag_beats_a_file_batch_size(tmp_path):
+    cfg_path, report = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps({"batch_size": 32, "epochs": 0}))
+    assert main(["train", "--synthetic", "--config", str(cfg_path),
+                 "--batch-size", "16", "--report", str(report)]) == 0
+    config = json.loads(report.read_text())["config"]
+    assert config["batch_size"] == config["dims"]["batch"] == 16
 
 
 def test_malformed_json_names_the_file(tmp_path, capsys):

@@ -63,6 +63,21 @@ def test_truncated_image_file(tmp_path):
     assert "truncated" in str(err.value)
 
 
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+def test_huge_declared_count_fails_at_the_data_offset(tmp_path, compressed):
+    import gzip
+
+    # 0xFFFFFFFF images of 28x28 declare ~3.4 TB of pixels; 100 bytes follow
+    path = _image_file(tmp_path, bytes(100), 0xFFFFFFFF)
+    if compressed:
+        path.write_bytes(gzip.compress(path.read_bytes()))
+    with pytest.raises(IdxFormatError) as err:
+        load_idx_images(path)
+    assert err.value.offset == 16
+    assert str(err.value).startswith(f"{path}: truncated file")
+    assert "got 100" in str(err.value)
+
+
 def test_dimension_mismatch_rejected(tmp_path):
     path = _image_file(tmp_path, bytes(16 * 16), 1, rows=16, cols=16)
     with pytest.raises(IdxFormatError) as err:

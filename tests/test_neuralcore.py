@@ -25,8 +25,8 @@ from convpipe.pipeline import SEQUENTIAL, run_epoch
 from oracles import (finite_diff_gradient, naive_accuracy, naive_matmul,
                      softmax_rows_highprec)
 
-REDUCED = ModelDims(batch=4, image_x=8, image_y=8, kernel_x=3, kernel_y=3,
-                    hidden=8, classes=10)  # pool_map = 9
+REDUCED = ModelDims(batch=4, image_x=8, image_y=8, hidden=8,
+                    classes=10)  # pool_map = 9
 
 
 def test_init_weights_deterministic():

@@ -4,15 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from convpipe import pipeline
-from convpipe.accelmodel import ResourceBudget, estimate_pass
+from convpipe.accelmodel import ResourceBudget
 from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
-from convpipe.dims import ModelDims
+from convpipe.dims import SHARPEN_KERNEL, ModelDims
 from convpipe.neuralcore import ModelState
 from convpipe.pipeline import (PIPELINED, SEQUENTIAL, RunConfig, load_datasets,
-                               cached_estimate, run_epoch, run_training,
-                               sequential_seconds, speedup_summary,
-                               two_stage_pipeline_seconds)
+                               run_epoch, run_training, sequential_seconds,
+                               speedup_summary, two_stage_pipeline_seconds)
 
 from oracles import simulate_two_stage
 
@@ -124,34 +122,7 @@ def test_epoch_latency_identities():
     assert res.sequential_seconds == pytest.approx(
         res.host_seconds + res.accel_seconds, rel=1e-12)
     assert res.pipelined_seconds <= res.sequential_seconds + 1e-12
-    assert res.accel_cycles == 4 * res.stage_latencies[0].accel_cycles
-
-
-def test_cached_estimate_models_once_and_copies(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return estimate_pass(*args)
-    monkeypatch.setattr(pipeline, "estimate_pass", counted)
-    pipeline._pickled_estimate.cache_clear()
-    try:
-        reduced = ModelDims(batch=4, image_x=8, image_y=8, hidden=8)
-        keys = [("training", BUDGET, reduced), ("inference", BUDGET, reduced),
-                ("training", ResourceBudget(max_multipliers=8), reduced)]
-        first = [cached_estimate(*key) for key in keys]
-        first[0].reports.clear()
-        first[0].storage_totals.clear()
-        again = [cached_estimate(*key) for key in keys]
-        # each epoch of a run shares the estimate of its key
-        batches = _batches(2, 2 * 32)
-        for mode in (SEQUENTIAL, PIPELINED):
-            run_epoch(batches, ModelState.initial(2), mode, True, BUDGET)
-    finally:
-        pipeline._pickled_estimate.cache_clear()
-    assert calls == [*keys, ("training", BUDGET, ModelDims())]
-    assert again == [estimate_pass(*key) for key in keys]
-    assert all(a is not b for a, b in zip(first, again))
+    assert res.accel_cycles == 4 * res.estimate.total_cycles
 
 
 def test_run_epoch_rejects_bad_input():
@@ -266,8 +237,11 @@ def test_batch_size_comes_from_dims():
 
 
 def test_kernel_dims_must_match_host_kernel():
-    with pytest.raises(ValueError, match="kernel"):
-        RunConfig(dims=ModelDims(kernel_x=5, kernel_y=5))
+    with pytest.raises(TypeError, match="kernel_x"):
+        ModelDims(kernel_x=5)
+    dims = ModelDims(image_x=8, image_y=10)
+    assert (dims.kernel_x, dims.kernel_y) == SHARPEN_KERNEL.shape
+    assert (dims.conv_x, dims.conv_y) == (6, 8)
 
 
 @pytest.mark.parametrize("name", ["synthetic_train", "synthetic_test", "epochs"])
