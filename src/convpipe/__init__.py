@@ -6,9 +6,8 @@ the dense layers, the loss, and the optimizer. Epochs can run
 sequentially or with the two sides overlapped.
 """
 
-from .accelmodel import (LoopNestSpec, PartitionSpec, ResourceBudget,
-                         check_port_conflicts, estimate_pass, model_transfer,
-                         partitions_by_dim, schedule)
+from .accelmodel import (LoopNestSpec, ResourceBudget, check_port_conflicts,
+                         estimate_pass, model_transfer, schedule)
 from .adam import AdamHyper, AdamState, adam_update, apply_batch_update, correction_factors
 from .dataio import (ImageSet, LabelSet, MiniBatch, load_idx_images,
                      load_idx_labels, make_batches, synthetic_dataset)

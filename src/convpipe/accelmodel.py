@@ -5,12 +5,14 @@ cycle estimates under a shared multiplier/adder cap.
 The reference accelerator is two tables: ARRAYS gives each array's axes and
 storage class, and NESTS gives each loop nest as one row (pass, loops,
 unrolled loops, arrays read and written, ops per body). Nest specs, partitions
-and storage plans are derived from them. Each array dimension is partitioned
-by the default unroll of its axis over the nests touching the array; an
-fc_unroll override changes fc_forward's unroll but never the partitions.
-The partitions are an (array, dim) -> PartitionSpec lookup, built once per
-dims; a pass's storage assignments are derived once per (dims, mode).
-estimate_pass itself caches nothing and schedules every nest on every call.
+and storage plans are derived from them. Every unroll is clamped to its
+axis's size. Each array dimension is partitioned cyclically by the default
+unroll of its axis over the nests touching the array; an fc_unroll override
+changes fc_forward's unroll but never the partitions. The partitions are a
+read-only (array, dim) -> factor mapping, built once per dims, and a pass's
+storage plan a read-only array -> StorageAssignment mapping, built once per
+(dims, mode). estimate_pass itself caches nothing and schedules every nest
+on every call.
 
 Nothing in this module reads or writes numeric weights or activations;
 it only analyses loop structure, so functional results can never depend
@@ -29,9 +31,11 @@ A nest is scheduled as `tiles * (II * (K - 1) + depth)` cycles:
   launches are spaced by the worst ceil(demand/capacity);
 * `depth` covers the launch-to-result latency of the last body.
 
-Bank ports: a body launch's accesses are counted into one list of per-bank
-counts for each (array, dim, port) they touch, offset o landing in bank
-o mod factor (cyclic partitioning). The largest count is the port stall.
+Bank ports: every bank is dual-port, serving one read and one write per
+cycle. A body launch's accesses are counted into one list of per-bank counts
+for each (array, dim, access kind) they touch, offset o landing in bank
+o mod factor (cyclic partitioning, Cong et al., ICCAD 2009). The largest
+count is the port stall.
 
 Ragged edges (unroll not dividing the trip count) are padded: a partial
 tile reserves the same resources and cycles as a full one.
@@ -93,26 +97,6 @@ class ArrayAccess:
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
-    """Bank split of one array dimension. Cyclic assigns index i to bank
-    i mod factor; complete gives every index its own bank."""
-
-    array_name: str
-    dim: int
-    factor: int
-    style: str = "cyclic"  # "cyclic" | "complete"
-    ports_per_bank: int = 2  # 2 = dual port (1 read + 1 write), 1 = single
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ValueError(f"partition factor must be >= 1, got {self.factor}")
-        if self.style not in ("cyclic", "complete"):
-            raise ValueError(f"unknown partition style {self.style!r}")
-        if self.ports_per_bank not in (1, 2):
-            raise ValueError("ports_per_bank must be 1 or 2")
-
-
-@dataclass(frozen=True)
 class LoopNestSpec:
     name: str
     trip_counts: tuple
@@ -142,11 +126,11 @@ class LoopNestSpec:
 
 @dataclass(frozen=True)
 class BankConflict:
-    array_name: str
+    array: str
     dim: int
     bank: int
     kind: str
-    excess: int  # accesses beyond what the bank's ports serve in one cycle
+    excess: int  # accesses beyond the one a bank's port serves per cycle
 
 
 @dataclass
@@ -169,10 +153,7 @@ class ScheduleReport:
     stall_events: list = field(default_factory=list)
 
     def as_dict(self):
-        out = asdict(self)
-        out["stall_events"] = [{"array": e.pop("array_name"), **e}
-                               for e in out["stall_events"]]
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -182,72 +163,52 @@ class StorageAssignment:
     words: int          # float64 element count
 
 
-@dataclass
-class StoragePlan:
-    assignments: dict  # array_name -> StorageAssignment
-
-    def totals(self):
-        out = {}
-        for a in self.assignments.values():
-            out[a.storage_class] = out.get(a.storage_class, 0) + a.words
-        return out
-
-
-def partitions_by_dim(specs):
-    """The read-only (array, dim) -> PartitionSpec lookup that schedule and
-    check_port_conflicts take as their partitions."""
-    return MappingProxyType({(p.array_name, p.dim): p for p in specs})
-
-
 def check_port_conflicts(accesses, partitions) -> ConflictReport:
     """Count the accesses of one body launch on each bank port.
 
-    partitions maps (array, dim) to its PartitionSpec; a dimension without
-    one has a single bank. Each (array, dim, port) gets one list of per-bank
-    counts, and an offset lands in bank offset mod factor. The port is the
-    access's kind on a dual-port bank, which serves one read and one write
-    per cycle, and "access" on a single-port bank, which serves one access
-    of either kind. References along the same dimension are assumed
-    base-aligned. The stall is the largest count, or 1 when nothing is
+    partitions maps (array, dim) to its cyclic factor, which must be >= 1;
+    a dimension of a partitioned array without one has a single bank. Every
+    bank is dual-port, serving one read and one write per cycle, so each
+    (array, dim, kind) gets one list of per-bank counts, and an offset lands
+    in bank offset mod factor. References along the same dimension are
+    assumed base-aligned. The stall is the largest count, or 1 when nothing is
     accessed. Every count above 1 is a conflict with excess count - 1,
-    listed in order of array, dim, port and bank; the list is built only
+    listed in order of array, dim, kind and bank; the list is built only
     when the stall exceeds 1.
     """
     counts = {}
     for acc in accesses:
-        part = partitions.get((acc.array_name, acc.accessed_dim))
-        if part is None:
-            if all(name != acc.array_name for name, _ in partitions):
-                raise ValueError(f"array {acc.array_name!r} referenced but has "
-                                 f"no partition spec (factor 1 is allowed)")
-            factor, port = 1, acc.kind
-        else:
-            if part.style == "complete" and part.factor != acc.dim_sizes[part.dim]:
-                raise ValueError(
-                    f"complete partition of {acc.array_name} dim {part.dim} has "
-                    f"factor {part.factor} != dim size {acc.dim_sizes[part.dim]}")
-            factor = part.factor
-            port = acc.kind if part.ports_per_bank == 2 else "access"
-        key = (acc.array_name, acc.accessed_dim, port)
+        key = (acc.array_name, acc.accessed_dim, acc.kind)
         banks = counts.get(key)
         if banks is None:
+            factor = partitions.get(key[:2])
+            if factor is None:
+                if all(name != acc.array_name for name, _ in partitions):
+                    raise ValueError(f"array {acc.array_name!r} referenced but "
+                                     f"has no partition spec (factor 1 is "
+                                     f"allowed)")
+                factor = 1
+            elif factor < 1:
+                raise ValueError(f"partition factor of {acc.array_name} dim "
+                                 f"{acc.accessed_dim} must be >= 1, got {factor}")
             banks = counts[key] = [0] * factor
+        factor = len(banks)
         for off in acc.stride_pattern:
             banks[off % factor] += 1
     stall = max([1, *map(max, counts.values())])
     conflicts = []
     if stall > 1:
-        conflicts = [BankConflict(name, dim, bank, port, n - 1)
-                     for (name, dim, port), banks in sorted(counts.items())
+        conflicts = [BankConflict(name, dim, bank, kind, n - 1)
+                     for (name, dim, kind), banks in sorted(counts.items())
                      for bank, n in enumerate(banks) if n > 1]
     return ConflictReport(conflicts, stall)
 
 
 def schedule(nest: LoopNestSpec, partitions, budget: ResourceBudget) -> ScheduleReport:
     """Cycle estimate for one nest under the budget; partitions is the
-    (array, dim) lookup of partitions_by_dim. See the module docstring for
-    the exact semantics; tests hold this to exact agreement with an
-    event-driven simulation."""
+    (array, dim) -> factor mapping of check_port_conflicts. See the module
+    docstring for the exact semantics; tests hold this to exact agreement
+    with an event-driven simulation."""
     unrolls = nest.clamped_unrolls()
     body_copies = math.prod(unrolls)
     mult_demand = nest.mults_per_body * body_copies
@@ -294,8 +255,8 @@ def cycles_to_seconds(cycles, budget: ResourceBudget):
 # ---------------------------------------------------------------------------
 # The reference accelerator as data. Axes: b = batch, p = pool_map, h =
 # hidden, c = classes. Unrolled b, p and h loops unroll by DEFAULT_UNROLL,
-# unrolled c loops fully. Op counts are coarse (divide/sqrt/exp are billed
-# to the multiplier class).
+# unrolled c loops fully; no unroll exceeds its axis's size. Op counts are
+# coarse (divide/sqrt/exp are billed to the multiplier class).
 # ---------------------------------------------------------------------------
 
 DEFAULT_UNROLL = 4
@@ -357,7 +318,8 @@ def _axis_sizes(dims):
 
 
 def _default_unrolls(sizes):
-    return {a: sizes["c"] if a == "c" else DEFAULT_UNROLL for a in sizes}
+    return {a: n if a == "c" else min(DEFAULT_UNROLL, n)
+            for a, n in sizes.items()}
 
 
 def _touched(row):
@@ -372,8 +334,10 @@ def _pass_rows(mode):
 
 def _nest_spec(row, sizes, unroll):
     """LoopNestSpec of one table row; unroll maps each axis to its factor
-    where the row unrolls it. Each array dimension along an unrolled loop
-    gets one access per kind, touching offsets 0..factor-1."""
+    where the row unrolls it, clamped here to the axis's size. Each array
+    dimension along an unrolled loop gets one access per kind, touching
+    offsets 0..factor-1."""
+    unroll = {a: min(unroll[a], sizes[a]) for a in row.unrolled}
     plain = [i for i, a in enumerate(row.loops) if a not in row.unrolled]
     accesses = tuple(
         ArrayAccess(name, tuple(sizes[a] for a in ARRAYS[name][0]), dim,
@@ -384,8 +348,7 @@ def _nest_spec(row, sizes, unroll):
     return LoopNestSpec(
         name=row.name,
         trip_counts=tuple(sizes[a] for a in row.loops),
-        unroll_factors=tuple(unroll[a] if a in row.unrolled else 1
-                             for a in row.loops),
+        unroll_factors=tuple(unroll.get(a, 1) for a in row.loops),
         pipelined_level=plain[-1] if plain else len(row.loops) - 1,
         accesses=accesses,
         mults_per_body=row.mults,
@@ -416,38 +379,30 @@ def pass_nests(mode, dims=DEFAULT_DIMS, fc_unroll=None):
 
 @functools.cache
 def default_partitions(dims=DEFAULT_DIMS):
-    """One partition per array dimension, as a partitions_by_dim lookup
-    built once per dims. Its factor is the axis's default unroll when some
-    nest touching the array unrolls that axis, else 1; a class dimension
-    split into every index is complete, the rest cyclic."""
-    sizes = _axis_sizes(dims)
-    defaults = _default_unrolls(sizes)
-    specs = []
-    for name, (axes, _) in ARRAYS.items():
-        for dim, axis in enumerate(axes):
-            unrolled = any(axis in r.unrolled and name in _touched(r) for r in NESTS)
-            factor = defaults[axis] if unrolled else 1
-            style = "complete" if axis == "c" and factor == sizes["c"] else "cyclic"
-            specs.append(PartitionSpec(name, dim, factor, style))
-    return partitions_by_dim(specs)
+    """The cyclic factor of every array dimension, as a read-only
+    (array, dim) -> factor mapping built once per dims. The factor is the
+    axis's default unroll when some nest touching the array unrolls that
+    axis, else 1; a class dimension so split has one bank per class."""
+    defaults = _default_unrolls(_axis_sizes(dims))
+    return MappingProxyType({
+        (name, dim): defaults[axis] if any(
+            axis in r.unrolled and name in _touched(r) for r in NESTS) else 1
+        for name, (axes, _) in ARRAYS.items()
+        for dim, axis in enumerate(axes)})
 
 
 @functools.cache
-def _storage_assignments(dims, mode):
-    sizes = _axis_sizes(dims)
-    touched = set().union(*map(_touched, _pass_rows(mode)))
-    return tuple(
-        StorageAssignment(name, storage, math.prod(sizes[a] for a in axes))
-        for name, (axes, storage) in ARRAYS.items() if name in touched)
-
-
-def default_storage_plan(dims=DEFAULT_DIMS, mode="training") -> StoragePlan:
+def default_storage_plan(dims=DEFAULT_DIMS, mode="training"):
     """A pass stores every array its nests touch, in the array table's
     storage class: weights in the fast RAM tier, on-chip intermediates in
-    block RAM, host-transferred blocks in interface registers. The frozen
-    assignments are derived once per (dims, mode); each call returns a
-    fresh plan, so no two estimates share one."""
-    return StoragePlan({a.array_name: a for a in _storage_assignments(dims, mode)})
+    block RAM, host-transferred blocks in interface registers. The plan is
+    a read-only array name -> StorageAssignment mapping, built once per
+    (dims, mode) and shared by every estimate."""
+    sizes = _axis_sizes(dims)
+    touched = set().union(*map(_touched, _pass_rows(mode)))
+    return MappingProxyType({
+        name: StorageAssignment(name, storage, math.prod(sizes[a] for a in axes))
+        for name, (axes, storage) in ARRAYS.items() if name in touched})
 
 
 @dataclass
@@ -459,8 +414,8 @@ class PassEstimate:
     total_cycles: int
     peak_multipliers: int
     peak_adders: int
-    storage: StoragePlan
-    storage_totals: dict
+    storage: MappingProxyType  # default_storage_plan(dims, mode)
+    storage_totals: dict       # storage class -> words
 
     def as_dict(self):
         return {
@@ -492,7 +447,10 @@ def estimate_pass(mode, budget: ResourceBudget, dims=DEFAULT_DIMS,
     transfer = model_transfer(words, budget)
 
     compute = sum(r.cycles for r in reports)
-    plan = default_storage_plan(dims, mode)
+    storage = default_storage_plan(dims, mode)
+    totals = {}
+    for a in storage.values():
+        totals[a.storage_class] = totals.get(a.storage_class, 0) + a.words
     return PassEstimate(
         mode=mode,
         reports=reports,
@@ -501,6 +459,6 @@ def estimate_pass(mode, budget: ResourceBudget, dims=DEFAULT_DIMS,
         total_cycles=compute + transfer,
         peak_multipliers=max(r.multipliers_used for r in reports),
         peak_adders=max(r.adders_used for r in reports),
-        storage=plan,
-        storage_totals=plan.totals(),
+        storage=storage,
+        storage_totals=totals,
     )

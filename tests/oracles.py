@@ -140,25 +140,19 @@ def reference_adam_arrays(w1, w2, grad_seq, beta1=0.9, beta2=0.999,
 def _bank_demand_per_launch(accesses, partitions):
     """Concrete per-bank access counts for one unrolled body launch.
 
-    Returns {(array, dim, port_key, bank): count} where port_key separates
-    read/write ports on dual-port banks and collapses them on single-port.
+    partitions maps (array, dim) to a cyclic factor. Returns
+    {(array, dim, port, bank): count}; every bank is dual-port, so the port
+    is the access's kind.
     """
-    part_by_dim = {}
-    arrays = set()
-    for p in partitions.values():
-        arrays.add(p.array_name)
-        part_by_dim[(p.array_name, p.dim)] = p
+    arrays = {name for name, _ in partitions}
     demand = Counter()
     for acc in accesses:
         if acc.array_name not in arrays:
             raise ValueError(f"no partition for {acc.array_name}")
-        part = part_by_dim.get((acc.array_name, acc.accessed_dim))
-        factor = part.factor if part else 1
-        ports = part.ports_per_bank if part else 2
-        port_key = acc.kind if ports == 2 else "shared"
+        factor = partitions.get((acc.array_name, acc.accessed_dim), 1)
         for off in acc.stride_pattern:
             bank = off % factor
-            demand[(acc.array_name, acc.accessed_dim, port_key, bank)] += 1
+            demand[(acc.array_name, acc.accessed_dim, acc.kind, bank)] += 1
     return demand
 
 
@@ -225,16 +219,16 @@ def count_transfer_cycles(words, cycles_per_word):
 
 def make_random_nest(rng, name="nest", max_loops=3, max_trip=16,
                      unroll_choices=(1, 2, 4), access_probability=0.7):
-    """Random small LoopNestSpec (plus matching partitions) for sweeps."""
-    from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, PartitionSpec,
-                                     partitions_by_dim)
+    """Random small LoopNestSpec (plus a matching (array, dim) -> factor
+    map) for sweeps."""
+    from convpipe.accelmodel import ArrayAccess, LoopNestSpec
 
     n_loops = int(rng.integers(1, max_loops + 1))
     trips = tuple(int(rng.integers(1, max_trip + 1)) for _ in range(n_loops))
     unrolls = tuple(int(rng.choice(unroll_choices)) for _ in range(n_loops))
     level = int(rng.integers(0, n_loops))
     accesses = []
-    partitions = []
+    partitions = {}
     if rng.random() < access_probability:
         for a in range(int(rng.integers(1, 4))):
             arr = f"{name}_a{a}"
@@ -242,10 +236,7 @@ def make_random_nest(rng, name="nest", max_loops=3, max_trip=16,
             offsets = tuple(sorted(rng.choice(32, size=width, replace=False)))
             kind = "read" if rng.random() < 0.7 else "write"
             accesses.append(ArrayAccess(arr, (32,), 0, offsets, kind))
-            partitions.append(PartitionSpec(arr, 0,
-                                            int(rng.choice([1, 2, 4, 8])),
-                                            "cyclic",
-                                            int(rng.choice([1, 2]))))
+            partitions[(arr, 0)] = int(rng.choice([1, 2, 4, 8]))
     nest = LoopNestSpec(
         name=name,
         trip_counts=trips,
@@ -255,7 +246,7 @@ def make_random_nest(rng, name="nest", max_loops=3, max_trip=16,
         mults_per_body=int(rng.integers(0, 4)),
         adds_per_body=int(rng.integers(0, 4)),
     )
-    return nest, partitions_by_dim(partitions)
+    return nest, partitions
 
 
 # -- two-stage pipeline -------------------------------------------------------

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, PartitionSpec,
-                                 ResourceBudget, check_port_conflicts,
-                                 default_partitions, estimate_pass, f64_words,
-                                 model_transfer, partitions_by_dim, pass_nests,
-                                 schedule)
+from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, ResourceBudget,
+                                 check_port_conflicts, default_partitions,
+                                 estimate_pass, f64_words, model_transfer,
+                                 pass_nests, schedule)
 from convpipe.dims import DEFAULT_DIMS, ModelDims
 
 from oracles import (_bank_demand_per_launch, count_transfer_cycles,
@@ -18,7 +17,7 @@ from oracles import (_bank_demand_per_launch, count_transfer_cycles,
 BUDGET = ResourceBudget()
 UNBOUNDED = ResourceBudget(max_multipliers=10 ** 9, max_adders=10 ** 9)
 DEFAULT_NESTS = {n.name: n for n in pass_nests("training")}
-NO_PARTITIONS = partitions_by_dim([])
+NO_PARTITIONS = {}
 
 
 # -- port conflicts -----------------------------------------------------------
@@ -29,14 +28,14 @@ def _reads(name, offsets, dim_size=32):
 
 def test_four_reads_factor_four_no_conflict():
     report = check_port_conflicts(
-        _reads("v", range(4)), partitions_by_dim([PartitionSpec("v", 0, 4)]))
+        _reads("v", range(4)), {("v", 0): 4})
     assert report.conflicts == []
     assert report.stall_cycles == 1
 
 
 def test_four_reads_factor_two_double_hits_two_banks():
     report = check_port_conflicts(
-        _reads("v", range(4)), partitions_by_dim([PartitionSpec("v", 0, 2)]))
+        _reads("v", range(4)), {("v", 0): 2})
     assert len(report.conflicts) == 2
     assert {(c.bank, c.excess) for c in report.conflicts} == {(0, 1), (1, 1)}
     assert report.stall_cycles == 2
@@ -44,37 +43,26 @@ def test_four_reads_factor_two_double_hits_two_banks():
 
 def test_single_read_factor_one_no_conflict():
     report = check_port_conflicts(
-        _reads("v", [0]), partitions_by_dim([PartitionSpec("v", 0, 1)]))
+        _reads("v", [0]), {("v", 0): 1})
     assert report.conflicts == []
 
 
 def test_unpartitioned_array_rejected():
     with pytest.raises(ValueError, match="partition"):
         check_port_conflicts(_reads("v", range(4)),
-                             partitions_by_dim([PartitionSpec("w", 0, 4)]))
+                             {("w", 0): 4})
 
 
-def test_complete_partition_must_cover_dim():
-    acc = _reads("h2", range(10), dim_size=10)
-    with pytest.raises(ValueError, match="complete"):
-        check_port_conflicts(
-            acc, partitions_by_dim([PartitionSpec("h2", 0, 4, "complete")]))
-    ok = check_port_conflicts(
-        acc, partitions_by_dim([PartitionSpec("h2", 0, 10, "complete")]))
-    assert ok.conflicts == []
+def test_factor_below_one_rejected():
+    with pytest.raises(ValueError, match="factor of v dim 0 must be >= 1"):
+        check_port_conflicts(_reads("v", range(4)), {("v", 0): 0})
 
 
 def test_dual_port_serves_one_read_and_one_write():
     accesses = [ArrayAccess("h1", (32,), 0, (0, 1), "read"),
                 ArrayAccess("h1", (32,), 0, (0, 1), "write")]
-    dual = check_port_conflicts(
-        accesses, partitions_by_dim([PartitionSpec("h1", 0, 2)]))
+    dual = check_port_conflicts(accesses, {("h1", 0): 2})
     assert dual.conflicts == []
-    single = check_port_conflicts(
-        accesses, partitions_by_dim([PartitionSpec("h1", 0, 2,
-                                                   ports_per_bank=1)]))
-    assert len(single.conflicts) == 2  # read + write collide on one port
-    assert single.stall_cycles == 2
 
 
 def test_conflicts_match_brute_force_enumeration():
@@ -82,7 +70,7 @@ def test_conflicts_match_brute_force_enumeration():
         brute = enumerate_bank_conflicts(40, unroll, factor)
         report = check_port_conflicts(
             _reads("arr", range(unroll), dim_size=40),
-            partitions_by_dim([PartitionSpec("arr", 0, factor)]))
+            {("arr", 0): factor})
         assert bool(brute) == bool(report.conflicts)
         if brute:
             worst = max(n for _, _, n in brute) + 1
@@ -96,25 +84,24 @@ def test_partition_sufficiency_for_stride1():
         factor = int(rng.integers(unroll, 13))
         report = check_port_conflicts(
             _reads("arr", range(unroll)),
-            partitions_by_dim([PartitionSpec("arr", 0, factor)]))
+            {("arr", 0): factor})
         assert report.conflicts == []
 
 
 def _oracle_conflicts(accesses, parts):
     """(conflicts, stall) implied by the oracle's per-bank demand. Conflicts
-    come in order of array, dim, read before write, bank; the oracle calls a
-    single-port bank's one port "shared"."""
-    port_order = {"read": 0, "write": 1, "access": 0}
+    come in order of array, dim, read before write, bank."""
+    port_order = {"read": 0, "write": 1}
     demand = _bank_demand_per_launch(accesses, parts)
     conflicts = sorted(
-        ((name, dim, bank, "access" if port == "shared" else port, n - 1)
+        ((name, dim, bank, port, n - 1)
          for (name, dim, port, bank), n in demand.items() if n > 1),
         key=lambda c: (c[0], c[1], port_order[c[3]], c[2]))
     return conflicts, max(demand.values(), default=1)
 
 
 def _conflict_tuples(conflicts):
-    return [(c.array_name, c.dim, c.bank, c.kind, c.excess) for c in conflicts]
+    return [(c.array, c.dim, c.bank, c.kind, c.excess) for c in conflicts]
 
 
 def test_conflict_list_matches_oracle_bank_demand():
@@ -301,6 +288,7 @@ def test_inference_pass_matches_oracle_sum():
 @pytest.mark.parametrize("dims", [
     pytest.param(DEFAULT_DIMS, id="default"),
     pytest.param(ModelDims(batch=8, hidden=16, classes=4), id="reduced"),
+    pytest.param(ModelDims(batch=2, hidden=3, classes=3), id="small_axes"),
 ])
 def test_training_pass_matches_oracle_sum(dims):
     parts = default_partitions(dims)
@@ -329,19 +317,19 @@ def test_default_nests_have_no_bank_conflicts():
 
 def test_storage_plan_covers_live_arrays():
     est = estimate_pass("training", BUDGET)
-    assigned = set(est.storage.assignments)
+    assigned = set(est.storage)
     for nest in DEFAULT_NESTS.values():
         for acc in nest.accesses:
             assert acc.array_name in assigned, acc.array_name
-    assert est.storage.assignments["W1"].storage_class == "fast-uram"
-    assert est.storage.assignments["v"].storage_class == "interface-register"
-    assert est.storage.assignments["h1"].storage_class == "block-ram"
+    assert est.storage["W1"].storage_class == "fast-uram"
+    assert est.storage["v"].storage_class == "interface-register"
+    assert est.storage["h1"].storage_class == "block-ram"
     assert est.storage_totals["fast-uram"] == 169 * 128 + 128 * 10
-    # each estimate owns its plan: mutating one leaves the next intact
-    est.storage.assignments.clear()
+    # estimates share one read-only plan, so none can change the next
+    with pytest.raises(TypeError):
+        est.storage["W1"] = est.storage["h1"]
     again = estimate_pass("training", BUDGET)
-    assert again.storage.assignments["W1"].storage_class == "fast-uram"
-    assert set(again.storage.assignments) == assigned
+    assert again.storage == est.storage
     assert again.storage_totals == est.storage_totals
 
 
@@ -365,23 +353,16 @@ def test_fc_unroll_override_increases_cycles():
 
 
 def test_default_partitions_pinned():
-    parts = [(p.array_name, p.dim, p.factor, p.style)
-             for p in default_partitions().values()]
+    parts = [(name, dim, factor)
+             for (name, dim), factor in default_partitions().items()]
     assert parts == [
-        ("W1", 0, 4, "cyclic"), ("W1", 1, 4, "cyclic"),
-        ("W2", 0, 4, "cyclic"), ("W2", 1, 10, "complete"),
-        ("h1", 0, 4, "cyclic"), ("h1", 1, 4, "cyclic"),
-        ("h2", 0, 4, "cyclic"), ("h2", 1, 10, "complete"),
-        ("v", 0, 4, "cyclic"), ("v", 1, 4, "cyclic"),
-        ("outActual", 0, 4, "cyclic"), ("outActual", 1, 10, "complete"),
-        ("dZ", 0, 4, "cyclic"), ("dZ", 1, 10, "complete"),
-        ("dH1", 0, 4, "cyclic"), ("dH1", 1, 4, "cyclic"),
-        ("gW1", 0, 4, "cyclic"), ("gW1", 1, 4, "cyclic"),
-        ("gW2", 0, 4, "cyclic"), ("gW2", 1, 10, "complete"),
-        ("mW1", 0, 4, "cyclic"), ("mW1", 1, 4, "cyclic"),
-        ("vW1", 0, 4, "cyclic"), ("vW1", 1, 4, "cyclic"),
-        ("mW2", 0, 4, "cyclic"), ("mW2", 1, 10, "complete"),
-        ("vW2", 0, 4, "cyclic"), ("vW2", 1, 10, "complete"),
+        ("W1", 0, 4), ("W1", 1, 4), ("W2", 0, 4), ("W2", 1, 10),
+        ("h1", 0, 4), ("h1", 1, 4), ("h2", 0, 4), ("h2", 1, 10),
+        ("v", 0, 4), ("v", 1, 4), ("outActual", 0, 4), ("outActual", 1, 10),
+        ("dZ", 0, 4), ("dZ", 1, 10), ("dH1", 0, 4), ("dH1", 1, 4),
+        ("gW1", 0, 4), ("gW1", 1, 4), ("gW2", 0, 4), ("gW2", 1, 10),
+        ("mW1", 0, 4), ("mW1", 1, 4), ("vW1", 0, 4), ("vW1", 1, 4),
+        ("mW2", 0, 4), ("mW2", 1, 10), ("vW2", 0, 4), ("vW2", 1, 10),
     ]
 
 
@@ -396,3 +377,15 @@ def test_fc_unroll_override_keeps_default_partitions():
         == 22016
     assert fc.effective_ii == 2
     assert len(fc.stall_events) == 24
+
+
+def test_stalled_report_keeps_its_stall_event_keys():
+    # the report schema of a stalled nest: each stall event is keyed
+    # array, dim, bank, kind, excess, in that order
+    budget = ResourceBudget(max_adders=10)
+    fc = estimate_pass("training", budget, fc_unroll=(8, 8)).reports[0].as_dict()
+    assert fc["name"] == "fc_forward"
+    assert fc["effective_ii"] == 7  # 64 adders demanded, 10 available
+    assert len(fc["stall_events"]) == 24
+    assert list(fc["stall_events"][0]) == ["array", "dim", "bank", "kind",
+                                           "excess"]

@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 
 from convpipe.accelmodel import (ResourceBudget, check_port_conflicts,
-                                 PartitionSpec, ArrayAccess,
-                                 default_partitions, partitions_by_dim,
-                                 pass_nests, schedule)
+                                 ArrayAccess, default_partitions, pass_nests,
+                                 schedule)
 from convpipe.adam import AdamHyper, adam_update, correction_factors
 from convpipe.checkpoint import save_checkpoint
 from convpipe.dataio import ImageSet, LabelSet, make_batches, synthetic_dataset
@@ -224,17 +223,17 @@ def test_criterion_6_partition_feasibility():
     # the model agrees with the enumeration
     ok4 = check_port_conflicts(
         [ArrayAccess("a", (128,), 0, (0, 1, 2, 3), "read")],
-        partitions_by_dim([PartitionSpec("a", 0, 4)]))
+        {("a", 0): 4})
     assert ok4.conflicts == []
     ok10 = check_port_conflicts(
         [ArrayAccess("b", (10,), 0, tuple(range(10)), "read")],
-        partitions_by_dim([PartitionSpec("b", 0, 10, "complete")]))
+        {("b", 0): 10})
     assert ok10.conflicts == []
     bad = check_port_conflicts(
         [ArrayAccess("c", (128,), 0, (0, 1, 2, 3), "read")],
-        partitions_by_dim([PartitionSpec("c", 0, 2)]))
+        {("c", 0): 2})
     assert len(bad.conflicts) == 2 and bad.stall_cycles == 2
-    _report(6, "unroll4/cyclic4 and unroll10/complete10 conflict-free; "
+    _report(6, "unroll4/cyclic4 and unroll10/cyclic10 conflict-free; "
                "unroll4/cyclic2 double-hits two banks")
 
 

@@ -174,6 +174,22 @@ def test_estimate_unroll_override_costs_more(tmp_path):
     assert slow["inference"]["total_cycles"] > base["inference"]["total_cycles"]
 
 
+def test_estimate_unroll_beyond_the_axis_runs(tmp_path):
+    # 64 exceeds the 32-row batch axis, so it costs what 32 does
+    wide, whole = tmp_path / "wide.json", tmp_path / "whole.json"
+    assert main(["estimate", "--unroll-fc", "64,4", "--report", str(wide)]) == 0
+    assert main(["estimate", "--unroll-fc", "32,4", "--report", str(whole)]) == 0
+    wide, whole = json.loads(wide.read_text()), json.loads(whole.read_text())
+    for mode in ("inference", "training"):
+        assert wide[mode] == whole[mode]
+
+
+def test_train_with_a_batch_below_the_default_unroll():
+    # the 4-way batch unroll and partitions clamp to a batch of 2
+    assert main(["train", "--synthetic", "--batch-size", "2",
+                 "--epochs", "0"]) == 0
+
+
 def test_estimate_mode_algebra(capsys):
     assert main(["estimate", "--host-batch-seconds", "0.0015",
                  "--num-batches", "100"]) == 0
