@@ -11,6 +11,11 @@ in place, with 1-beta1 and 1-beta2 computed here as before. When
 native.kernels() is unavailable, or an array is not one the kernel can
 update in place, _adam_update_numpy runs instead; it is also the reference
 the tests compare the kernel against, byte for byte.
+
+apply_batch_update, the training step's entry point, updates both layers
+in one foreign call (the native adam_update_pair, the same loop over the
+output layer and then the hidden layer) and falls back to one adam_update
+per layer under the same conditions, so both paths give the same bytes.
 """
 
 import math
@@ -80,6 +85,25 @@ def _adam_update_numpy(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     return w.size - int(np.count_nonzero(np.isfinite(w)))
 
 
+def _check_shapes(w, m, v, g):
+    if not (w.shape == m.shape == v.shape == g.shape):
+        raise ValueError(f"shape mismatch: w{w.shape} m{m.shape} "
+                         f"v{v.shape} g{g.shape}")
+
+
+def _kernel_can_write(w, m, v, g):
+    """True when the compiled kernel can run the update: every array is
+    float64, and w, m and v are aligned, writable and C-contiguous."""
+    return g.dtype == np.float64 and all(
+        a.dtype == np.float64 and a.flags.carray for a in (w, m, v))
+
+
+def _factors(corr: CorrectionFactors, hyper: AdamHyper):
+    """The kernels' trailing arguments, in their order."""
+    return (hyper.beta1, 1.0 - hyper.beta1, hyper.beta2, 1.0 - hyper.beta2,
+            hyper.eta, corr.c1, corr.c2, hyper.eps)
+
+
 def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     """One elementwise moment + weight update, in place.
 
@@ -92,20 +116,13 @@ def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     writable and C-contiguous; for any other array the numpy body runs.
     Returns the number of non-finite weights the update wrote.
     """
-    if not (w.shape == m.shape == v.shape == g.shape):
-        raise ValueError(f"shape mismatch: w{w.shape} m{m.shape} "
-                         f"v{v.shape} g{g.shape}")
+    _check_shapes(w, m, v, g)
     lib = native.kernels()
-    if (lib is None or g.dtype != np.float64
-            or not all(a.dtype == np.float64 and a.flags.carray
-                       for a in (w, m, v))):
+    if lib is None or not _kernel_can_write(w, m, v, g):
         return _adam_update_numpy(w, m, v, g, corr, hyper)
-    if not (g.flags.c_contiguous and g.flags.aligned):
-        g = np.require(g, np.float64, ("C", "A"))
+    g = native.operand(g, c_contiguous=True)
     return lib.adam_update(w.size, *map(native.address, (w, m, v, g)),
-                           hyper.beta1, 1.0 - hyper.beta1, hyper.beta2,
-                           1.0 - hyper.beta2, hyper.eta, corr.c1, corr.c2,
-                           hyper.eps)
+                           *_factors(corr, hyper))
 
 
 def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
@@ -113,11 +130,26 @@ def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
 
     The output layer is updated first: its gradients come out of the backward
     pass first, and its update produces the factors the hidden layer reuses.
+    Every shape is checked before the counter moves, so a mis-shaped
+    gradient raises ValueError with the state and weights untouched.
+
+    One compiled call updates both layers when the kernel can write every
+    array in place; otherwise each layer goes through adam_update.
     Returns the number of non-finite weights the two updates wrote.
     """
+    layers = ((weights.w2, state.m_w2, state.v_w2, grads.g_w2),
+              (weights.w1, state.m_w1, state.v_w1, grads.g_w1))
+    for layer in layers:
+        _check_shapes(*layer)
     state.step += 1
     corr = correction_factors(hyper, state.step)
-    return (adam_update(weights.w2, state.m_w2, state.v_w2, grads.g_w2, corr,
-                        hyper)
-            + adam_update(weights.w1, state.m_w1, state.v_w1, grads.g_w1,
-                          corr, hyper))
+    lib = native.kernels()
+    if lib is None or not all(_kernel_can_write(*layer) for layer in layers):
+        return sum(adam_update(*layer, corr, hyper) for layer in layers)
+    # the kernel gets addresses only: a gradient copied here must stay
+    # referenced, in layers, until the call returns
+    layers = [(w, m, v, native.operand(g, c_contiguous=True))
+              for w, m, v, g in layers]
+    args = [x for layer in layers
+            for x in (layer[0].size, *map(native.address, layer))]
+    return lib.adam_update_pair(*args, *_factors(corr, hyper))

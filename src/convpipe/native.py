@@ -13,8 +13,14 @@ the numpy code that is its reference and fallback:
   every n = 10 product) run a narrow tile of 4 rows by 12 columns: b's
   columns are copied, zero-padded to 12, 128 rows of t at a time; a
   block's sums pass from one copy to the next through out, which holds a
-  double exactly, and only its real columns are stored. The rows past the
-  last block of 4 (m % 4) run the plain loop, one row at a time;
+  double exactly, and only its real columns are stored. On a CPU with
+  AVX2 a row of that block is three vectors of four doubles, so the
+  AVX-512F clone runs it in 256-bit registers too. The rows past the last
+  block of 4 (m % 4) run the plain loop, one row at a time. An optional
+  epilogue then runs over the finished out in the same call: ReLU,
+  numpy's NaN-keeping maximum(0.0, x) (fc_forward's), and a mask that
+  multiplies each element by 1.0 where the mask is > 0.0 and by 0.0
+  elsewhere, as numpy's x * (mask > 0.0) does (backward's dH1);
 - host_stage: valid correlation with the taps added in row-major kernel
   order from +0.0, then a NaN-propagating 2x2 max-pool written straight
   into the flattened (n, pool_map) rows (hoststage.host_stage, reference
@@ -30,6 +36,9 @@ the numpy code that is its reference and fallback:
   operations in numpy's order for each element (adam.adam_update,
   reference adam._adam_update_numpy); it returns the number of non-finite
   weights it wrote, so the caller's check needs no second pass.
+  adam_update_pair runs the same loop over a batch's output layer and
+  then its hidden layer, with the same factors, in one call
+  (adam.apply_batch_update), and returns the sum of the two counts.
 
 A tile only changes which elements are summed when, never the terms of one
 element's sum or their order, and padding lanes are never stored, so every
@@ -114,6 +123,13 @@ _SOURCE = r"""
    compiled for that clone's target and not only the baseline. */
 #define HELPER static inline __attribute__((always_inline))
 
+/* Four doubles, for the narrow tile and the host stage's block: GCC and
+   Clang run each operation on it lane by lane, with the rounding of the
+   scalar operation, as one AVX instruction. Without AVX, GCC keeps such a
+   vector in memory, so only AVX2_CPU code uses it. */
+typedef double v4d __attribute__((vector_size(32)));
+typedef long long v4i __attribute__((vector_size(32)));
+
 /* rows [i0, i1) of out, one row at a time */
 HELPER void kseq_rows(ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t k, ptrdiff_t n,
                       const double *a, ptrdiff_t a_row, ptrdiff_t a_col,
@@ -178,10 +194,53 @@ HELPER void kseq_narrow(ptrdiff_t mt, ptrdiff_t k, ptrdiff_t n,
     } while ((t0 += PACK_K) < k);
 }
 
+/* kseq_narrow for AVX2_CPU code, with a row of a block in NARROW_C / 4
+   vectors: the same sums in the same order, in 256-bit registers. The
+   AVX-512F clone of the plain loop, which packs the 12 columns into
+   512-bit registers, took 1.5-1.8x the AVX2 clone's time. */
+HELPER void kseq_narrow_v4d(ptrdiff_t mt, ptrdiff_t k, ptrdiff_t n,
+                            ptrdiff_t j0, ptrdiff_t nw,
+                            const double *a, ptrdiff_t a_row,
+                            ptrdiff_t a_col, const double *restrict b,
+                            double *restrict out)
+{
+    v4d bp[PACK_K][NARROW_C / 4];
+    const size_t row_bytes = (size_t)nw * sizeof(double);
+    ptrdiff_t t0 = 0;
+    do {
+        const ptrdiff_t tk = k - t0 < PACK_K ? k - t0 : PACK_K;
+        for (ptrdiff_t t = 0; t < tk; t++)
+            for (int j = 0; j < NARROW_C; j++)
+                bp[t][j / 4][j % 4] = j < nw ? b[(t0 + t) * n + j0 + j] : 0.0;
+        for (ptrdiff_t i0 = 0; i0 < mt; i0 += TILE_R) {
+            double *restrict o = out + i0 * n + j0;
+            v4d c[TILE_R][NARROW_C / 4] = {{{0.0}}};
+            if (t0 > 0)
+                for (int r = 0; r < TILE_R; r++)
+                    memcpy(c[r], o + r * n, row_bytes);
+            for (ptrdiff_t t = 0; t < tk; t++)
+                for (int r = 0; r < TILE_R; r++) {
+                    const double x = a[(i0 + r) * a_row + (t0 + t) * a_col];
+                    for (int v = 0; v < NARROW_C / 4; v++)
+                        c[r][v] += x * bp[t][v];
+                }
+            for (int r = 0; r < TILE_R; r++)
+                memcpy(o + r * n, c[r], row_bytes);
+        }
+    } while ((t0 += PACK_K) < k);
+}
+
+/* relu != 0 stores numpy's maximum(0.0, x) as the select
+   (0.0 >= x ? 0.0 : x), which keeps a NaN; the two differ only on -0.0,
+   which no sum from +0.0 gives. A mask (NULL for none, else m x n and
+   C-contiguous) then multiplies each element by (mask > 0.0 ? 1.0 : 0.0),
+   as numpy's x * (mask > 0.0) does: a multiply, not a select, so a
+   negative value under a zero mask is -0.0 and a NaN stays. */
 KERNEL
 void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
                  const double *a, ptrdiff_t a_row, ptrdiff_t a_col,
-                 const double *restrict b, double *restrict out)
+                 const double *restrict b, int relu,
+                 const double *restrict mask, double *restrict out)
 {
     const ptrdiff_t mt = m - m % TILE_R, nt = n - n % TILE_C;
     for (ptrdiff_t i0 = 0; i0 < mt; i0 += TILE_R)
@@ -202,10 +261,20 @@ void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
                 for (int j = 0; j < TILE_C; j++)
                     out[(i0 + r) * n + j0 + j] = c[r][j];
         }
-    for (ptrdiff_t j0 = nt; j0 < n; j0 += NARROW_C)
-        kseq_narrow(mt, k, n, j0, n - j0 < NARROW_C ? n - j0 : NARROW_C,
-                    a, a_row, a_col, b, out);
+    for (ptrdiff_t j0 = nt; j0 < n; j0 += NARROW_C) {
+        const ptrdiff_t nw = n - j0 < NARROW_C ? n - j0 : NARROW_C;
+        if (AVX2_CPU)
+            kseq_narrow_v4d(mt, k, n, j0, nw, a, a_row, a_col, b, out);
+        else
+            kseq_narrow(mt, k, n, j0, nw, a, a_row, a_col, b, out);
+    }
     kseq_rows(mt, m, k, n, a, a_row, a_col, b, out);
+    if (relu)
+        for (ptrdiff_t i = 0; i < m * n; i++)
+            out[i] = 0.0 >= out[i] ? 0.0 : out[i];
+    if (mask)
+        for (ptrdiff_t i = 0; i < m * n; i++)
+            out[i] *= mask[i] > 0.0 ? 1.0 : 0.0;
 }
 
 /* numpy's max: a NaN operand wins, and stays once taken */
@@ -213,13 +282,6 @@ HELPER double max_nan(double m, double x)
 {
     return (x > m || x != x) ? x : m;
 }
-
-/* Four doubles, for the host stage's block: GCC and Clang run each
-   operation on it lane by lane, with the rounding of the scalar
-   operation, as one AVX instruction. Without AVX, GCC keeps such a vector
-   in memory, so only AVX2_CPU code uses it. */
-typedef double v4d __attribute__((vector_size(32)));
-typedef long long v4i __attribute__((vector_size(32)));
 
 /* lanes 0, 2, 4, 6 and lanes 1, 3, 5, 7 of the eight in a and b */
 #if defined(__clang__) || __GNUC__ >= 12
@@ -329,11 +391,11 @@ void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
 /* numpy's order of operations, element by element, on n contiguous
    elements; b1c and b2c are 1-beta1 and 1-beta2. Returns the number of
    non-finite weights written. */
-KERNEL
-ptrdiff_t adam_update(ptrdiff_t n, double *restrict w, double *restrict m,
-                      double *restrict v, const double *restrict g,
-                      double b1, double b1c, double b2, double b2c,
-                      double eta, double c1, double c2, double eps)
+HELPER ptrdiff_t adam_layer(ptrdiff_t n, double *restrict w,
+                            double *restrict m, double *restrict v,
+                            const double *restrict g, double b1, double b1c,
+                            double b2, double b2c, double eta, double c1,
+                            double c2, double eps)
 {
     ptrdiff_t nonfinite = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
@@ -347,6 +409,32 @@ ptrdiff_t adam_update(ptrdiff_t n, double *restrict w, double *restrict m,
     }
     return nonfinite;
 }
+
+KERNEL
+ptrdiff_t adam_update(ptrdiff_t n, double *restrict w, double *restrict m,
+                      double *restrict v, const double *restrict g,
+                      double b1, double b1c, double b2, double b2c,
+                      double eta, double c1, double c2, double eps)
+{
+    return adam_layer(n, w, m, v, g, b1, b1c, b2, b2c, eta, c1, c2, eps);
+}
+
+/* A batch's two layer updates with the same factors: the output layer's
+   (n2 elements) first, then the hidden layer's (n1). Returns the number of
+   non-finite weights both wrote. */
+KERNEL
+ptrdiff_t adam_update_pair(ptrdiff_t n2, double *restrict w2,
+                           double *restrict m2, double *restrict v2,
+                           const double *restrict g2, ptrdiff_t n1,
+                           double *restrict w1, double *restrict m1,
+                           double *restrict v1, const double *restrict g1,
+                           double b1, double b1c, double b2, double b2c,
+                           double eta, double c1, double c2, double eps)
+{
+    return adam_layer(n2, w2, m2, v2, g2, b1, b1c, b2, b2c, eta, c1, c2, eps)
+           + adam_layer(n1, w1, m1, v1, g1, b1, b1c, b2, b2c, eta, c1, c2,
+                        eps);
+}
 """
 _CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
            "-fPIC", "-shared")
@@ -354,10 +442,12 @@ _CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
 _SSIZE, _PTR, _DBL = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
 _SIGNATURES = {  # name: (restype, argtypes)
     "matmul_kseq": (None, (_SSIZE, _SSIZE, _SSIZE, _PTR, _SSIZE, _SSIZE,
-                           _PTR, _PTR)),
+                           _PTR, ctypes.c_int, _PTR, _PTR)),
     "host_stage": (None, (_SSIZE, _SSIZE, _SSIZE, _PTR, _SSIZE, _SSIZE,
                           _SSIZE, _PTR, _SSIZE, _SSIZE, _PTR, _PTR)),
     "adam_update": (_SSIZE, (_SSIZE, _PTR, _PTR, _PTR, _PTR) + (_DBL,) * 8),
+    "adam_update_pair": (_SSIZE, (_SSIZE, _PTR, _PTR, _PTR, _PTR) * 2
+                         + (_DBL,) * 8),
 }
 
 

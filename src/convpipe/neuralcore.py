@@ -12,6 +12,13 @@ when it cannot; matmul_kseq then runs the numpy loop _matmul_kseq_numpy,
 which is also the reference the tests compare against. Both paths give the
 same bytes.
 
+The elementwise steps next to a product run in its call, as its epilogue:
+fc_forward's ReLU (relu=True) and backward's h1 > 0 mask on dH1
+(mask=h1). A training batch therefore makes five matmul_kseq calls and
+one adam.apply_batch_update call, each a single foreign call when the
+library loaded; the softmax and loss stay in numpy, whose exp, log and
+row sums a C loop would not match bit for bit.
+
 There are no bias terms anywhere: both layers are pure weight matrices.
 """
 
@@ -80,23 +87,39 @@ def _matmul_kseq_numpy(a, b):
     return acc
 
 
-def matmul_kseq(a, b):
+def matmul_kseq(a, b, *, relu=False, mask=None):
     """(m, k) @ (k, n) accumulated strictly in ascending k order.
 
     Equivalent to the scalar loop `for k: acc[i][j] += a[i][k] * b[k][j]`
     bit for bit, starting from acc = +0.0. `a` may be any strided view
     (h1.T and v.T are not copied); `b` is copied only if not C-contiguous.
+
+    The epilogue runs on the finished product, in the same call: `relu`
+    gives np.maximum(0.0, product), and an (m, n) `mask` then gives
+    product * (mask > 0.0), a multiply that turns a negative value under
+    a zero mask into -0.0 and keeps a NaN.
     """
     a, b = native.operand(a), native.operand(b, c_contiguous=True)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    (m, k), n = a.shape, b.shape[1]
+    if mask is not None:
+        mask = native.operand(mask, c_contiguous=True)
+        if mask.shape != (m, n):
+            raise ValueError(f"mask {mask.shape} does not match the "
+                             f"product's {(m, n)}")
     lib = native.kernels()
     if lib is None:
-        return _matmul_kseq_numpy(a, b)
-    (m, k), n = a.shape, b.shape[1]
+        out = _matmul_kseq_numpy(a, b)
+        if relu:
+            out = np.maximum(0.0, out)
+        if mask is not None:
+            out = out * (mask > 0.0)
+        return out
     out = np.empty((m, n), dtype=np.float64)
     lib.matmul_kseq(m, k, n, native.address(a), a.strides[0] // a.itemsize,
-                    a.strides[1] // a.itemsize, native.address(b),
+                    a.strides[1] // a.itemsize, native.address(b), bool(relu),
+                    None if mask is None else native.address(mask),
                     native.address(out))
     return out
 
@@ -105,7 +128,7 @@ def fc_forward(v, w1):
     """Hidden layer: h1 = relu(v @ w1)."""
     if v.shape[1] != w1.shape[0]:
         raise ValueError(f"v {v.shape} does not match w1 {w1.shape}")
-    return np.maximum(0.0, matmul_kseq(v, w1))
+    return matmul_kseq(v, w1, relu=True)
 
 
 def out_forward(h1, w2, out_actual):
@@ -138,7 +161,7 @@ def backward(trace: ForwardTrace, out_actual, weights: Weights) -> Gradients:
     n = trace.h2.shape[0]
     dz = (trace.h2 - out_actual) / n
     g_w2 = matmul_kseq(trace.h1.T, dz)
-    dh1 = matmul_kseq(dz, weights.w2.T) * (trace.h1 > 0.0)
+    dh1 = matmul_kseq(dz, weights.w2.T, mask=trace.h1)
     g_w1 = matmul_kseq(trace.v.T, dh1)
     return Gradients(g_w1, g_w2)
 
@@ -168,4 +191,7 @@ def accuracy(h2, out_actual):
         raise ValueError(f"shape mismatch: {h2.shape} vs {out_actual.shape}")
     if h2.shape[0] == 0:
         return 0.0
-    return float(np.mean(h2.argmax(axis=1) == out_actual.argmax(axis=1)))
+    # the same Python float as float(np.mean(...)) of the matches, without
+    # the float64 reduce
+    hits = np.count_nonzero(h2.argmax(axis=1) == out_actual.argmax(axis=1))
+    return int(hits) / h2.shape[0]

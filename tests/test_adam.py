@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,117 @@ def test_update_writes_the_callers_arrays_in_any_layout(name, layout):
 
 def _small_dims():
     return ModelDims(batch=4, image_x=8, image_y=8, hidden=6, classes=10)
+
+
+def _six(weights, state):
+    """Both layers' weights and moments, in a fixed order."""
+    return (weights.w1, weights.w2, state.m_w1, state.v_w1, state.m_w2,
+            state.v_w2)
+
+
+def _numpy_batch_update(weights, state, grads, t):
+    """The output layer's and then the hidden layer's numpy update."""
+    corr = correction_factors(HYPER, t)
+    return (_adam_update_numpy(weights.w2, state.m_w2, state.v_w2, grads.g_w2,
+                               corr, HYPER)
+            + _adam_update_numpy(weights.w1, state.m_w1, state.v_w1,
+                                 grads.g_w1, corr, HYPER))
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_batch_update_matches_two_numpy_updates(compiled, monkeypatch):
+    if not compiled:
+        monkeypatch.setattr(native, "kernels", lambda: None)
+    rng = np.random.default_rng(17)
+    weights, state = init_weights(17), AdamState.zeros()
+    ref_w = Weights(weights.w1.copy(), weights.w2.copy())
+    ref = AdamState.zeros()
+    for t in range(1, 21):
+        grads = Gradients(_special_gradient(rng, (169, 128)),
+                          _special_gradient(rng, (128, 10)))
+        with np.errstate(all="ignore"):  # inf - inf and the like
+            count = apply_batch_update(state, weights, grads, HYPER)
+            assert count == _numpy_batch_update(ref_w, ref, grads, t)
+        assert state.step == t
+    assert 0 < count < weights.w1.size + weights.w2.size
+    for got, want in zip(_six(weights, state), _six(ref_w, ref)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", [_fortran, _strided])
+@pytest.mark.parametrize("name", ["w1", "w2", "g_w1", "g_w2"])
+def test_batch_update_takes_either_layer_in_any_layout(name, layout):
+    # a weight the compiled kernel cannot write in place must be the array
+    # updated, not a copy, and a gradient it must copy first must give the
+    # bytes of the C-contiguous one. The production shapes put such a copy
+    # above numpy's small-block cache, so a copy freed before the kernel
+    # reads it is handed back to malloc and overwritten.
+    rng = np.random.default_rng(8)
+    weights = init_weights(8)
+    grads = Gradients(rng.normal(size=weights.w1.shape),
+                      rng.normal(size=weights.w2.shape))
+    ref_w = Weights(weights.w1.copy(), weights.w2.copy())
+    ref_g = Gradients(grads.g_w1.copy(), grads.g_w2.copy())
+    owner = grads if name.startswith("g_") else weights
+    setattr(owner, name, layout(getattr(owner, name)))
+    target = getattr(owner, name)
+    assert not target.flags.c_contiguous
+    state, ref = AdamState.zeros(), AdamState.zeros()
+    for t in (1, 2):
+        assert apply_batch_update(state, weights, grads, HYPER) == 0
+        _numpy_batch_update(ref_w, ref, ref_g, t)
+    assert getattr(owner, name) is target
+    for got, want in zip(_six(weights, state), _six(ref_w, ref)):
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_batch_update_keeps_its_gradient_copies_until_the_kernel_returns(
+        monkeypatch):
+    # the kernel gets a copied gradient's address, not the array: the copy
+    # must still be referenced when the foreign call runs
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+    copies = []
+
+    def operand(x, c_contiguous=False):
+        y = real_operand(x, c_contiguous)
+        if y is not x:
+            copies.append(weakref.ref(y))
+        return y
+
+    class CheckedLib:
+        def __getattr__(self, name):
+            def call(*args):
+                assert all(ref() is not None for ref in copies), name
+                return getattr(lib, name)(*args)
+            return call
+
+    real_operand = native.operand
+    monkeypatch.setattr(native, "operand", operand)
+    monkeypatch.setattr(native, "kernels", CheckedLib)
+    rng = np.random.default_rng(10)
+    weights, state = init_weights(10), AdamState.zeros()
+    grads = Gradients(_fortran(rng.normal(size=weights.w1.shape)),
+                      _fortran(rng.normal(size=weights.w2.shape)))
+    apply_batch_update(state, weights, grads, HYPER)
+    assert len(copies) == 2
+
+
+@pytest.mark.parametrize("bad", ["g_w1", "g_w2"])
+def test_misshaped_gradient_leaves_the_state_untouched(bad):
+    dims = _small_dims()
+    rng = np.random.default_rng(9)
+    weights, state = init_weights(9, dims), AdamState.zeros(dims)
+    grads = Gradients(rng.normal(size=weights.w1.shape),
+                      rng.normal(size=weights.w2.shape))
+    apply_batch_update(state, weights, grads, HYPER)  # moments non-zero
+    setattr(grads, bad, getattr(grads, bad)[:, :-1])
+    before = [x.tobytes() for x in _six(weights, state)]
+    with pytest.raises(ValueError, match="shape"):
+        apply_batch_update(state, weights, grads, HYPER)
+    assert state.step == 1
+    assert [x.tobytes() for x in _six(weights, state)] == before
 
 
 def test_two_zero_grad_batches_advance_t_only():

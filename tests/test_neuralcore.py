@@ -10,16 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convpipe import adam as adam_mod
 from convpipe import native, neuralcore
 from convpipe.accelmodel import ResourceBudget
-from convpipe.adam import AdamHyper, adam_update, correction_factors
+from convpipe.adam import (AdamHyper, AdamState, adam_update,
+                           apply_batch_update, correction_factors)
 from convpipe.checkpoint import save_checkpoint
 from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
 from convpipe.hoststage import ConvBatch, conv2d_valid, host_stage, maxpool2x2
-from convpipe.neuralcore import (ForwardTrace, ModelState, Weights,
-                                 accel_kernel, accuracy, backward, fc_forward,
-                                 init_weights, matmul_kseq, out_forward)
+from convpipe.neuralcore import (ForwardTrace, Gradients, ModelState,
+                                 Weights, accel_kernel, accuracy, backward,
+                                 fc_forward, init_weights, matmul_kseq,
+                                 out_forward)
 from convpipe.pipeline import SEQUENTIAL, run_epoch
 
 from oracles import (finite_diff_gradient, naive_accuracy, naive_matmul,
@@ -152,6 +155,53 @@ def test_matmul_kseq_empty_edges(m, k, n):
 def test_matmul_kseq_shape_check():
     with pytest.raises(ValueError):
         matmul_kseq(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="mask"):
+        matmul_kseq(np.zeros((2, 3)), np.zeros((3, 4)), mask=np.ones((4, 2)))
+
+
+# (m, k, n, layout of a): the two production products that carry an
+# epilogue (fc_forward's ReLU, backward's dH1 mask), and one that runs the
+# wide tile, the narrow tile and the rows past the last block of 4
+EPILOGUE_CASES = [(32, 169, 128, "C"), (32, 10, 128, "C"), (7, 130, 45, "T")]
+
+
+def _epilogue_operands(m, k, n, layout):
+    """a and b whose product holds NaN, +-inf, +0.0, negatives and
+    positives, and an (m, n) mask that puts each of 0.0, -0.0, NaN, +-inf,
+    a negative, a positive and the smallest subnormal over every row."""
+    rng = np.random.default_rng(m + k + n)
+    a = rng.normal(size=(k, m)).T if layout == "T" else rng.normal(size=(m, k))
+    b = rng.normal(size=(k, n))
+    a[0, 0], a[1, 0], a[2, 0], a[3] = np.nan, np.inf, -np.inf, 0.0
+    # a strided view, whose cycle of values starts anew in each row
+    mask = np.resize([0.0, -0.0, np.nan, np.inf, -np.inf, -1.5, 2.0, 5e-324],
+                     (m, n + 1))[:, :n]
+    return a, b, mask
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("case", EPILOGUE_CASES,
+                         ids=["{}x{}x{}.{}".format(*c) for c in EPILOGUE_CASES])
+def test_matmul_kseq_epilogues_match_numpy(case, compiled, monkeypatch):
+    if not compiled:
+        monkeypatch.setattr(native, "kernels", lambda: None)
+    a, b, mask = _epilogue_operands(*case)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0.0
+        product = neuralcore._matmul_kseq_numpy(a, b)
+        relu = np.maximum(0.0, product)
+        want = {"relu": relu, "mask": product * (mask > 0.0),
+                "both": relu * (mask > 0.0)}
+        got = {"relu": matmul_kseq(a, b, relu=True),
+               "mask": matmul_kseq(a, b, mask=mask),
+               # a numpy bool, as a comparison gives, is a flag too
+               "both": matmul_kseq(a, b, relu=np.True_, mask=mask)}
+    assert np.isnan(product).any() and np.isposinf(product).any()
+    assert np.isneginf(product).any() and (product < 0.0).any()
+    assert not np.signbit(product[product == 0.0]).any()  # sums from +0.0
+    # a negative value under a zero mask is -0.0: a multiply, not a select
+    assert np.signbit(got["mask"][got["mask"] == 0.0]).any()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 # correlation output widths below, at and above the host stage's 16-column
@@ -229,17 +279,38 @@ def _adam_step_bytes():
     return w.tobytes() + m.tobytes() + v.tobytes()
 
 
+def _paired_adam_bytes():
+    """Both layers' w, m and v after one batch update at step 3, with a
+    NaN, an inf and huge gradient entries."""
+    rng = np.random.default_rng(16)
+    weights = init_weights(16)
+    state = AdamState(*(rng.normal(size=s) * 0.01 for s in
+                        ((169, 128), (169, 128), (128, 10), (128, 10))))
+    state.v_w1, state.v_w2, state.step = abs(state.v_w1), abs(state.v_w2), 2
+    grads = Gradients(rng.normal(size=(169, 128)), rng.normal(size=(128, 10)))
+    grads.g_w1[3, :3], grads.g_w2[5, :3] = (np.nan, np.inf, 1e300), -1e308
+    with np.errstate(all="ignore"):
+        apply_batch_update(state, weights, grads, AdamHyper())
+    return b"".join(x.tobytes() for x in (weights.w1, weights.w2, state.m_w1,
+                                          state.v_w1, state.m_w2, state.v_w2))
+
+
 def _kernel_outputs():
-    """The bytes of all three kernels: the five production products and the
-    tile-edge products, the host stage of the epoch's batches and of the
-    block-edge images, and an Adam step."""
+    """The bytes of all three kernels: the five production products, the
+    tile-edge products and the epilogue products, the host stage of the
+    epoch's batches and of the block-edge images, an Adam step and a paired
+    batch update."""
     products = {**_production_operands(), **_tile_edge_operands()}
+    with np.errstate(invalid="ignore"):
+        epilogues = {case: matmul_kseq(a, b, relu=True, mask=mask).tobytes()
+                     for case in EPILOGUE_CASES
+                     for a, b, mask in [_epilogue_operands(*case)]}
     return ({name: matmul_kseq(a, b).tobytes()
-             for name, (a, b) in products.items()},
+             for name, (a, b) in products.items()}, epilogues,
             [host_stage(batch).v.tobytes() for batch in _epoch_batches()],
             {name: host_stage(MiniBatch(v, np.zeros((3, 10)), 0), kernel)
              .v.tobytes() for name, (v, kernel) in _host_edge_inputs().items()},
-            _adam_step_bytes())
+            _adam_step_bytes(), _paired_adam_bytes())
 
 
 @pytest.fixture
@@ -260,6 +331,7 @@ def test_compiled_kernel_loads_when_a_compiler_is_present():
     assert lib.matmul_kseq.argtypes is not None
     assert lib.host_stage.argtypes is not None
     assert lib.adam_update.argtypes is not None
+    assert lib.adam_update_pair.argtypes is not None
 
 
 def _no_compiler(monkeypatch, cache_dir):
@@ -604,8 +676,48 @@ def test_accuracy_tie_breaks_low_index():
     assert accuracy(h2, y) == 0.5  # argmax of a flat row is index 0
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 31, 32, 33, 97])
+def test_accuracy_is_the_mean_of_the_matches(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        h2 = rng.random((n, 10))
+        y = np.eye(10)[rng.integers(0, 10, n)]
+        h2[y.astype(bool)] += rng.random(n) < 0.5  # about half the rows hit
+        got = accuracy(h2, y)
+        assert type(got) is float
+        assert got == float(np.mean(h2.argmax(axis=1) == y.argmax(axis=1)))
+
+
 def test_accuracy_matches_enumeration():
     rng = np.random.default_rng(10)
     h2 = rng.random((64, 10))
     y = np.eye(10)[rng.integers(0, 10, 64)]
     assert accuracy(h2, y) == naive_accuracy(h2, y)
+
+
+def test_one_training_batch_calls_every_traced_entry_point(monkeypatch):
+    """perfbench/tracing.py times a training batch by replacing these
+    module attributes with wrappers: a change that stops calling one of
+    them, or calls matmul_kseq in other shapes, must teach the tracer and
+    its tests first."""
+    calls = []
+
+    def count(module, name, label=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(label(args) if label else name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(neuralcore, "matmul_kseq",
+          lambda args: "{}x{}x{}".format(*args[0].shape, args[1].shape[1]))
+    for name in ("fc_forward", "out_forward", "backward"):
+        count(neuralcore, name)
+    count(adam_mod, "apply_batch_update")
+    images, labels = synthetic_dataset(3, 32)
+    run_epoch(make_batches(images, labels, 32), ModelState.initial(3),
+              SEQUENTIAL, True, ResourceBudget())
+    assert calls == ["fc_forward", "32x169x128", "out_forward", "32x128x10",
+                     "backward", "128x32x10", "32x10x128", "169x32x128",
+                     "apply_batch_update"]
