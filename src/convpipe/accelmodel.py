@@ -414,7 +414,6 @@ class PassEstimate:
     total_cycles: int
     peak_multipliers: int
     peak_adders: int
-    storage: MappingProxyType  # default_storage_plan(dims, mode)
     storage_totals: dict       # storage class -> words
 
     def as_dict(self):
@@ -447,9 +446,8 @@ def estimate_pass(mode, budget: ResourceBudget, dims=DEFAULT_DIMS,
     transfer = model_transfer(words, budget)
 
     compute = sum(r.cycles for r in reports)
-    storage = default_storage_plan(dims, mode)
     totals = {}
-    for a in storage.values():
+    for a in default_storage_plan(dims, mode).values():
         totals[a.storage_class] = totals.get(a.storage_class, 0) + a.words
     return PassEstimate(
         mode=mode,
@@ -459,6 +457,5 @@ def estimate_pass(mode, budget: ResourceBudget, dims=DEFAULT_DIMS,
         total_cycles=compute + transfer,
         peak_multipliers=max(r.multipliers_used for r in reports),
         peak_adders=max(r.adders_used for r in reports),
-        storage=storage,
         storage_totals=totals,
     )

@@ -5,17 +5,17 @@ computed once per mini-batch and reused by both layer updates; both layers
 therefore share a single step counter. The small constant is added outside
 the square root: step = eta * m_hat / (sqrt(v_hat) + eps).
 
-adam_update runs as compiled C from the native module: one pass over the
-elements that does numpy's operations in numpy's order for each of them,
-in place, with 1-beta1 and 1-beta2 computed here as before. When
-native.kernels() is unavailable, or an array is not one the kernel can
-update in place, _adam_update_numpy runs instead; it is also the reference
-the tests compare the kernel against, byte for byte.
+adam_update is that update as numpy array expressions, one layer at a
+time. It is the reference for the compiled kernel and its fallback.
 
 apply_batch_update, the training step's entry point, updates both layers
-in one foreign call (the native adam_update_pair, the same loop over the
-output layer and then the hidden layer) and falls back to one adam_update
-per layer under the same conditions, so both paths give the same bytes.
+in one foreign call: the native adam_update_pair, one pass over the
+output layer's elements and then the hidden layer's that does numpy's
+operations in numpy's order for each of them, in place, with 1-beta1 and
+1-beta2 computed in Python as adam_update computes them. When
+native.kernels() is unavailable, or an array is not one the kernel can
+update in place, it runs adam_update on the output layer and then on the
+hidden layer instead, with the same bytes.
 """
 
 import math
@@ -64,7 +64,6 @@ class AdamState:
 class CorrectionFactors:
     c1: float
     c2: float
-    t: int
 
 
 def correction_factors(hyper: AdamHyper, t: int) -> CorrectionFactors:
@@ -72,17 +71,7 @@ def correction_factors(hyper: AdamHyper, t: int) -> CorrectionFactors:
     if t < 1:
         raise ValueError(f"step counter must be >= 1 for bias correction, got {t}")
     return CorrectionFactors(c1=1.0 / (1.0 - hyper.beta1 ** t),
-                             c2=1.0 / (1.0 - hyper.beta2 ** t),
-                             t=t)
-
-
-def _adam_update_numpy(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
-    """The update as numpy array expressions: the fallback and the reference
-    for the compiled kernel. Returns the number of non-finite weights."""
-    m[...] = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-    v[...] = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
-    w -= hyper.eta * (m * corr.c1) / (np.sqrt(v * corr.c2) + hyper.eps)
-    return w.size - int(np.count_nonzero(np.isfinite(w)))
+                             c2=1.0 / (1.0 - hyper.beta2 ** t))
 
 
 def _check_shapes(w, m, v, g):
@@ -98,31 +87,21 @@ def _kernel_can_write(w, m, v, g):
         a.dtype == np.float64 and a.flags.carray for a in (w, m, v))
 
 
-def _factors(corr: CorrectionFactors, hyper: AdamHyper):
-    """The kernels' trailing arguments, in their order."""
-    return (hyper.beta1, 1.0 - hyper.beta1, hyper.beta2, 1.0 - hyper.beta2,
-            hyper.eta, corr.c1, corr.c2, hyper.eps)
-
-
 def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
-    """One elementwise moment + weight update, in place.
+    """One elementwise moment + weight update, in place, as numpy array
+    expressions: the compiled kernel's reference and fallback.
 
     m <- beta1*m + (1-beta1)*g
     v <- beta2*v + (1-beta2)*g^2
     w <- w - eta * (m*c1) / (sqrt(v*c2) + eps)
 
-    w, m and v are updated where they are. The compiled kernel runs on
-    float64 arrays only, and writes only w, m and v that are aligned,
-    writable and C-contiguous; for any other array the numpy body runs.
     Returns the number of non-finite weights the update wrote.
     """
     _check_shapes(w, m, v, g)
-    lib = native.kernels()
-    if lib is None or not _kernel_can_write(w, m, v, g):
-        return _adam_update_numpy(w, m, v, g, corr, hyper)
-    g = native.operand(g, c_contiguous=True)
-    return lib.adam_update(w.size, *map(native.address, (w, m, v, g)),
-                           *_factors(corr, hyper))
+    m[...] = hyper.beta1 * m + (1.0 - hyper.beta1) * g
+    v[...] = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
+    w -= hyper.eta * (m * corr.c1) / (np.sqrt(v * corr.c2) + hyper.eps)
+    return w.size - int(np.count_nonzero(np.isfinite(w)))
 
 
 def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
@@ -152,4 +131,6 @@ def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
               for w, m, v, g in layers]
     args = [x for layer in layers
             for x in (layer[0].size, *map(native.address, layer))]
-    return lib.adam_update_pair(*args, *_factors(corr, hyper))
+    return lib.adam_update_pair(*args, hyper.beta1, 1.0 - hyper.beta1,
+                                hyper.beta2, 1.0 - hyper.beta2, hyper.eta,
+                                corr.c1, corr.c2, hyper.eps)

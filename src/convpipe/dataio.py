@@ -4,9 +4,12 @@ IDX is the classic big-endian binary format: u32 magic, u32 count,
 (for images) u32 rows, u32 cols, then raw unsigned bytes. Magics are
 0x00000803 for image files and 0x00000801 for label files. Files may be
 plain or gzip-compressed; compression is detected from the 1f 8b prefix.
+A gzip stream is read to its end, where gzip checks its CRC and length,
+so a corrupt or truncated .gz fails with its path like a malformed header.
 """
 
 import gzip
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,20 +94,40 @@ class MiniBatch:
 
 
 _READ_CHUNK = 1 << 20
+_GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
 
 
 def _read_exact(f, n, path, what):
     """n bytes from f, read a chunk at a time, so that a corrupt size in a
     header never allocates more than the bytes the file holds."""
     offset, data = f.tell(), bytearray()
-    while len(data) < n:
-        chunk = f.read(min(n - len(data), _READ_CHUNK))
-        if not chunk:
-            raise IdxFormatError(f"truncated file while reading {what}: "
-                                 f"wanted {n} bytes, got {len(data)}",
-                                 path, offset)
-        data += chunk
+    try:
+        while len(data) < n:
+            chunk = f.read(min(n - len(data), _READ_CHUNK))
+            if not chunk:
+                raise IdxFormatError(f"truncated file while reading {what}: "
+                                     f"wanted {n} bytes, got {len(data)}",
+                                     path, offset)
+            data += chunk
+    except _GZIP_ERRORS as exc:
+        raise IdxFormatError(f"corrupt gzip stream while reading {what}: "
+                             f"{exc}", path, offset + len(data)) from exc
     return data
+
+
+def _read_gzip_end(f, path):
+    """Read a gzip stream past the payload to its end, a chunk at a time:
+    gzip checks the CRC and length only there. A plain file is left as it
+    is; offsets count uncompressed bytes."""
+    if not isinstance(f, gzip.GzipFile):
+        return
+    offset = f.tell()
+    try:
+        while chunk := f.read(_READ_CHUNK):
+            offset += len(chunk)
+    except _GZIP_ERRORS as exc:
+        raise IdxFormatError(f"corrupt gzip stream after the payload: {exc}",
+                             path, offset) from exc
 
 
 def _open_idx(path):
@@ -140,6 +163,7 @@ def load_idx_images(path, expected_rows=DEFAULT_DIMS.image_x,
             raise IdxFormatError(f"col count {cols} != expected {expected_cols}",
                                  path, 12)
         data = _read_exact(f, count * rows * cols, path, "pixel data")
+        _read_gzip_end(f, path)
     pixels = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
     return ImageSet(pixels.reshape(count, rows, cols))
 
@@ -157,6 +181,7 @@ def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
                 path, 0)
         count = int.from_bytes(_read_exact(f, 4, path, "count"), "big")
         data = _read_exact(f, count, path, "label data")
+        _read_gzip_end(f, path)
     labels = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))

@@ -32,13 +32,12 @@ the numpy code that is its reference and fallback:
   vector loads, a strided one element by element. Elsewhere, and for an
   output narrower than a block, two output rows are summed in memory, one
   tap at a time;
-- adam_update: the moment and weight update, in place, with numpy's
-  operations in numpy's order for each element (adam.adam_update,
-  reference adam._adam_update_numpy); it returns the number of non-finite
-  weights it wrote, so the caller's check needs no second pass.
-  adam_update_pair runs the same loop over a batch's output layer and
-  then its hidden layer, with the same factors, in one call
-  (adam.apply_batch_update), and returns the sum of the two counts.
+- adam_update_pair: a batch's moment and weight updates, in place, the
+  output layer's and then the hidden layer's with the same factors, with
+  numpy's operations in numpy's order for each element
+  (adam.apply_batch_update, reference adam.adam_update once per layer);
+  it returns the number of non-finite weights it wrote, so the caller's
+  check needs no second pass.
 
 A tile only changes which elements are summed when, never the terms of one
 element's sum or their order, and padding lanes are never stored, so every
@@ -410,15 +409,6 @@ HELPER ptrdiff_t adam_layer(ptrdiff_t n, double *restrict w,
     return nonfinite;
 }
 
-KERNEL
-ptrdiff_t adam_update(ptrdiff_t n, double *restrict w, double *restrict m,
-                      double *restrict v, const double *restrict g,
-                      double b1, double b1c, double b2, double b2c,
-                      double eta, double c1, double c2, double eps)
-{
-    return adam_layer(n, w, m, v, g, b1, b1c, b2, b2c, eta, c1, c2, eps);
-}
-
 /* A batch's two layer updates with the same factors: the output layer's
    (n2 elements) first, then the hidden layer's (n1). Returns the number of
    non-finite weights both wrote. */
@@ -445,7 +435,6 @@ _SIGNATURES = {  # name: (restype, argtypes)
                            _PTR, ctypes.c_int, _PTR, _PTR)),
     "host_stage": (None, (_SSIZE, _SSIZE, _SSIZE, _PTR, _SSIZE, _SSIZE,
                           _SSIZE, _PTR, _SSIZE, _SSIZE, _PTR, _PTR)),
-    "adam_update": (_SSIZE, (_SSIZE, _PTR, _PTR, _PTR, _PTR) + (_DBL,) * 8),
     "adam_update_pair": (_SSIZE, (_SSIZE, _PTR, _PTR, _PTR, _PTR) * 2
                          + (_DBL,) * 8),
 }

@@ -241,8 +241,12 @@ def _split_batches(cfg: RunConfig, split):
             raise FileNotFoundError(f"data dir does not exist: {cfg.data_dir}")
         source = _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_images"])
         images = load_idx_images(source, dims.image_x, dims.image_y)
-        labels = load_idx_labels(
-            _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_labels"]), dims.classes)
+        label_path = _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_labels"])
+        labels = load_idx_labels(label_path, dims.classes)
+        if images.count != labels.count:
+            raise ValueError(f"image/label count mismatch: {images.count} "
+                             f"images in {source} vs {labels.count} labels "
+                             f"in {label_path}")
     else:
         seed, count = ((cfg.seed + 1, cfg.synthetic_train) if split == "train"
                        else (cfg.seed + 2, cfg.synthetic_test))
@@ -279,26 +283,23 @@ class RunReport:
         return asdict(self)
 
 
+# (report key after the train_ or test_ prefix, EpochResult field); a test
+# epoch's entry leaves out the last, the wall time
+_EPOCH_KEYS = (("loss", "mean_loss"), ("accuracy", "accuracy"),
+               ("host_seconds", "host_seconds"),
+               ("accel_seconds_modeled", "accel_seconds"),
+               ("sequential_seconds", "sequential_seconds"),
+               ("pipelined_seconds", "pipelined_seconds"),
+               ("wall_seconds", "wall_seconds"))
+
+
 def _epoch_entry(epoch, train: EpochResult, test: EpochResult):
     entry = {"epoch": epoch}
-    if train is not None:
-        entry.update({
-            "train_loss": train.mean_loss,
-            "train_accuracy": train.accuracy,
-            "train_host_seconds": train.host_seconds,
-            "train_accel_seconds_modeled": train.accel_seconds,
-            "train_sequential_seconds": train.sequential_seconds,
-            "train_pipelined_seconds": train.pipelined_seconds,
-            "train_wall_seconds": train.wall_seconds,
-        })
-    entry.update({
-        "test_loss": test.mean_loss,
-        "test_accuracy": test.accuracy,
-        "test_host_seconds": test.host_seconds,
-        "test_accel_seconds_modeled": test.accel_seconds,
-        "test_sequential_seconds": test.sequential_seconds,
-        "test_pipelined_seconds": test.pipelined_seconds,
-    })
+    for prefix, res, keys in (("train", train, _EPOCH_KEYS),
+                              ("test", test, _EPOCH_KEYS[:-1])):
+        if res is not None:
+            entry.update({f"{prefix}_{key}": getattr(res, name)
+                          for key, name in keys})
     return entry
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,8 +7,9 @@ import pytest
 
 from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, ResourceBudget,
                                  check_port_conflicts, default_partitions,
-                                 estimate_pass, f64_words, model_transfer,
-                                 pass_nests, schedule)
+                                 default_storage_plan, estimate_pass,
+                                 f64_words, model_transfer, pass_nests,
+                                 schedule)
 from convpipe.dims import DEFAULT_DIMS, ModelDims
 
 from oracles import (_bank_demand_per_launch, count_transfer_cycles,
@@ -316,21 +318,21 @@ def test_default_nests_have_no_bank_conflicts():
 
 
 def test_storage_plan_covers_live_arrays():
-    est = estimate_pass("training", BUDGET)
-    assigned = set(est.storage)
+    plan = default_storage_plan(DEFAULT_DIMS, "training")
     for nest in DEFAULT_NESTS.values():
         for acc in nest.accesses:
-            assert acc.array_name in assigned, acc.array_name
-    assert est.storage["W1"].storage_class == "fast-uram"
-    assert est.storage["v"].storage_class == "interface-register"
-    assert est.storage["h1"].storage_class == "block-ram"
-    assert est.storage_totals["fast-uram"] == 169 * 128 + 128 * 10
+            assert acc.array_name in plan, acc.array_name
+    assert plan["W1"].storage_class == "fast-uram"
+    assert plan["v"].storage_class == "interface-register"
+    assert plan["h1"].storage_class == "block-ram"
     # estimates share one read-only plan, so none can change the next
     with pytest.raises(TypeError):
-        est.storage["W1"] = est.storage["h1"]
-    again = estimate_pass("training", BUDGET)
-    assert again.storage == est.storage
-    assert again.storage_totals == est.storage_totals
+        plan["W1"] = plan["h1"]
+    est = estimate_pass("training", BUDGET)
+    assert est.storage_totals["fast-uram"] == 169 * 128 + 128 * 10
+    assert dataclasses.asdict(est)["storage_totals"] == est.storage_totals
+    assert estimate_pass("training", BUDGET).storage_totals == \
+        est.storage_totals
 
 
 def test_estimate_rejects_unknown_mode():

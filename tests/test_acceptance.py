@@ -21,12 +21,13 @@ import pytest
 from convpipe.accelmodel import (ResourceBudget, check_port_conflicts,
                                  ArrayAccess, default_partitions, pass_nests,
                                  schedule)
-from convpipe.adam import AdamHyper, adam_update, correction_factors
+from convpipe.adam import (AdamHyper, AdamState, adam_update,
+                           apply_batch_update, correction_factors)
 from convpipe.checkpoint import save_checkpoint
 from convpipe.dataio import ImageSet, LabelSet, make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
-from convpipe.neuralcore import (ForwardTrace, ModelState, Weights, backward,
-                                 fc_forward, out_forward)
+from convpipe.neuralcore import (ForwardTrace, Gradients, ModelState, Weights,
+                                 backward, fc_forward, out_forward)
 from convpipe.pipeline import (PIPELINED, SEQUENTIAL, RunConfig, run_epoch,
                                run_training, sequential_seconds,
                                two_stage_pipeline_seconds)
@@ -154,8 +155,22 @@ def test_criterion_3_adam_bit_exact_scalar_steps():
 
     ew1, em1, ev1 = scalar_adam_run(0.25, grads[:1])
     assert first_update == (ew1, em1, ev1)
+
+    # the same steps through the training step's entry point (the compiled
+    # kernel when it loads), on 1x1 layers: the output layer takes the
+    # sequence, the hidden layer takes it reversed
+    weights = Weights(np.array([[-0.5]]), np.array([[0.25]]))
+    state = AdamState(*np.zeros((4, 1, 1)))
+    for g2, g1 in zip(grads, grads[::-1]):
+        apply_batch_update(state, weights, Gradients(np.array([[g1]]),
+                                                     np.array([[g2]])), hyper)
+    assert (weights.w2[0, 0], state.m_w2[0, 0], state.v_w2[0, 0]) == \
+        (ew, em, ev)
+    assert (weights.w1[0, 0], state.m_w1[0, 0], state.v_w1[0, 0]) == \
+        scalar_adam_run(-0.5, grads[::-1])
+    assert state.step == 1000
     _report(3, "1000 scalar steps bit-identical to the independent oracle, "
-               "t=1 included")
+               "t=1 included, per layer and through the batch update")
 
 
 # -- criterion 4: execution-mode equivalence ----------------------------------

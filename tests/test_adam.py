@@ -1,11 +1,12 @@
+import copy
 import weakref
 
 import numpy as np
 import pytest
 
 from convpipe import native
-from convpipe.adam import (AdamHyper, AdamState, _adam_update_numpy,
-                           adam_update, apply_batch_update, correction_factors)
+from convpipe.adam import (AdamHyper, AdamState, adam_update,
+                           apply_batch_update, correction_factors)
 from convpipe.dims import ModelDims
 from convpipe.neuralcore import Gradients, Weights, init_weights
 
@@ -105,34 +106,23 @@ def _special_gradient(rng, shape):
     return g
 
 
-@pytest.mark.parametrize("shape", [(169, 128), (128, 10)])
-def test_compiled_update_matches_numpy_bytes(shape):
-    rng = np.random.default_rng(sum(shape))
-    w = rng.normal(0.0, 0.1, size=shape)
-    m, v = np.zeros(shape), np.zeros(shape)
-    ref_w, ref_m, ref_v = w.copy(), m.copy(), v.copy()
-    for t in range(1, 51):
-        g = _special_gradient(rng, shape)
-        corr = correction_factors(HYPER, t)
-        with np.errstate(all="ignore"):  # inf - inf and the like
-            count = adam_update(w, m, v, g, corr, HYPER)
-            ref_count = _adam_update_numpy(ref_w, ref_m, ref_v, g, corr, HYPER)
-        assert count == ref_count == np.count_nonzero(~np.isfinite(ref_w))
-    assert np.isnan(w).any() and np.isfinite(w).any()
-    assert w.tobytes() == ref_w.tobytes()
-    assert m.tobytes() == ref_m.tobytes()
-    assert v.tobytes() == ref_v.tobytes()
+def _small_dims():
+    return ModelDims(batch=4, image_x=8, image_y=8, hidden=6, classes=10)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
 def test_update_counts_nonfinite_weights(compiled, monkeypatch):
     if not compiled:
         monkeypatch.setattr(native, "kernels", lambda: None)
-    w = np.array([[np.nan, 1.0, np.inf], [-np.inf, -0.0, 2.0]])
-    m, v, g = np.zeros((3, 2, 3))
+    dims = _small_dims()
+    weights, state = init_weights(0, dims), AdamState.zeros(dims)
+    weights.w1[0, :2] = np.nan, -np.inf
+    weights.w2[1, :3] = np.inf, -0.0, np.nan
+    zeros = Gradients(np.zeros_like(weights.w1), np.zeros_like(weights.w2))
     # a zero step leaves every weight as it was
-    assert adam_update(w, m, v, g, correction_factors(HYPER, 1), HYPER) == 3
-    assert np.count_nonzero(np.isfinite(w)) == 3
+    assert apply_batch_update(state, weights, zeros, HYPER) == 4
+    assert np.count_nonzero(~np.isfinite(weights.w1)) == 2
+    assert np.count_nonzero(~np.isfinite(weights.w2)) == 2
 
 
 def _fortran(a):
@@ -149,30 +139,6 @@ def _float32(a):
     return a.astype(np.float32)
 
 
-@pytest.mark.parametrize("name", ["w", "m", "v", "g"])
-@pytest.mark.parametrize("layout", [_fortran, _strided, _float32])
-def test_update_writes_the_callers_arrays_in_any_layout(name, layout):
-    # the kernel takes C-contiguous float64 only; it must never update a
-    # copy, nor compute in another precision than numpy would
-    rng = np.random.default_rng(7)
-    arrays = {"w": rng.normal(size=(6, 5)), "m": rng.normal(size=(6, 5)) * 0.01,
-              "v": np.abs(rng.normal(size=(6, 5))) * 0.001,
-              "g": rng.normal(size=(6, 5))}
-    arrays[name] = layout(arrays[name])
-    ref = {k: a.copy(order="K") for k, a in arrays.items()}
-    corr = correction_factors(HYPER, 4)
-    adam_update(arrays["w"], arrays["m"], arrays["v"], arrays["g"], corr, HYPER)
-    _adam_update_numpy(ref["w"], ref["m"], ref["v"], ref["g"], corr, HYPER)
-    for k in "wmvg":
-        assert arrays[k].dtype == ref[k].dtype
-        assert np.ascontiguousarray(arrays[k]).tobytes() == \
-            np.ascontiguousarray(ref[k]).tobytes(), k
-
-
-def _small_dims():
-    return ModelDims(batch=4, image_x=8, image_y=8, hidden=6, classes=10)
-
-
 def _six(weights, state):
     """Both layers' weights and moments, in a fixed order."""
     return (weights.w1, weights.w2, state.m_w1, state.v_w1, state.m_w2,
@@ -182,10 +148,10 @@ def _six(weights, state):
 def _numpy_batch_update(weights, state, grads, t):
     """The output layer's and then the hidden layer's numpy update."""
     corr = correction_factors(HYPER, t)
-    return (_adam_update_numpy(weights.w2, state.m_w2, state.v_w2, grads.g_w2,
-                               corr, HYPER)
-            + _adam_update_numpy(weights.w1, state.m_w1, state.v_w1,
-                                 grads.g_w1, corr, HYPER))
+    return (adam_update(weights.w2, state.m_w2, state.v_w2, grads.g_w2,
+                        corr, HYPER)
+            + adam_update(weights.w1, state.m_w1, state.v_w1, grads.g_w1,
+                          corr, HYPER))
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
@@ -208,31 +174,36 @@ def test_batch_update_matches_two_numpy_updates(compiled, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("layout", [_fortran, _strided])
-@pytest.mark.parametrize("name", ["w1", "w2", "g_w1", "g_w2"])
+@pytest.mark.parametrize("layout", [_fortran, _strided, _float32])
+@pytest.mark.parametrize("name", ["w1", "w2", "m_w1", "v_w1", "m_w2", "v_w2",
+                                  "g_w1", "g_w2"])
 def test_batch_update_takes_either_layer_in_any_layout(name, layout):
-    # a weight the compiled kernel cannot write in place must be the array
-    # updated, not a copy, and a gradient it must copy first must give the
-    # bytes of the C-contiguous one. The production shapes put such a copy
-    # above numpy's small-block cache, so a copy freed before the kernel
-    # reads it is handed back to malloc and overwritten.
+    # the compiled kernel takes C-contiguous float64 only: an array it
+    # cannot write in place must be the array updated, not a copy, in the
+    # precision numpy computes in, and a gradient it must copy first must
+    # give the bytes of the C-contiguous one. The production shapes put such
+    # a copy above numpy's small-block cache, so a copy freed before the
+    # kernel reads it is handed back to malloc and overwritten.
     rng = np.random.default_rng(8)
     weights = init_weights(8)
+    state = AdamState(*(rng.normal(size=a.shape) * 0.01 for a in
+                        (weights.w1, weights.w1, weights.w2, weights.w2)))
+    state.v_w1, state.v_w2 = abs(state.v_w1), abs(state.v_w2)
     grads = Gradients(rng.normal(size=weights.w1.shape),
                       rng.normal(size=weights.w2.shape))
-    ref_w = Weights(weights.w1.copy(), weights.w2.copy())
-    ref_g = Gradients(grads.g_w1.copy(), grads.g_w2.copy())
-    owner = grads if name.startswith("g_") else weights
+    owner = next(x for x in (weights, state, grads) if hasattr(x, name))
     setattr(owner, name, layout(getattr(owner, name)))
     target = getattr(owner, name)
-    assert not target.flags.c_contiguous
-    state, ref = AdamState.zeros(), AdamState.zeros()
+    assert not (target.flags.c_contiguous and target.dtype == np.float64)
+    ref_w, ref, ref_g = copy.deepcopy((weights, state, grads))
     for t in (1, 2):
         assert apply_batch_update(state, weights, grads, HYPER) == 0
         _numpy_batch_update(ref_w, ref, ref_g, t)
     assert getattr(owner, name) is target
     for got, want in zip(_six(weights, state), _six(ref_w, ref)):
-        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(want).tobytes()
 
 
 def test_batch_update_keeps_its_gradient_copies_until_the_kernel_returns(

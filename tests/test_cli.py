@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 
@@ -5,7 +6,8 @@ import pytest
 
 from convpipe.checkpoint import save_checkpoint
 from convpipe.cli import main
-from convpipe.dataio import synthetic_dataset, write_idx_images, write_idx_labels
+from convpipe.dataio import (LabelSet, synthetic_dataset, write_idx_images,
+                             write_idx_labels)
 from convpipe.dims import ModelDims
 from convpipe.neuralcore import ModelState
 
@@ -443,6 +445,25 @@ def test_idx_split_smaller_than_a_batch_names_the_file(data_dir, tmp_path,
     assert capsys.readouterr().err == (
         f"error: test split ({data_dir / 't10k-images-idx3-ubyte'}) has 64 "
         f"images, fewer than one batch of 128\n")
+
+
+def test_truncated_gzip_split_fails_with_its_path(data_dir, capsys):
+    plain = data_dir / "train-images-idx3-ubyte"
+    packed = gzip.compress(plain.read_bytes())
+    plain.unlink()
+    gz = data_dir / "train-images-idx3-ubyte.gz"
+    gz.write_bytes(packed[:len(packed) // 2])
+    assert main(["train", "--data-dir", str(data_dir), "--epochs", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {gz}: corrupt gzip")
+
+
+def test_count_mismatch_names_both_files(data_dir, capsys):
+    labels = data_dir / "t10k-labels-idx1-ubyte"
+    write_idx_labels(LabelSet(synthetic_dataset(200, 40)[1].labels), labels)
+    assert main(["train", "--data-dir", str(data_dir), "--epochs", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: image/label count mismatch: 64 images in "
+        f"{data_dir / 't10k-images-idx3-ubyte'} vs 40 labels in {labels}\n")
 
 
 def test_zero_epochs_needs_no_training_split(tmp_path):

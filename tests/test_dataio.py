@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -65,8 +67,6 @@ def test_truncated_image_file(tmp_path):
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
 def test_huge_declared_count_fails_at_the_data_offset(tmp_path, compressed):
-    import gzip
-
     # 0xFFFFFFFF images of 28x28 declare ~3.4 TB of pixels; 100 bytes follow
     path = _image_file(tmp_path, bytes(100), 0xFFFFFFFF)
     if compressed:
@@ -185,14 +185,74 @@ def test_idx_round_trip_exact(tmp_path):
 
 
 def test_gzip_transparency(tmp_path):
-    import gzip
-
     images, _ = synthetic_dataset(4, 8)
     plain = tmp_path / "imgs.idx"
     write_idx_images(images, plain)
     gz = tmp_path / "imgs.idx.gz"
     gz.write_bytes(gzip.compress(plain.read_bytes()))
     assert np.array_equal(load_idx_images(gz).pixels, images.pixels)
+
+
+def _gzip_idx(tmp_path, kind):
+    """A compressible 64-entry IDX file of `kind`, "images" or "labels",
+    gzipped."""
+    rng = np.random.default_rng(5)
+    plain = tmp_path / kind
+    if kind == "images":
+        pixels = np.zeros((64, 28, 28))
+        pixels[:, 10:18, 10:18] = rng.integers(0, 256, (64, 8, 8)) / 255.0
+        write_idx_images(ImageSet(pixels), plain)
+    else:
+        write_idx_labels(LabelSet(rng.integers(0, 10, 64)), plain)
+    gz = tmp_path / f"{kind}.gz"
+    gz.write_bytes(gzip.compress(plain.read_bytes(), mtime=0))
+    return gz
+
+
+def _load(kind, path):
+    """The data array of the IDX file of `kind` at path."""
+    if kind == "images":
+        return load_idx_images(path).pixels
+    return load_idx_labels(path).labels
+
+
+@pytest.mark.parametrize("kind", ["images", "labels"])
+def test_truncated_gzip_fails_with_its_path(tmp_path, kind):
+    gz = _gzip_idx(tmp_path, kind)
+    raw = gz.read_bytes()
+    # cuts in the header, the deflate data and the CRC and length trailer
+    for cut in [*range(1, len(raw), max(1, len(raw) // 40)), len(raw) - 1]:
+        gz.write_bytes(raw[:cut])
+        with pytest.raises(IdxFormatError) as err:
+            _load(kind, gz)
+        assert str(err.value).startswith(f"{gz}: "), cut
+
+
+@pytest.mark.parametrize("kind", ["images", "labels"])
+def test_bit_flipped_gzip_fails_or_loads_unchanged(tmp_path, kind):
+    # gzip checks its CRC only at the end of the stream, so a flip in the
+    # deflate data can decompress to other bytes without an error before it
+    gz = _gzip_idx(tmp_path, kind)
+    raw = gz.read_bytes()
+    want = _load(kind, gz)
+    rng = np.random.default_rng(6)
+    bits = rng.choice(8 * len(raw), min(8 * len(raw), 400), replace=False)
+    failed = 0
+    for bit in bits:
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        gz.write_bytes(flipped)
+        try:
+            got = _load(kind, gz)
+        except IdxFormatError as err:
+            assert str(err).startswith(f"{gz}: ")
+            failed += 1
+            continue
+        # a flip that loads changed no data: it hit a header field that
+        # nothing checks, such as the modification time, or deflate bits
+        # that the decoder skips
+        assert np.array_equal(got, want), bit
+    assert failed > len(bits) // 2
 
 
 def test_pixel_range_enforced():
