@@ -139,6 +139,27 @@ def _float32(a):
     return a.astype(np.float32)
 
 
+@pytest.mark.parametrize("name", ["w", "m", "v", "g"])
+@pytest.mark.parametrize("layout", [_fortran, _strided, _float32])
+def test_update_writes_the_callers_arrays_in_any_layout(name, layout):
+    # the one-layer update must write the caller's arrays, never a copy, and
+    # give the bytes it gives on C-contiguous arrays of the same dtypes
+    rng = np.random.default_rng(7)
+    arrays = {"w": rng.normal(size=(6, 5)), "m": rng.normal(size=(6, 5)) * 0.01,
+              "v": np.abs(rng.normal(size=(6, 5))) * 0.001,
+              "g": rng.normal(size=(6, 5))}
+    arrays[name] = layout(arrays[name])
+    held = dict(arrays)
+    ref = {k: np.ascontiguousarray(a).copy() for k, a in arrays.items()}
+    corr = correction_factors(HYPER, 4)
+    adam_update(arrays["w"], arrays["m"], arrays["v"], arrays["g"], corr, HYPER)
+    adam_update(ref["w"], ref["m"], ref["v"], ref["g"], corr, HYPER)
+    for k in "wmvg":
+        assert arrays[k] is held[k]
+        assert arrays[k].dtype == ref[k].dtype
+        assert np.ascontiguousarray(arrays[k]).tobytes() == ref[k].tobytes(), k
+
+
 def _six(weights, state):
     """Both layers' weights and moments, in a fixed order."""
     return (weights.w1, weights.w2, state.m_w1, state.v_w1, state.m_w2,
