@@ -4,8 +4,10 @@ IDX is the classic big-endian binary format: u32 magic, u32 count,
 (for images) u32 rows, u32 cols, then raw unsigned bytes. Magics are
 0x00000803 for image files and 0x00000801 for label files. Files may be
 plain or gzip-compressed; compression is detected from the 1f 8b prefix.
-A gzip stream is read to its end, where gzip checks its CRC and length,
-so a corrupt or truncated .gz fails with its path like a malformed header.
+The payload must end the file where the header's count says: a byte
+after it fails with its path and offset like a malformed header. A gzip
+stream is read to its end, where gzip checks its CRC and length, so a
+corrupt or truncated .gz fails the same way.
 """
 
 import gzip
@@ -115,19 +117,20 @@ def _read_exact(f, n, path, what):
     return data
 
 
-def _read_gzip_end(f, path):
-    """Read a gzip stream past the payload to its end, a chunk at a time:
-    gzip checks the CRC and length only there. A plain file is left as it
-    is; offsets count uncompressed bytes."""
-    if not isinstance(f, gzip.GzipFile):
-        return
+def _read_to_end(f, path, what):
+    """Check that the file ends with the payload the header sized: a byte
+    after it fails with its offset. A gzip stream is read to its end,
+    where gzip checks its CRC and length; offsets count uncompressed
+    bytes."""
     offset = f.tell()
     try:
-        while chunk := f.read(_READ_CHUNK):
-            offset += len(chunk)
+        extra = f.read(1)
     except _GZIP_ERRORS as exc:
-        raise IdxFormatError(f"corrupt gzip stream after the payload: {exc}",
+        raise IdxFormatError(f"corrupt gzip stream after the {what}: {exc}",
                              path, offset) from exc
+    if extra:
+        raise IdxFormatError(f"bytes after the {what}, where the header's "
+                             f"count ends the file", path, offset)
 
 
 def _open_idx(path):
@@ -163,7 +166,7 @@ def load_idx_images(path, expected_rows=DEFAULT_DIMS.image_x,
             raise IdxFormatError(f"col count {cols} != expected {expected_cols}",
                                  path, 12)
         data = _read_exact(f, count * rows * cols, path, "pixel data")
-        _read_gzip_end(f, path)
+        _read_to_end(f, path, "pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
     return ImageSet(pixels.reshape(count, rows, cols))
 
@@ -181,7 +184,7 @@ def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
                 path, 0)
         count = int.from_bytes(_read_exact(f, 4, path, "count"), "big")
         data = _read_exact(f, count, path, "label data")
-        _read_gzip_end(f, path)
+        _read_to_end(f, path, "label data")
     labels = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))

@@ -5,10 +5,10 @@ learned. All functions here are pure, so the pipelined runner can safely
 overlap this stage with the accelerator stage.
 
 host_stage runs all three steps as one compiled C pass from the native
-module, writing each pooled value straight into its flattened row. It is
-called through ctypes, which releases the GIL while it runs, so in
-pipelined mode the producer's host stage and the accelerator thread's
-matmuls run at the same time. conv2d_valid and maxpool2x2 are the numpy
+extension module, writing each pooled value straight into its flattened
+row. The call releases the GIL while it runs, so in pipelined mode the
+producer's host stage and the accelerator thread's matmuls run at the
+same time. conv2d_valid and maxpool2x2 are the numpy
 reference the tests compare it against, byte for byte, and the fallback
 host_stage runs when native.kernels() is unavailable.
 """
@@ -96,8 +96,8 @@ def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     else:
         v = np.empty((n, oh * ow // 4), dtype=np.float64)
         rows = np.empty(2 * ow, dtype=np.float64)  # two correlation rows
-        lib.host_stage(n, h, w, native.address(images),
+        lib.host_stage(n, h, w, native.pointer(images),
                        *(s // images.itemsize for s in images.strides),
-                       native.address(kernel), kh, kw, native.address(rows),
-                       native.address(v))
+                       native.pointer(kernel), kh, kw, native.pointer(rows),
+                       native.pointer(v))
     return ConvBatch(v, batch.out_actual, batch.index)

@@ -4,11 +4,11 @@ All matrix products accumulate over the contraction index in ascending
 order (see matmul_kseq), so results are bit-identical to a naive scalar
 triple loop and fully reproducible across runs and execution modes.
 
-matmul_kseq runs that loop as compiled C from the native module, through
-ctypes, which releases the GIL while it runs, so the pipelined producer's
-host stage overlaps it. native.kernels() builds the library on the first
-product, caches it per machine and returns None, after one RuntimeWarning,
-when it cannot; matmul_kseq then runs the numpy loop _matmul_kseq_numpy,
+matmul_kseq runs that loop as compiled C from the native extension module,
+whose calls release the GIL, so the pipelined producer's host stage
+overlaps it. native.kernels() builds the module on the first product,
+caches it per machine and returns None, after one RuntimeWarning, when it
+cannot; matmul_kseq then runs the numpy loop _matmul_kseq_numpy,
 which is also the reference the tests compare against. Both paths give the
 same bytes.
 
@@ -16,7 +16,7 @@ The elementwise steps next to a product run in its call, as its epilogue:
 fc_forward's ReLU (relu=True) and backward's h1 > 0 mask on dH1
 (mask=h1). A training batch therefore makes five matmul_kseq calls and
 one adam.apply_batch_update call, each a single foreign call when the
-library loaded; the softmax and loss stay in numpy, whose exp, log and
+module loaded; the softmax and loss stay in numpy, whose exp, log and
 row sums a C loop would not match bit for bit.
 
 There are no bias terms anywhere: both layers are pure weight matrices.
@@ -117,10 +117,10 @@ def matmul_kseq(a, b, *, relu=False, mask=None):
             out = out * (mask > 0.0)
         return out
     out = np.empty((m, n), dtype=np.float64)
-    lib.matmul_kseq(m, k, n, native.address(a), a.strides[0] // a.itemsize,
-                    a.strides[1] // a.itemsize, native.address(b), bool(relu),
-                    None if mask is None else native.address(mask),
-                    native.address(out))
+    lib.matmul_kseq(m, k, n, native.pointer(a), a.strides[0] // a.itemsize,
+                    a.strides[1] // a.itemsize, native.pointer(b), bool(relu),
+                    native.ffi.NULL if mask is None else native.pointer(mask),
+                    native.pointer(out))
     return out
 
 

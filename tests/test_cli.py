@@ -457,6 +457,20 @@ def test_truncated_gzip_split_fails_with_its_path(data_dir, capsys):
     assert capsys.readouterr().err.startswith(f"error: {gz}: corrupt gzip")
 
 
+def test_split_longer_than_its_header_fails_with_its_path(data_dir, capsys):
+    # both files say 96 of their 128 entries: a loader that stopped at the
+    # count would train on a consistent prefix
+    for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+        raw = bytearray((data_dir / name).read_bytes())
+        raw[7] = 96
+        (data_dir / name).write_bytes(raw)
+    images = data_dir / "train-images-idx3-ubyte"
+    assert main(["train", "--data-dir", str(data_dir), "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {images}: bytes after the pixel data, where the header's "
+        f"count ends the file (at byte offset {16 + 96 * 28 * 28})\n")
+
+
 def test_count_mismatch_names_both_files(data_dir, capsys):
     labels = data_dir / "t10k-labels-idx1-ubyte"
     write_idx_labels(LabelSet(synthetic_dataset(200, 40)[1].labels), labels)

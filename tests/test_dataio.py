@@ -255,6 +255,25 @@ def test_bit_flipped_gzip_fails_or_loads_unchanged(tmp_path, kind):
     assert failed > len(bits) // 2
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gz"])
+@pytest.mark.parametrize("kind", ["images", "labels"])
+def test_bytes_after_the_payload_fail_with_their_offset(tmp_path, kind,
+                                                        packed):
+    # a count lowered from 64 to 40 leaves 24 entries after the payload,
+    # and one byte appended to a well-formed file is one too many
+    gz = _gzip_idx(tmp_path, kind)
+    raw = gzip.decompress(gz.read_bytes())
+    header, entry = (16, 28 * 28) if kind == "images" else (8, 1)
+    path = tmp_path / ("bad.gz" if packed else "bad")
+    for data, end in ((raw[:7] + bytes([40]) + raw[8:], header + 40 * entry),
+                      (raw + b"\0", len(raw))):
+        path.write_bytes(gzip.compress(data) if packed else data)
+        with pytest.raises(IdxFormatError) as err:
+            _load(kind, path)
+        assert str(err.value).startswith(f"{path}: bytes after the ")
+        assert err.value.offset == end
+
+
 def test_pixel_range_enforced():
     with pytest.raises(ValueError, match="0, 1"):
         ImageSet(np.full((1, 2, 2), 1.5))

@@ -3,6 +3,8 @@ import os
 import re
 import shutil
 import subprocess
+import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -248,8 +250,39 @@ def _read_only(x):
 ], ids=["C", "F", "strided", "offset", "row", "empty", "read_only",
         "read_only_F"])
 def test_address_is_the_first_element(view):
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
     x = view(np.arange(20.0).reshape(4, 5))
-    assert native.address(x) == x.ctypes.data
+    assert int(native.ffi.cast("intptr_t", native.pointer(x))) == \
+        x.ctypes.data
+
+
+def test_a_kernel_call_lets_other_threads_run():
+    """Pipelined mode overlaps the producer's host stage with the
+    accelerator's products only if a kernel call releases the GIL: a call
+    that held it would stop every other thread for the whole call."""
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
+    a, b = np.random.default_rng(17).normal(size=(2, 600, 600))
+    stamps, stop = [], threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            stamps.append(time.perf_counter())
+    thread = threading.Thread(target=spin)
+    thread.start()
+    try:
+        while not stamps:
+            time.sleep(0.001)
+        start = time.perf_counter()
+        matmul_kseq(a, b)
+        end = time.perf_counter()
+    finally:
+        stop.set()
+        thread.join()
+    # the spinning thread's longest pause during the call
+    pause = np.diff([start, *(t for t in stamps if start < t < end), end])
+    assert pause.max() < (end - start) / 2, (pause.max(), end - start)
 
 
 def _compiler_on_path():
@@ -318,9 +351,8 @@ def test_compiled_kernel_loads_when_a_compiler_is_present():
         pytest.skip("no cc or gcc on PATH")
     lib = native.kernels()
     assert lib is not None
-    assert lib.matmul_kseq.argtypes is not None
-    assert lib.host_stage.argtypes is not None
-    assert lib.adam_update_pair.argtypes is not None
+    assert sorted(dir(lib)) == ["adam_update_pair", "host_stage",
+                                "matmul_kseq"]
 
 
 def _no_compiler(monkeypatch, cache_dir):
@@ -338,8 +370,13 @@ def _cache_not_writable(monkeypatch, cache_dir):
     cache_dir.write_bytes(b"")  # a file where the directory should be
 
 
+def _no_cffi(monkeypatch, cache_dir):
+    for name in ("cffi", "_cffi_backend"):
+        monkeypatch.setitem(sys.modules, name, None)  # import fails
+
+
 @pytest.mark.parametrize("breakage", [_no_compiler, _compiler_fails,
-                                      _cache_not_writable])
+                                      _cache_not_writable, _no_cffi])
 def test_numpy_fallback_gives_the_same_bytes(breakage, tmp_path, monkeypatch):
     assert native.kernels() is not None or not _compiler_on_path()
     compiled = _kernel_outputs()
@@ -419,8 +456,7 @@ def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
     SIMD level the CPU has all give the same bytes, for all three kernels,
     with the host stage's AVX2 block and with the plain loop that a CPU
     without AVX2 runs instead."""
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
+    if not _compiler_on_path():
         pytest.skip("no cc or gcc on PATH")
     assert native.kernels() is not None
     dispatched = _kernel_outputs()
@@ -431,16 +467,32 @@ def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
     plain = single.replace('__builtin_cpu_supports("avx2")', "0")
     assert plain != single
     for name, source in (("single", single), ("plain", plain)):
-        src = tmp_path / f"{name}.c"
-        src.write_text(source)
         for flags in [[], *([f] for f in _cpu_simd_flags())]:
-            lib_path = tmp_path / f"{name}{''.join(flags)}.so"
-            subprocess.run([compiler, *native._CFLAGS, *flags, "-o",
-                            str(lib_path), str(src)], check=True,
-                           capture_output=True)
-            lib = native._load(lib_path)
-            monkeypatch.setattr(native, "kernels", lambda: lib)
+            path = tmp_path / f"{name}{''.join(flags)}.so"
+            native._build(path, source, flags)
+            module = native._import(path)  # next to the dispatched build
+            monkeypatch.setattr(native, "kernels", lambda: module.lib)
+            monkeypatch.setattr(native, "ffi", module.ffi)
             assert _kernel_outputs() == dispatched, (name, flags)
+
+
+def test_a_warm_load_does_not_import_cffi():
+    """cffi is needed to build the extension; loading a built one and
+    calling a kernel needs only its _cffi_backend."""
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
+    src = str(Path(native.__file__).parents[1])
+    probe = ("import sys, numpy as np, convpipe\n"
+             "from convpipe import native, neuralcore\n"
+             "assert native.kernels() is not None\n"
+             "neuralcore.matmul_kseq(np.ones((2, 3)), np.ones((3, 4)))\n"
+             "assert '_cffi_backend' in sys.modules\n"
+             "assert 'cffi' not in sys.modules, 'cffi imported'\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_native_source_compiles_without_warnings(tmp_path):
