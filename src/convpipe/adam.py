@@ -11,8 +11,7 @@ time. It is the reference for the compiled kernel and its fallback.
 apply_batch_update, the training step's entry point, updates both layers
 in one call into the native extension module: adam_update_pair, one pass
 over the output layer's elements and then the hidden layer's that does
-numpy's operations in numpy's order for each of them, in place, with
-1-beta1 and 1-beta2 computed in Python as adam_update computes them. When
+numpy's operations in numpy's order for each of them, in place. When
 native.kernels() is unavailable, or an array is not one the kernel can
 update in place, it runs adam_update on the output layer and then on the
 hidden layer instead, with the same bytes.
@@ -130,6 +129,5 @@ def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
         # a gradient copied here lives as long as its pointer, which holds it
         g = native.operand(g, c_contiguous=True)
         args += [w.size, *map(native.pointer, (w, m, v, g))]
-    return lib.adam_update_pair(*args, hyper.beta1, 1.0 - hyper.beta1,
-                                hyper.beta2, 1.0 - hyper.beta2, hyper.eta,
+    return lib.adam_update_pair(*args, hyper.beta1, hyper.beta2, hyper.eta,
                                 corr.c1, corr.c2, hyper.eps)

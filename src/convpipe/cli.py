@@ -26,8 +26,7 @@ from .checkpoint import load_checkpoint
 from .hoststage import host_stage
 from .neuralcore import accel_kernel
 from .pipeline import (MODES, SEQUENTIAL, RunConfig, load_split, run_epoch,
-                       run_training, sequential_seconds, speedup_summary,
-                       two_stage_pipeline_seconds)
+                       run_training, speedup_summary)
 
 ENV_DATA_DIR = "CONVPIPE_DATA_DIR"
 
@@ -234,9 +233,10 @@ def cmd_estimate(args):
     accel_infer = cycles_to_seconds(infer.total_cycles, cfg.budget)
     if host is not None:
         for label, accel in (("training", accel_train), ("inference", accel_infer)):
-            hs, as_ = [host] * n, [accel] * n
-            seq = sequential_seconds(hs, as_)
-            pipe = two_stage_pipeline_seconds(hs, as_)
+            # sequential_seconds and two_stage_pipeline_seconds of n
+            # constant stage times, in closed form
+            seq = n * (host + accel)
+            pipe = n * max(host, accel) + min(host, accel)
             summary = speedup_summary({"host_seconds": host * n,
                                        "accel_seconds": accel * n,
                                        "sequential_seconds": seq,

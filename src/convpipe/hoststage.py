@@ -75,11 +75,11 @@ def maxpool2x2(feature):
 def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     """conv -> pool -> row-major flatten for every image in the batch.
 
-    v_raw is (n, rows, cols) and may be any strided view; v is
-    (n, pool_map), bit-identical to maxpool2x2(conv2d_valid(v_raw, kernel))
-    flattened per image.
+    v_raw is (n, rows, cols) and may be any strided view, which is copied
+    to C order first; v is (n, pool_map), bit-identical to
+    maxpool2x2(conv2d_valid(v_raw, kernel)) flattened per image.
     """
-    images = native.operand(batch.v_raw)
+    images = native.operand(batch.v_raw, c_contiguous=True)
     kernel = native.operand(kernel, c_contiguous=True)
     if images.ndim != 3:
         raise ValueError(f"v_raw must be 3-d (batch, rows, cols), "
@@ -96,8 +96,6 @@ def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     else:
         v = np.empty((n, oh * ow // 4), dtype=np.float64)
         rows = np.empty(2 * ow, dtype=np.float64)  # two correlation rows
-        lib.host_stage(n, h, w, native.pointer(images),
-                       *(s // images.itemsize for s in images.strides),
-                       native.pointer(kernel), kh, kw, native.pointer(rows),
-                       native.pointer(v))
+        lib.host_stage(n, h, w, native.pointer(images), native.pointer(kernel),
+                       kh, kw, native.pointer(rows), native.pointer(v))
     return ConvBatch(v, batch.out_actual, batch.index)

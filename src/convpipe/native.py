@@ -24,14 +24,13 @@ the numpy code that is its reference and fallback:
 - host_stage: valid correlation with the taps added in row-major kernel
   order from +0.0, then a NaN-propagating 2x2 max-pool written straight
   into the flattened (n, pool_map) rows (hoststage.host_stage, reference
-  hoststage.conv2d_valid and hoststage.maxpool2x2). On a CPU with AVX2 the
-  two output rows that each pooled row needs are done in blocks of 16
-  columns, whose 32 sums stay in registers over all the taps; the last
-  block is moved left to end at the last column, and recomputes the
-  values it shares with the block before it. A contiguous row is read with
-  vector loads, a strided one element by element. Elsewhere, and for an
-  output narrower than a block, two output rows are summed in memory, one
-  tap at a time;
+  hoststage.conv2d_valid and hoststage.maxpool2x2), on a C-contiguous
+  batch. On a CPU with AVX2 the two output rows that each pooled row needs
+  are done in blocks of 16 columns, read with vector loads, whose 32 sums
+  stay in registers over all the taps; the last block is moved left to end
+  at the last column, and recomputes the values it shares with the block
+  before it. Elsewhere, and for an output narrower than a block, two
+  output rows are summed in memory, one tap at a time;
 - adam_update_pair: a batch's moment and weight updates, in place, the
   output layer's and then the hidden layer's with the same factors, with
   numpy's operations in numpy's order for each element
@@ -68,12 +67,11 @@ baseline alone.
 The kernels are called through a cffi extension module in API mode: cffi
 writes the C wrappers that convert each argument, from _CDEF, the kernels'
 declarations, and the wrappers and _SOURCE are compiled together. On a
-2-core AVX-512F Xeon, a bare call with three pointers takes ~2 us, against
-~6 us through ctypes with three addresses, and a whole 1x1x1 matmul_kseq
-~3.5 us against ~10 us. pointer() passes an array as a double *; a pointer
-made from a buffer keeps its array alive. cffi releases the GIL for the
-duration of each call, so the pipelined producer and the accelerator thread
-run at the same time. cffi itself is imported only to build: a built module
+2-core AVX-512F Xeon, a bare call with three pointers takes ~2 us, and a
+whole 1x1x1 matmul_kseq ~3.5 us. pointer() passes an array as a double *;
+a pointer made from a buffer keeps its array alive. cffi releases the GIL
+for the duration of each call, so the pipelined producer and the
+accelerator thread run at the same time. cffi itself is imported only to build: a built module
 needs only its _cffi_backend.
 
 The module is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
@@ -309,12 +307,12 @@ HELPER double max_nan(double m, double x)
 #define HOST_V 4             /* vectors per row of a block */
 #define HOST_C (4 * HOST_V)  /* columns per block */
 
-/* Output rows 0 and 1 of the correlation of img over columns
-   [0, HOST_C), pooled 2x2 into out[0, HOST_C / 2). Each sum starts from
-   +0.0 and adds the taps in row-major kernel order, and the 2 x HOST_C
-   sums stay in registers over all the taps. A contiguous row (x_w == 1 at
-   the call) is read with vector loads. */
-HELPER void corr_pool(const double *img, ptrdiff_t x_h, ptrdiff_t x_w,
+/* Output rows 0 and 1 of the correlation of img, whose rows are w
+   apart, over columns [0, HOST_C), pooled 2x2 into out[0, HOST_C / 2).
+   Each sum starts from +0.0 and adds the taps in row-major kernel order,
+   and the 2 x HOST_C sums stay in registers over all the taps; img is
+   read with vector loads. */
+HELPER void corr_pool(const double *img, ptrdiff_t w,
                       const double *restrict k, ptrdiff_t kh, ptrdiff_t kw,
                       double *restrict out)
 {
@@ -324,12 +322,8 @@ HELPER void corr_pool(const double *img, ptrdiff_t x_h, ptrdiff_t x_w,
             const double kv = k[i * kw + j];
             for (int r = 0; r < 2; r++)
                 for (int v = 0; v < HOST_V; v++) {
-                    const double *p = img + (i + r) * x_h + (j + 4 * v) * x_w;
                     v4d xv;
-                    if (x_w == 1)
-                        memcpy(&xv, p, sizeof xv);
-                    else
-                        xv = (v4d){p[0], p[x_w], p[2 * x_w], p[3 * x_w]};
+                    memcpy(&xv, img + (i + r) * w + j + 4 * v, sizeof xv);
                     s[r][v] += kv * xv;
                 }
         }
@@ -347,8 +341,8 @@ HELPER void corr_pool(const double *img, ptrdiff_t x_h, ptrdiff_t x_w,
     }
 }
 
-/* x is (n, h, w) with element strides x_n, x_h, x_w; the correlation
-   output (h-kh+1) x (w-kw+1) must have even dims. rows is scratch for two
+/* x is n images of h rows of w, C-contiguous; the correlation output
+   (h-kh+1) x (w-kw+1) must have even dims. rows is scratch for two
    output rows; out is (n, (h-kh+1)/2 * (w-kw+1)/2), row-major.
 
    With AVX2, each pair of output rows runs in blocks of HOST_C columns;
@@ -357,8 +351,7 @@ HELPER void corr_pool(const double *img, ptrdiff_t x_h, ptrdiff_t x_w,
    an output narrower than a block, two rows are summed in rows, one tap
    at a time, and then pooled. */
 KERNEL
-void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
-                const double *x, ptrdiff_t x_n, ptrdiff_t x_h, ptrdiff_t x_w,
+void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w, const double *x,
                 const double *restrict k, ptrdiff_t kh, ptrdiff_t kw,
                 double *restrict rows, double *restrict out)
 {
@@ -366,22 +359,18 @@ void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
     if (AVX2_CPU && ow >= HOST_C) {
         for (ptrdiff_t b = 0; b < n; b++)
             for (ptrdiff_t r = 0; r < oh; r += 2) {
-                const double *img = x + b * x_n + r * x_h;
+                const double *img = x + (b * h + r) * w;
                 double *restrict o = out + (b * oh + r) / 2 * (ow / 2);
                 for (ptrdiff_t c0 = 0; c0 < ow; c0 += HOST_C) {
                     const ptrdiff_t c = c0 < ow - HOST_C ? c0 : ow - HOST_C;
-                    if (x_w == 1)
-                        corr_pool(img + c, x_h, 1, k, kh, kw, o + c / 2);
-                    else
-                        corr_pool(img + c * x_w, x_h, x_w, k, kh, kw,
-                                  o + c / 2);
+                    corr_pool(img + c, w, k, kh, kw, o + c / 2);
                 }
             }
         return;
     }
     double *restrict r0 = rows, *restrict r1 = rows + ow;
     for (ptrdiff_t b = 0; b < n; b++) {
-        const double *img = x + b * x_n;
+        const double *img = x + b * h * w;
         for (ptrdiff_t r = 0; r < oh; r++) {
             double *restrict o = r % 2 ? r1 : r0;
             for (ptrdiff_t c = 0; c < ow; c++)
@@ -389,9 +378,9 @@ void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
             for (ptrdiff_t i = 0; i < kh; i++)
                 for (ptrdiff_t j = 0; j < kw; j++) {
                     const double kv = k[i * kw + j];
-                    const double *xr = img + (r + i) * x_h + j * x_w;
+                    const double *xr = img + (r + i) * w + j;
                     for (ptrdiff_t c = 0; c < ow; c++)
-                        o[c] += kv * xr[c * x_w];
+                        o[c] += kv * xr[c];
                 }
             if (r % 2 == 0)
                 continue;
@@ -425,17 +414,19 @@ HELPER ptrdiff_t adam_layer(ptrdiff_t n, double *restrict w,
 }
 
 /* A batch's two layer updates with the same factors: the output layer's
-   (n2 elements) first, then the hidden layer's (n1). Returns the number of
-   non-finite weights both wrote. */
+   (n2 elements) first, then the hidden layer's (n1). 1-beta1 and 1-beta2
+   are one correctly rounded subtraction each, as in numpy. Returns the
+   number of non-finite weights both wrote. */
 KERNEL
 ptrdiff_t adam_update_pair(ptrdiff_t n2, double *restrict w2,
                            double *restrict m2, double *restrict v2,
                            const double *restrict g2, ptrdiff_t n1,
                            double *restrict w1, double *restrict m1,
                            double *restrict v1, const double *restrict g1,
-                           double b1, double b1c, double b2, double b2c,
-                           double eta, double c1, double c2, double eps)
+                           double b1, double b2, double eta, double c1,
+                           double c2, double eps)
 {
+    const double b1c = 1.0 - b1, b2c = 1.0 - b2;
     return adam_layer(n2, w2, m2, v2, g2, b1, b1c, b2, b2c, eta, c1, c2, eps)
            + adam_layer(n1, w1, m1, v1, g1, b1, b1c, b2, b2c, eta, c1, c2,
                         eps);
@@ -450,13 +441,13 @@ void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n, const double *a,
                  ptrdiff_t a_row, ptrdiff_t a_col, const double *b, int relu,
                  const double *mask, double *out);
 void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w, const double *x,
-                ptrdiff_t x_n, ptrdiff_t x_h, ptrdiff_t x_w, const double *k,
-                ptrdiff_t kh, ptrdiff_t kw, double *rows, double *out);
+                const double *k, ptrdiff_t kh, ptrdiff_t kw, double *rows,
+                double *out);
 ptrdiff_t adam_update_pair(ptrdiff_t n2, double *w2, double *m2, double *v2,
                            const double *g2, ptrdiff_t n1, double *w1,
                            double *m1, double *v1, const double *g1,
-                           double b1, double b1c, double b2, double b2c,
-                           double eta, double c1, double c2, double eps);
+                           double b1, double b2, double eta, double c1,
+                           double c2, double eps);
 """
 # the extension's name, which its init symbol follows, whatever its file
 _MODULE = "_convpipe_native"

@@ -190,7 +190,7 @@ class RunConfig:
     synthetic_test: int = field(default=512, metadata={"min": 0})
     epochs: int = field(default=1, metadata={"min": 0})
     batch_size: int = field(init=False)  # derived: dims.batch
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
     mode: str = PIPELINED
     dims: ModelDims = DEFAULT_DIMS
     hyper: AdamHyper = field(default_factory=AdamHyper, metadata={"key": "adam"})

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from convpipe.accelmodel import ResourceBudget, cycles_to_seconds, estimate_pass
 from convpipe.checkpoint import save_checkpoint
 from convpipe.cli import main
 from convpipe.dataio import (LabelSet, synthetic_dataset, write_idx_images,
@@ -199,6 +200,21 @@ def test_estimate_mode_algebra(capsys):
     assert "speedup" in out and "bottleneck" in out
 
 
+def test_estimate_mode_algebra_of_a_trillion_batches(capsys):
+    # constant stage times in closed form: no list of n per-batch times
+    n, host, budget = 10 ** 12, 0.001, ResourceBudget()
+    assert main(["estimate", "--host-batch-seconds", str(host),
+                 "--num-batches", str(n)]) == 0
+    out = capsys.readouterr().out
+    for mode in ("training", "inference"):
+        accel = cycles_to_seconds(estimate_pass(mode, budget).total_cycles,
+                                  budget)
+        seq, pipe = n * (host + accel), n * max(host, accel) + min(host, accel)
+        assert (f"{mode}: n={n} host={host:.6f}s/batch accel={accel:.6f}s/batch"
+                f" -> sequential {seq:.3f}s, pipelined {pipe:.3f}s, speedup "
+                f"{seq / pipe:.2f}") in out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--host-batch-seconds", "0.001", "--num-batches", "0"],
      "--num-batches must be >= 1, got 0"),
@@ -305,6 +321,7 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
      ["batch_size 16 differs from its derived value 32"]),
     ({"unroll_fc": [1, 2, 3]}, ["unroll_fc expects two positive integer"]),
     ({"synthetic_test": -5}, ["synthetic_test must be >= 0, got -5"]),
+    ({"seed": -1}, ["seed: seed must be >= 0, got -1"]),
     ({"dims": {"hidden": 0}}, ["dims.hidden: hidden must be positive, got 0"]),
     ({"mode": "fast"}, ["mode: mode must be one of"]),
     ({"adam": {"eta": -1}}, ["adam.eta: eta and eps must be positive"]),
@@ -328,6 +345,7 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
 ], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
         "bool_for_int", "string_for_float", "list_for_object",
         "batch_size_mismatch", "bad_unroll", "negative_fixture_size",
+        "negative_seed",
         "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image",
         "zero_batch_size", "batch_size_alone", "kernel_dims_together",
         "kernel_larger_than_image",
@@ -392,11 +410,13 @@ def test_malformed_json_names_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, config, message", [
     (["--epochs", "-1"], {}, "epochs must be >= 0, got -1"),
+    (["--seed", "-1"], {}, "seed must be >= 0, got -1"),
     (["--batch-size", "0"], {}, "batch must be positive, got 0"),
     (["--clock-ns", "nan"], {}, "clock_ns must be positive and finite, got nan"),
     ([], {"mode": "fast"}, "{path}: mode: mode must be one of "
                            "('sequential', 'pipelined'), got 'fast'"),
-], ids=["negative_epochs", "zero_batch_flag", "nan_clock_flag", "unknown_mode"])
+], ids=["negative_epochs", "negative_seed_flag", "zero_batch_flag",
+        "nan_clock_flag", "unknown_mode"])
 def test_bad_run_values_fail_before_any_work(tmp_path, monkeypatch, capsys,
                                              argv, config, message):
     from convpipe import pipeline

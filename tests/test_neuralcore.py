@@ -257,6 +257,31 @@ def test_address_is_the_first_element(view):
         x.ctypes.data
 
 
+def _misaligned(x):
+    return np.frombuffer(b"\0" + x.tobytes(), x.dtype, x.size,
+                         offset=1).reshape(x.shape)
+
+
+@pytest.mark.parametrize("view, c_contiguous, same", [
+    (lambda x: x, False, True), (lambda x: x, True, True),
+    (lambda x: x[:, ::2], False, True),
+    (np.asfortranarray, True, False), (lambda x: x[:, ::2], True, False),
+    (lambda x: x[::-1], True, False),
+    (lambda x: x.astype(np.float32), True, False),
+    (lambda x: x.astype(np.int64), True, False), (_misaligned, True, False),
+], ids=["C", "C_asked_C", "strided", "F_asked_C", "strided_asked_C",
+        "reversed_asked_C", "float32_asked_C", "int64_asked_C",
+        "misaligned_asked_C"])
+def test_operand_is_an_aligned_float64_array(view, c_contiguous, same):
+    # x itself when it already is what the kernel needs, else a copy that is
+    x = view(np.arange(-7.0, 13.0).reshape(4, 5))
+    got = native.operand(x, c_contiguous)
+    assert (got is x) == same
+    assert got.dtype == np.float64 and got.flags.aligned
+    assert got.flags.c_contiguous or not c_contiguous
+    assert np.array_equal(got, x)
+
+
 def test_a_kernel_call_lets_other_threads_run():
     """Pipelined mode overlaps the producer's host stage with the
     accelerator's products only if a kernel call releases the GIL: a call
