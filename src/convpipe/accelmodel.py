@@ -4,13 +4,13 @@ cycle estimates under a shared multiplier/adder cap.
 
 The reference accelerator is two tables: ARRAYS gives each array's axes and
 storage class, and NESTS gives each loop nest as one row (pass, loops,
-unrolled loops, arrays read and written, ops per body). Nest specs, partitions
-and storage plans are derived from them. Every unroll is clamped to its
-axis's size. Each array dimension is partitioned cyclically by the default
-unroll of its axis over the nests touching the array; an fc_unroll override
-changes fc_forward's unroll but never the partitions. The partitions are a
-read-only (array, dim) -> factor mapping, built once per dims, and a pass's
-storage plan a read-only array -> StorageAssignment mapping, built once per
+unrolled loops, arrays read and written, ops per body). Nest specs,
+partitions and a pass's per-class storage words are derived from them.
+Every unroll is clamped to its axis's size. Each array dimension is
+partitioned cyclically by the default unroll of its axis over the nests
+touching the array; an fc_unroll override changes fc_forward's unroll but
+never the partitions. The partitions are a read-only (array, dim) -> factor
+mapping, built once per dims, and the storage words are built once per
 (dims, mode). estimate_pass itself caches nothing and schedules every nest
 on every call.
 
@@ -154,13 +154,6 @@ class ScheduleReport:
 
     def as_dict(self):
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class StorageAssignment:
-    array_name: str
-    storage_class: str  # "fast-uram" | "block-ram" | "interface-register"
-    words: int          # float64 element count
 
 
 def check_port_conflicts(accesses, partitions) -> ConflictReport:
@@ -392,17 +385,17 @@ def default_partitions(dims=DEFAULT_DIMS):
 
 
 @functools.cache
-def default_storage_plan(dims=DEFAULT_DIMS, mode="training"):
-    """A pass stores every array its nests touch, in the array table's
-    storage class: weights in the fast RAM tier, on-chip intermediates in
-    block RAM, host-transferred blocks in interface registers. The plan is
-    a read-only array name -> StorageAssignment mapping, built once per
-    (dims, mode) and shared by every estimate."""
+def _storage_words(dims, mode):
+    """(storage class, float64 words) of the arrays a pass's nests touch,
+    summed per class in the order the array table first names each class."""
     sizes = _axis_sizes(dims)
     touched = set().union(*map(_touched, _pass_rows(mode)))
-    return MappingProxyType({
-        name: StorageAssignment(name, storage, math.prod(sizes[a] for a in axes))
-        for name, (axes, storage) in ARRAYS.items() if name in touched})
+    totals = {}
+    for name, (axes, storage) in ARRAYS.items():
+        if name in touched:
+            totals[storage] = totals.get(storage, 0) + math.prod(
+                sizes[a] for a in axes)
+    return tuple(totals.items())
 
 
 @dataclass
@@ -446,9 +439,6 @@ def estimate_pass(mode, budget: ResourceBudget, dims=DEFAULT_DIMS,
     transfer = model_transfer(words, budget)
 
     compute = sum(r.cycles for r in reports)
-    totals = {}
-    for a in default_storage_plan(dims, mode).values():
-        totals[a.storage_class] = totals.get(a.storage_class, 0) + a.words
     return PassEstimate(
         mode=mode,
         reports=reports,
@@ -457,5 +447,5 @@ def estimate_pass(mode, budget: ResourceBudget, dims=DEFAULT_DIMS,
         total_cycles=compute + transfer,
         peak_multipliers=max(r.multipliers_used for r in reports),
         peak_adders=max(r.adders_used for r in reports),
-        storage_totals=totals,
+        storage_totals=dict(_storage_words(dims, mode)),
     )

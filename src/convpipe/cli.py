@@ -133,6 +133,16 @@ def load_config(args):
     return _build(RunConfig, values), fc_unroll
 
 
+def _check_outputs(*paths):
+    """Fail before any work on an output path that names a directory or
+    lies in a directory that does not exist; None and "" write nothing."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path is a directory: {path}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"output directory not found: {path}")
+
+
 def _write_report(report_dict, path):
     with open(path, "w") as f:
         json.dump(report_dict, f, indent=2)
@@ -153,6 +163,8 @@ def _write_epochs_csv(epochs, path):
 
 def cmd_train(args):
     cfg, _ = load_config(args)
+    _check_outputs(cfg.report_path, cfg.checkpoint_path,
+                   getattr(args, "epochs_csv", None))
     report = run_training(cfg)
     for entry in report.epochs:
         if "train_loss" in entry:
@@ -183,6 +195,7 @@ def cmd_train(args):
 
 def cmd_test(args):
     cfg, _ = load_config(args)
+    _check_outputs(cfg.report_path)
     state = load_checkpoint(cfg.checkpoint_path, cfg.hyper, cfg.dims)
     _, res = run_epoch(load_split(cfg, "test"), state, SEQUENTIAL, False,
                        cfg.budget, cfg.dims)
@@ -223,6 +236,7 @@ def cmd_estimate(args):
         raise ValueError(f"--host-batch-seconds must be finite and >= 0, "
                          f"got {host}")
     cfg, fc_unroll = load_config(args)
+    _check_outputs(cfg.report_path)
     infer = estimate_pass("inference", cfg.budget, cfg.dims, fc_unroll)
     train = estimate_pass("training", cfg.budget, cfg.dims, fc_unroll)
     _print_estimate(infer, cfg.budget)

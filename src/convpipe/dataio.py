@@ -2,8 +2,10 @@
 
 IDX is the classic big-endian binary format: u32 magic, u32 count,
 (for images) u32 rows, u32 cols, then raw unsigned bytes. Magics are
-0x00000803 for image files and 0x00000801 for label files. Files may be
-plain or gzip-compressed; compression is detected from the 1f 8b prefix.
+0x00000803 for image files and 0x00000801 for label files. One reader and
+one writer cover both kinds; the public loaders and writers only convert
+the uint8 payload. Files may be plain or gzip-compressed; compression is
+detected from the 1f 8b prefix.
 The payload must end the file where the header's count says: a byte
 after it fails with its path and offset like a malformed header. A gzip
 stream is read to its end, where gzip checks its CRC and length, so a
@@ -11,6 +13,7 @@ corrupt or truncated .gz fails the same way.
 """
 
 import gzip
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,12 +136,37 @@ def _read_to_end(f, path, what):
                              f"count ends the file", path, offset)
 
 
-def _open_idx(path):
+def _read_idx(path, kind, magic, dims, payload):
+    """The uint8 payload of an IDX file of kind "image" or "label", shaped
+    as its header says. dims holds a (name, expected size or None) pair per
+    dimension after the count; payload names the data in errors."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
     with open(path, "rb") as probe:
-        head = probe.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        packed = probe.read(2) == b"\x1f\x8b"
+    with (gzip.open if packed else open)(path, "rb") as f:
+        got = int.from_bytes(_read_exact(f, 4, path, "magic"), "big")
+        if got != magic:
+            raise IdxFormatError(f"bad {kind} magic 0x{got:08x}, expected "
+                                 f"0x{magic:08x}", path, 0)
+        shape = [int.from_bytes(_read_exact(f, 4, path, what), "big")
+                 for what in ("count", *(f"{name}s" for name, _ in dims))]
+        for i, ((name, expected), size) in enumerate(zip(dims, shape[1:])):
+            if expected is not None and size != expected:
+                raise IdxFormatError(f"{name} count {size} != expected "
+                                     f"{expected}", path, 8 + 4 * i)
+        data = _read_exact(f, math.prod(shape), path, payload)
+        _read_to_end(f, path, payload)
+    return np.frombuffer(data, dtype=np.uint8).reshape(shape)
+
+
+def _write_idx(path, magic, data):
+    """Write magic, each size of uint8 array data's shape, then its bytes."""
+    with open(path, "wb") as f:
+        for field in (magic, *data.shape):
+            f.write(field.to_bytes(4, "big"))
+        f.write(data.tobytes())
 
 
 def load_idx_images(path, expected_rows=DEFAULT_DIMS.image_x,
@@ -147,49 +175,19 @@ def load_idx_images(path, expected_rows=DEFAULT_DIMS.image_x,
 
     Pass expected_rows/expected_cols=None to accept any geometry.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"image file not found: {path}")
-    with _open_idx(path) as f:
-        magic = int.from_bytes(_read_exact(f, 4, path, "magic"), "big")
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}",
-                path, 0)
-        count = int.from_bytes(_read_exact(f, 4, path, "count"), "big")
-        rows = int.from_bytes(_read_exact(f, 4, path, "rows"), "big")
-        cols = int.from_bytes(_read_exact(f, 4, path, "cols"), "big")
-        if expected_rows is not None and rows != expected_rows:
-            raise IdxFormatError(f"row count {rows} != expected {expected_rows}",
-                                 path, 8)
-        if expected_cols is not None and cols != expected_cols:
-            raise IdxFormatError(f"col count {cols} != expected {expected_cols}",
-                                 path, 12)
-        data = _read_exact(f, count * rows * cols, path, "pixel data")
-        _read_to_end(f, path, "pixel data")
-    pixels = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
-    return ImageSet(pixels.reshape(count, rows, cols))
+    data = _read_idx(path, "image", IMAGE_MAGIC, (("row", expected_rows),
+                     ("col", expected_cols)), "pixel data")
+    return ImageSet(data.astype(np.float64) / 255.0)
 
 
 def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
     """Load an IDX label file into a LabelSet, checking the class range."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"label file not found: {path}")
-    with _open_idx(path) as f:
-        magic = int.from_bytes(_read_exact(f, 4, path, "magic"), "big")
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"bad label magic 0x{magic:08x}, expected 0x{LABEL_MAGIC:08x}",
-                path, 0)
-        count = int.from_bytes(_read_exact(f, 4, path, "count"), "big")
-        data = _read_exact(f, count, path, "label data")
-        _read_to_end(f, path, "label data")
-    labels = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    labels = _read_idx(path, "label", LABEL_MAGIC, (), "label data").astype(
+        np.int64)
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))
-        raise IdxFormatError(
-            f"corrupt label {labels[bad]} >= {num_classes}", path, 8 + bad)
+        raise IdxFormatError(f"corrupt label {labels[bad]} >= {num_classes}",
+                             Path(path), 8 + bad)
     return LabelSet(labels, num_classes)
 
 
@@ -199,20 +197,12 @@ def write_idx_images(images: ImageSet, path):
     Pixels are quantized with round(p * 255); sets loaded from IDX files
     round-trip exactly.
     """
-    data = np.rint(images.pixels * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(IMAGE_MAGIC.to_bytes(4, "big"))
-        f.write(images.count.to_bytes(4, "big"))
-        f.write(images.rows.to_bytes(4, "big"))
-        f.write(images.cols.to_bytes(4, "big"))
-        f.write(data.tobytes())
+    _write_idx(path, IMAGE_MAGIC,
+               np.rint(images.pixels * 255.0).astype(np.uint8))
 
 
 def write_idx_labels(labels: LabelSet, path):
-    with open(path, "wb") as f:
-        f.write(LABEL_MAGIC.to_bytes(4, "big"))
-        f.write(labels.count.to_bytes(4, "big"))
-        f.write(labels.labels.astype(np.uint8).tobytes())
+    _write_idx(path, LABEL_MAGIC, labels.labels.astype(np.uint8))
 
 
 def make_batches(images: ImageSet, labels: LabelSet,

@@ -7,9 +7,8 @@ import pytest
 
 from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, ResourceBudget,
                                  check_port_conflicts, default_partitions,
-                                 default_storage_plan, estimate_pass,
-                                 f64_words, model_transfer, pass_nests,
-                                 schedule)
+                                 estimate_pass, f64_words, model_transfer,
+                                 pass_nests, schedule)
 from convpipe.dims import DEFAULT_DIMS, ModelDims
 
 from oracles import (_bank_demand_per_launch, count_transfer_cycles,
@@ -317,22 +316,29 @@ def test_default_nests_have_no_bank_conflicts():
         assert report.conflicts == [], nest.name
 
 
-def test_storage_plan_covers_live_arrays():
-    plan = default_storage_plan(DEFAULT_DIMS, "training")
-    for nest in DEFAULT_NESTS.values():
-        for acc in nest.accesses:
-            assert acc.array_name in plan, acc.array_name
-    assert plan["W1"].storage_class == "fast-uram"
-    assert plan["v"].storage_class == "interface-register"
-    assert plan["h1"].storage_class == "block-ram"
-    # estimates share one read-only plan, so none can change the next
-    with pytest.raises(TypeError):
-        plan["W1"] = plan["h1"]
-    est = estimate_pass("training", BUDGET)
-    assert est.storage_totals["fast-uram"] == 169 * 128 + 128 * 10
+@pytest.mark.parametrize("mode", ["inference", "training"])
+@pytest.mark.parametrize("dims", [DEFAULT_DIMS,
+                                  ModelDims(batch=8, hidden=16, classes=4)],
+                         ids=["default", "reduced"])
+def test_storage_totals_count_every_accessed_array(mode, dims):
+    est = estimate_pass(mode, BUDGET, dims)
+    words = {acc.array_name: math.prod(acc.dim_sizes)
+             for nest in pass_nests(mode, dims) for acc in nest.accesses}
+    assert sum(est.storage_totals.values()) == sum(words.values())
+    # weights in the fast tier, host-transferred blocks in interface
+    # registers, every other array in block RAM; in report order
+    assert list(est.storage_totals) == ["fast-uram", "block-ram",
+                                        "interface-register"]
+    assert est.storage_totals["fast-uram"] == words["W1"] + words["W2"]
+    assert est.storage_totals["interface-register"] == \
+        words["v"] + words["outActual"]
+    if dims == DEFAULT_DIMS:
+        assert est.storage_totals["fast-uram"] == 169 * 128 + 128 * 10
     assert dataclasses.asdict(est)["storage_totals"] == est.storage_totals
-    assert estimate_pass("training", BUDGET).storage_totals == \
-        est.storage_totals
+    # each estimate gets its own dict, so none can change the next
+    want = dict(est.storage_totals)
+    est.storage_totals["fast-uram"] = 0
+    assert estimate_pass(mode, BUDGET, dims).storage_totals == want
 
 
 def test_estimate_rejects_unknown_mode():

@@ -523,3 +523,39 @@ def test_report_config_round_trips_through_config(tmp_path, monkeypatch):
     assert main(["train", "--config", str(cfg_path)]) == 0  # report_path too
     assert json.dumps(json.loads(report.read_text())["config"],
                       indent=2) == config
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["train", "--synthetic", "--epochs", "2", "--report"], "missing/r.json"),
+    (["train", "--synthetic", "--epochs", "2", "--checkpoint"],
+     "missing/m.ckpt"),
+    (["train", "--synthetic", "--epochs", "2", "--epochs-csv"],
+     "missing/e.csv"),
+    (["train", "--synthetic", "--epochs", "2", "--report"], "."),
+    (["estimate", "--report"], "missing/e.json"),
+    (["test", "--synthetic", "--checkpoint", "fresh.ckpt", "--report"],
+     "missing/t.json"),
+    (["train", "--synthetic", "--epochs", "2", "--config"], "missing/c.json"),
+], ids=["train_report", "train_checkpoint", "train_epochs_csv",
+        "train_report_is_a_directory", "estimate_report", "test_report",
+        "config_report"])
+def test_output_paths_fail_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                           output):
+    from convpipe import pipeline
+
+    def no_dataset(*args):
+        raise AssertionError("a dataset was built")
+    monkeypatch.setattr(pipeline, "synthetic_dataset", no_dataset)
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint("fresh.ckpt", ModelState.initial(0))
+    path = tmp_path / output
+    if argv[-1] == "--config":  # the file's report_path is the output
+        config = {"report_path": str(path)}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([*argv, "cfg.json"]) == 2
+    else:
+        assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err
+    assert captured.out == ""
+    assert {p.name for p in tmp_path.iterdir()} <= {"fresh.ckpt", "cfg.json"}

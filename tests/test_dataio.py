@@ -55,7 +55,7 @@ def test_bad_image_magic_reports_offset(tmp_path):
     with pytest.raises(IdxFormatError) as err:
         load_idx_images(path)
     assert err.value.offset == 0
-    assert "magic" in str(err.value)
+    assert "bad image magic 0x00000801, expected 0x00000803" in str(err.value)
 
 
 def test_truncated_image_file(tmp_path):
@@ -63,6 +63,14 @@ def test_truncated_image_file(tmp_path):
     with pytest.raises(IdxFormatError) as err:
         load_idx_images(path)
     assert "truncated" in str(err.value)
+
+
+def test_truncated_label_file(tmp_path):
+    path = _label_file(tmp_path, bytes([1, 2]), 5)
+    with pytest.raises(IdxFormatError) as err:
+        load_idx_labels(path)
+    assert str(err.value) == (f"{path}: truncated file while reading label "
+                              f"data: wanted 5 bytes, got 2 (at byte offset 8)")
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
@@ -76,6 +84,15 @@ def test_huge_declared_count_fails_at_the_data_offset(tmp_path, compressed):
     assert err.value.offset == 16
     assert str(err.value).startswith(f"{path}: truncated file")
     assert "got 100" in str(err.value)
+    # the label payload starts right after the count
+    path = _label_file(tmp_path, bytes(100), 0xFFFFFFFF)
+    if compressed:
+        path.write_bytes(gzip.compress(path.read_bytes()))
+    with pytest.raises(IdxFormatError) as err:
+        load_idx_labels(path)
+    assert err.value.offset == 8
+    assert str(err.value).startswith(f"{path}: truncated file while reading "
+                                     f"label data: wanted 4294967295 bytes")
 
 
 def test_dimension_mismatch_rejected(tmp_path):
@@ -86,6 +103,13 @@ def test_dimension_mismatch_rejected(tmp_path):
     # but loads fine when the caller opts out of the geometry check
     images = load_idx_images(path, expected_rows=None, expected_cols=None)
     assert images.rows == 16
+    # rows that match leave the cols to fail at their own offset
+    path = _image_file(tmp_path, bytes(28 * 16), 1, rows=28, cols=16)
+    with pytest.raises(IdxFormatError) as err:
+        load_idx_images(path)
+    assert err.value.offset == 12
+    assert "col count 16 != expected 28" in str(err.value)
+    assert load_idx_images(path, expected_cols=None).cols == 16
 
 
 def test_single_label_byte(tmp_path):
@@ -103,8 +127,10 @@ def test_label_out_of_range_is_corrupt(tmp_path):
 
 def test_bad_label_magic(tmp_path):
     path = _label_file(tmp_path, bytes([1]), 1, magic=0x00000803)
-    with pytest.raises(IdxFormatError):
+    with pytest.raises(IdxFormatError) as err:
         load_idx_labels(path)
+    assert err.value.offset == 0
+    assert "bad label magic 0x00000803, expected 0x00000801" in str(err.value)
 
 
 def test_count_mismatch_rejected_at_pairing():
@@ -182,6 +208,13 @@ def test_idx_round_trip_exact(tmp_path):
     back_lab = load_idx_labels(lab_path)
     assert np.array_equal(back_img.pixels, images.pixels)
     assert np.array_equal(back_lab.labels, labels.labels)
+    # rows != cols, so a swap of the two in the header would show
+    pixels = np.random.default_rng(12).integers(0, 256, (5, 7, 11)) / 255.0
+    write_idx_images(ImageSet(pixels), img_path)
+    assert img_path.read_bytes()[:16] == bytes.fromhex(
+        "00000803 00000005 00000007 0000000b")
+    back = load_idx_images(img_path, expected_rows=7, expected_cols=11)
+    assert np.array_equal(back.pixels, pixels)
 
 
 def test_gzip_transparency(tmp_path):
