@@ -11,7 +11,7 @@ Layout (all integers little-endian):
     per array     u32 name length, ascii name, u32 rows, u32 cols, float64 data
 
 The named section carries mW1, vW1, mW2, vW2 so training can resume
-exactly. Round-trips are bit-exact.
+exactly, and its last array ends the file. Round-trips are bit-exact.
 """
 
 import os
@@ -116,6 +116,11 @@ def load_checkpoint(path, hyper=None, dims=None) -> ModelState:
                 raise CheckpointError(path, offset,
                                       f"array name {raw!r} is not ASCII") from None
             named[name] = _read_array(f, path, name, layer_shape.get(name))
+        offset, size = f.tell(), os.fstat(f.fileno()).st_size
+        if size > offset:
+            raise CheckpointError(path, offset, f"{size - offset} bytes after "
+                                  "the last array, where the array count "
+                                  "ends the file")
         missing = layer_shape.keys() - named.keys()
         if missing:
             raise CheckpointError(path, f.tell(),

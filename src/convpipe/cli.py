@@ -150,13 +150,10 @@ def _write_report(report_dict, path):
 
 
 def _write_epochs_csv(epochs, path):
-    keys = []
-    for entry in epochs:
-        for k in entry:
-            if k not in keys:
-                keys.append(k)
+    """The epochs table under the first entry's keys, which every entry of
+    one report shares."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=keys)
+        writer = csv.DictWriter(f, fieldnames=list(epochs[0]))
         writer.writeheader()
         writer.writerows(epochs)
 
@@ -261,7 +258,10 @@ def cmd_estimate(args):
                   f"{summary['sequential_over_pipelined']:.2f} "
                   f"(bottleneck: {summary['bottleneck']})")
     if cfg.report_path:
-        _write_report({"config": cfg.as_dict(),
+        config = cfg.as_dict()
+        if fc_unroll:  # so the config section reruns this estimate
+            config["unroll_fc"] = list(fc_unroll)
+        _write_report({"config": config,
                        "inference": infer.as_dict(),
                        "training": train.as_dict()}, cfg.report_path)
     return 0

@@ -29,15 +29,6 @@ PIPELINED = "pipelined"
 MODES = (SEQUENTIAL, PIPELINED)
 
 
-@dataclass
-class StageLatency:
-    """A batch's measured host-stage seconds; every batch of an epoch has
-    the same modeled accelerator cost, EpochResult.estimate."""
-
-    index: int
-    host_seconds: float
-
-
 def sequential_seconds(host_times, accel_times):
     """Total when each stage waits for the other: plain sum."""
     return sum(host_times) + sum(accel_times)
@@ -77,9 +68,7 @@ class EpochResult:
     sequential_seconds: float      # analytic: host + accel
     pipelined_seconds: float       # analytic: two-stage overlap
     wall_seconds: float            # actually elapsed
-    mode: str
     estimate: PassEstimate         # the modeled pass of each batch
-    stage_latencies: list = field(default_factory=list)
 
 
 def _host_stream(batches):
@@ -146,7 +135,7 @@ def run_epoch(batches, state: ModelState, mode, is_training,
 
     losses = []
     accs = []
-    latencies = []
+    host_times = []  # measured host seconds of each batch
     wall_start = time.perf_counter()
     stream = _host_stream(batches)
     if mode == PIPELINED:
@@ -156,26 +145,23 @@ def run_epoch(batches, state: ModelState, mode, is_training,
             trace, state = accel_kernel(conv, state, is_training)
             losses.append(trace.loss)
             accs.append(accuracy(trace.h2, conv.out_actual))
-            latencies.append(StageLatency(conv.index, host_dt))
+            host_times.append(host_dt)
 
     wall = time.perf_counter() - wall_start
-    host_times = [l.host_seconds for l in latencies]
-    accel_times = [accel_secs] * len(latencies)
-    result = EpochResult(
-        n_batches=len(latencies),
+    n = len(host_times)
+    accel_times = [accel_secs] * n
+    return state, EpochResult(
+        n_batches=n,
         mean_loss=sum(losses) / len(losses),
         accuracy=sum(accs) / len(accs),
         host_seconds=sum(host_times),
-        accel_cycles=estimate.total_cycles * len(latencies),
-        accel_seconds=accel_secs * len(latencies),
+        accel_cycles=estimate.total_cycles * n,
+        accel_seconds=accel_secs * n,
         sequential_seconds=sequential_seconds(host_times, accel_times),
         pipelined_seconds=two_stage_pipeline_seconds(host_times, accel_times),
         wall_seconds=wall,
-        mode=mode,
         estimate=estimate,
-        stage_latencies=latencies,
     )
-    return state, result
 
 
 @dataclass

@@ -147,6 +147,15 @@ def test_missing_optimizer_array_names_path(tmp_path):
     assert "missing optimizer arrays ['mW1']" in str(err)
 
 
+def test_bytes_after_the_last_array_name_path_and_offset(tmp_path):
+    path, data = _saved(tmp_path)
+    path.write_bytes(data + b"\x00")
+    err = _load_error(path)
+    assert err.offset == len(data)
+    assert ("1 bytes after the last array, where the array count ends the "
+            "file") in str(err)
+
+
 def test_weight_shapes_checked_against_dims(tmp_path):
     path, _ = _saved(tmp_path)
     wider = ModelDims(batch=4, image_x=8, image_y=8, hidden=6, classes=10)

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import math
@@ -58,14 +59,20 @@ def test_train_multi_epoch_report(data_dir, tmp_path):
     assert [e["epoch"] for e in report["epochs"]] == [1, 2, 3]
 
 
-def test_train_epochs_csv(data_dir, tmp_path):
-    csv_path = tmp_path / "epochs.csv"
-    rc = main(["train", "--data-dir", str(data_dir), "--epochs", "2",
-               "--epochs-csv", str(csv_path)])
+@pytest.mark.parametrize("epochs", ["2", "0"],
+                         ids=["two_epochs", "zero_epochs"])
+def test_train_epochs_csv(data_dir, tmp_path, epochs):
+    csv_path, report_path = tmp_path / "epochs.csv", tmp_path / "out.json"
+    rc = main(["train", "--data-dir", str(data_dir), "--epochs", epochs,
+               "--epochs-csv", str(csv_path), "--report", str(report_path)])
     assert rc == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert len(lines) == 3  # header + 2 epochs
-    assert lines[0].startswith("epoch,")
+    entries = json.loads(report_path.read_text())["epochs"]
+    with open(csv_path, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert len(rows) == len(entries) == max(int(epochs), 1)
+    assert header == list(entries[0])
+    # json round-trips floats by repr, which is also their str()
+    assert rows == [[str(v) for v in entry.values()] for entry in entries]
 
 
 def test_env_var_fallback(data_dir, tmp_path, monkeypatch):
@@ -175,6 +182,18 @@ def test_estimate_unroll_override_costs_more(tmp_path):
     base = json.loads(base_path.read_text())
     slow = json.loads(slow_path.read_text())
     assert slow["inference"]["total_cycles"] > base["inference"]["total_cycles"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--unroll-fc", "1,1"]],
+                         ids=["default", "unroll_fc"])
+def test_estimate_report_config_reruns_the_estimate(tmp_path, argv):
+    report_path, cfg_path = tmp_path / "est.json", tmp_path / "cfg.json"
+    assert main(["estimate", *argv, "--report", str(report_path)]) == 0
+    first = report_path.read_text()
+    cfg_path.write_text(json.dumps(json.loads(first)["config"]))
+    report_path.unlink()  # the config's report_path names it again
+    assert main(["estimate", "--config", str(cfg_path)]) == 0
+    assert report_path.read_text() == first
 
 
 def test_estimate_unroll_beyond_the_axis_runs(tmp_path):
