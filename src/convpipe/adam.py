@@ -11,9 +11,11 @@ time. It is the reference for the compiled kernel and its fallback.
 apply_batch_update, the training step's entry point, updates both layers
 in one call into the native extension module: adam_update_pair, one pass
 over the output layer's elements and then the hidden layer's that does
-numpy's operations in numpy's order for each of them, in place. When
-native.kernels() is unavailable, or an array is not one the kernel can
-update in place, it runs adam_update on the output layer and then on the
+numpy's operations in numpy's order for each of them, in place. The
+call takes the eight arrays themselves and checks all their buffers
+before it writes any. When native.kernels() is unavailable, or the call
+rejects a buffer (BufferError: not float64, not aligned, not C-contiguous
+or read-only), it runs adam_update on the output layer and then on the
 hidden layer instead, with the same bytes.
 """
 
@@ -79,13 +81,6 @@ def _check_shapes(w, m, v, g):
                          f"v{v.shape} g{g.shape}")
 
 
-def _kernel_can_write(w, m, v, g):
-    """True when the compiled kernel can run the update: every array is
-    float64, and w, m and v are aligned, writable and C-contiguous."""
-    return g.dtype == np.float64 and all(
-        a.dtype == np.float64 and a.flags.carray for a in (w, m, v))
-
-
 def adam_update(w, m, v, g, corr: CorrectionFactors, hyper: AdamHyper):
     """One elementwise moment + weight update, in place, as numpy array
     expressions: the compiled kernel's reference and fallback.
@@ -111,8 +106,8 @@ def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
     Every shape is checked before the counter moves, so a mis-shaped
     gradient raises ValueError with the state and weights untouched.
 
-    One compiled call updates both layers when the kernel can write every
-    array in place; otherwise each layer goes through adam_update.
+    One compiled call updates both layers when it takes every array's
+    buffer; otherwise each layer goes through adam_update.
     Returns the number of non-finite weights the two updates wrote.
     """
     layers = ((weights.w2, state.m_w2, state.v_w2, grads.g_w2),
@@ -122,12 +117,18 @@ def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
     state.step += 1
     corr = correction_factors(hyper, state.step)
     lib = native.kernels()
-    if lib is None or not all(_kernel_can_write(*layer) for layer in layers):
-        return sum(adam_update(*layer, corr, hyper) for layer in layers)
-    args = []
-    for w, m, v, g in layers:
-        # a gradient copied here lives as long as its pointer, which holds it
-        g = native.operand(g, c_contiguous=True)
-        args += [w.size, *map(native.pointer, (w, m, v, g))]
-    return lib.adam_update_pair(*args, hyper.beta1, hyper.beta2, hyper.eta,
-                                corr.c1, corr.c2, hyper.eps)
+    if lib is not None:
+        args = []
+        for w, m, v, g in layers:
+            # a float64 gradient in another layout is copied for the
+            # kernel; another dtype stays, so numpy updates in its precision
+            if g.dtype == np.float64:
+                g = native.operand(g, c_contiguous=True)
+            args += (w, m, v, g)
+        try:
+            return lib.adam_update_pair(*args, hyper.beta1, hyper.beta2,
+                                        hyper.eta, corr.c1, corr.c2,
+                                        hyper.eps)
+        except BufferError:  # an array it cannot take; nothing was written
+            pass
+    return sum(adam_update(*layer, corr, hyper) for layer in layers)

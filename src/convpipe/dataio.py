@@ -44,10 +44,12 @@ class ImageSet:
     def __post_init__(self):
         if self.pixels.ndim != 3:
             raise ValueError(f"pixels must be 3-d, got shape {self.pixels.shape}")
-        # NaN compares false with everything, so the range check cannot see it
-        if not np.isfinite(self.pixels).all():
-            raise ValueError("pixel values must be finite (NaN or inf found)")
-        if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
+        # min and max propagate NaN, which fails both comparisons, as do
+        # -inf and +inf; only a failing set takes the isfinite pass
+        pixels = self.pixels
+        if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
+            if not np.isfinite(pixels).all():
+                raise ValueError("pixel values must be finite (NaN or inf found)")
             raise ValueError("pixel values out of [0, 1]")
 
     @property
@@ -177,7 +179,9 @@ def load_idx_images(path, expected_rows=DEFAULT_DIMS.image_x,
     """
     data = _read_idx(path, "image", IMAGE_MAGIC, (("row", expected_rows),
                      ("col", expected_cols)), "pixel data")
-    return ImageSet(data.astype(np.float64) / 255.0)
+    pixels = data.astype(np.float64)
+    pixels /= 255.0
+    return ImageSet(pixels)
 
 
 def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
@@ -237,6 +241,7 @@ def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    pixels = rng.integers(0, 256, size=(n, rows, cols)).astype(np.float64) / 255.0
+    pixels = rng.integers(0, 256, size=(n, rows, cols)).astype(np.float64)
+    pixels /= 255.0
     labels = rng.integers(0, num_classes, size=n).astype(np.int64)
     return ImageSet(pixels), LabelSet(labels, num_classes)

@@ -6,11 +6,12 @@ overlap this stage with the accelerator stage.
 
 host_stage runs all three steps as one compiled C pass from the native
 extension module, writing each pooled value straight into its flattened
-row. The call releases the GIL while it runs, so in pipelined mode the
-producer's host stage and the accelerator thread's matmuls run at the
-same time. conv2d_valid and maxpool2x2 are the numpy
-reference the tests compare it against, byte for byte, and the fallback
-host_stage runs when native.kernels() is unavailable.
+row; the call takes the arrays themselves, and its scratch rows are
+allocated in C. It releases the GIL while it runs, so in pipelined mode
+the producer's host stage and the accelerator thread's matmuls run at the
+same time. conv2d_valid and maxpool2x2 are the numpy reference the tests
+compare it against, byte for byte, and the fallback host_stage runs when
+native.kernels() is unavailable.
 """
 
 from dataclasses import dataclass
@@ -95,7 +96,5 @@ def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
         v = maxpool2x2(conv2d_valid(images, kernel)).reshape(n, oh * ow // 4)
     else:
         v = np.empty((n, oh * ow // 4), dtype=np.float64)
-        rows = np.empty(2 * ow, dtype=np.float64)  # two correlation rows
-        lib.host_stage(n, h, w, native.pointer(images), native.pointer(kernel),
-                       kh, kw, native.pointer(rows), native.pointer(v))
+        lib.host_stage(images, kernel, v)
     return ConvBatch(v, batch.out_actual, batch.index)

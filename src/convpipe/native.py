@@ -1,4 +1,4 @@
-"""The compiled kernels: one C source, built on first use as a cffi extension.
+"""The compiled kernels: one C source, built on first use as an extension.
 
 _SOURCE holds the three hot loops of a training step, each bit-identical to
 the numpy code that is its reference and fallback:
@@ -64,31 +64,52 @@ AVX-512F clones. Every helper of a kernel is inlined into it
 (always_inline): a helper left out of line would be built for the
 baseline alone.
 
-The kernels are called through a cffi extension module in API mode: cffi
-writes the C wrappers that convert each argument, from _CDEF, the kernels'
-declarations, and the wrappers and _SOURCE are compiled together. On a
-2-core AVX-512F Xeon, a bare call with three pointers takes ~2 us, and a
-whole 1x1x1 matmul_kseq ~3.5 us. pointer() passes an array as a double *;
-a pointer made from a buffer keeps its array alive. cffi releases the GIL
-for the duration of each call, so the pipelined producer and the
-accelerator thread run at the same time. cffi itself is imported only to build: a built module
-needs only its _cffi_backend.
+The kernels are called through a CPython extension module written by hand
+at the end of _SOURCE, with no third-party dependency: one METH_FASTCALL
+entry point per kernel takes the ndarrays themselves and gets their memory
+through the buffer protocol.
+
+- matmul_kseq(a, b, relu, mask, out): a (m, k) in any strides, b (k, n),
+  mask None or (m, n), out (m, n).
+- host_stage(x, k, out): x (n, h, w), k (kh, kw), out (n, pool_map); the
+  scratch rows of its plain loop are allocated in C.
+- adam_update_pair(w2, m2, v2, g2, w1, m1, v1, g1, b1, b2, eta, c1, c2,
+  eps): returns the non-finite count.
+
+Every buffer must be float64 in native byte order ('d') and 8-byte
+aligned: its address and the strides of its axes longer than 1, as numpy's
+aligned flag has it. Every buffer but matmul_kseq's a must be C-contiguous,
+and out and the Adam w, m and v must be writable. A buffer that breaks a
+rule raises BufferError naming it, and a shape or size that does not fit
+raises ValueError; each entry point checks all its buffers and shapes
+before it writes anything, releases the GIL only around the kernel, so the
+pipelined producer and the accelerator thread run at the same time, and
+releases every buffer on every path. operand() gives the Python wrappers
+arrays that pass.
+
+On a 2-core AVX-512F Xeon (min of 4 processes, 7 x 2000 calls each), a
+bare 1x1x1 matmul_kseq call takes 0.56 us against 2.7 us through the
+earlier cffi wrappers with three ffi.from_buffer pointers; through
+neuralcore.matmul_kseq a 1x1x1 product takes 1.8 us (3.4 us), a 32x128x10
+one 7.1 us (9.0 us), and adam.apply_batch_update on the default dims
+54 us (62 us).
 
 The module is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
-(~/.cache when XDG_CACHE_HOME is unset), keyed by the source, the
-declarations, the flags, the interpreter's extension suffix (its ABI tag)
-and the _cffi_backend version, and written through a temporary file and
-os.replace so concurrent first builds are safe. It is imported under the
-name _convpipe_native, which its init symbol follows, whatever its file is
-called; Python keys a loaded extension by its path too, so builds at other
-paths load beside it as separate modules. A build then removes the cache's
-other native-*.so files (and kseq-*.so, the old name) not loaded for 30
-days, as kernels() touches the module it loads: checkouts of other sources
-keep theirs, and a process that has one loaded keeps using it.
+(~/.cache when XDG_CACHE_HOME is unset), keyed by the source, the flags
+and the interpreter's extension suffix (its ABI tag), and written through
+a temporary file and os.replace so concurrent first builds are safe. It is
+compiled with -I the interpreter's include directory, for Python.h, and
+imported under the name _convpipe_native, which its init symbol follows,
+whatever its file is called; Python keys a loaded extension by its path
+too, so builds at other paths load beside it as separate modules. A build
+then removes the cache's other native-*.so files (and kseq-*.so, the old
+name) not loaded for 30 days, as kernels() touches the module it loads:
+checkouts of other sources keep theirs, and a process that has one loaded
+keeps using it.
 
-When cffi, the Python headers or a compiler are missing, the build fails or
-the cache directory cannot be written, kernels() emits one RuntimeWarning
-and returns None, and every caller runs its numpy code instead. Both paths
+When Python.h or a compiler is missing, the build fails or the cache
+directory cannot be written, kernels() emits one RuntimeWarning and
+returns None, and every caller runs its numpy code instead. Both paths
 give the same bytes.
 """
 
@@ -100,6 +121,7 @@ import importlib.util
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
@@ -109,6 +131,8 @@ import numpy as np
 # Every accumulator starts at +0.0 like the numpy loops: starting from the
 # first product instead would turn an all -0.0 sum into -0.0.
 _SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
@@ -431,34 +455,239 @@ ptrdiff_t adam_update_pair(ptrdiff_t n2, double *restrict w2,
            + adam_layer(n1, w1, m1, v1, g1, b1, b1c, b2, b2c, eta, c1, c2,
                         eps);
 }
+
+/* ---- The entry points: each takes the ndarrays themselves ---- */
+
+/* What an operand's buffer must be beyond float64 in native byte order
+   and 8-byte aligned: rules are a set of these. */
+#define C_ORDER 1  /* C-contiguous */
+#define WRITABLE 2
+
+/* numpy's aligned flag: the address and the strides of the axes longer
+   than 1 are multiples of 8, or the buffer is empty */
+static int aligned(const Py_buffer *view)
+{
+    if (view->len == 0)
+        return 1;
+    uintptr_t bits = (uintptr_t)view->buf;
+    for (int i = 0; i < view->ndim; i++)
+        if (view->shape[i] > 1)
+            bits |= (uintptr_t)view->strides[i];
+    return bits % sizeof(double) == 0;
+}
+
+/* obj's buffer in view, after the checks every operand passes. On
+   failure sets BufferError (or the exporter's error), holds no buffer
+   and returns -1. */
+static int get_doubles(PyObject *obj, Py_buffer *view, int rules,
+                       const char *name)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+        return -1;
+    const char *format = view->format ? view->format : "B";
+    if (*format == '@' || *format == '=')
+        format++;
+    const char *why = NULL;
+    if (strcmp(format, "d") != 0 || view->itemsize != sizeof(double))
+        why = "is not float64 in native byte order";
+    else if (!aligned(view))
+        why = "is not 8-byte aligned";
+    else if ((rules & C_ORDER) && !PyBuffer_IsContiguous(view, 'C'))
+        why = "is not C-contiguous";
+    else if ((rules & WRITABLE) && view->readonly)
+        why = "is read-only";
+    if (why == NULL)
+        return 0;
+    PyBuffer_Release(view);
+    PyErr_Format(PyExc_BufferError, "%s %s", name, why);
+    return -1;
+}
+
+static void release(Py_buffer *views, int n)
+{
+    while (n-- > 0)
+        PyBuffer_Release(&views[n]);
+}
+
+/* The buffers of objs[0, n) into views, or none of them and -1 */
+static int get_all(PyObject *const *objs, Py_buffer *views, const int *rules,
+                   const char *const *names, int n)
+{
+    for (int i = 0; i < n; i++)
+        if (get_doubles(objs[i], &views[i], rules[i], names[i]) < 0) {
+            release(views, i);
+            return -1;
+        }
+    return 0;
+}
+
+static int is_matrix(const Py_buffer *view, Py_ssize_t rows, Py_ssize_t cols)
+{
+    return view->ndim == 2 && view->shape[0] == rows
+           && view->shape[1] == cols;
+}
+
+static int takes(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                 name, want, nargs);
+    return 0;
+}
+
+/* matmul_kseq(a, b, relu, mask, out): out = a @ b with the epilogue; a
+   (m, k) in any strides, b (k, n), mask None or (m, n), out (m, n) */
+static PyObject *py_matmul_kseq(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    (void)self;
+    if (!takes("matmul_kseq", nargs, 5))
+        return NULL;
+    const int relu = PyObject_IsTrue(args[2]);
+    if (relu < 0)
+        return NULL;
+    const int count = args[3] == Py_None ? 3 : 4;
+    PyObject *const objs[4] = {args[0], args[1], args[4], args[3]};
+    static const int rules[4] = {0, C_ORDER, C_ORDER | WRITABLE, C_ORDER};
+    static const char *const names[4] = {"a", "b", "out", "mask"};
+    Py_buffer v[4];
+    if (get_all(objs, v, rules, names, count) < 0)
+        return NULL;
+    const Py_buffer *a = &v[0], *b = &v[1], *out = &v[2], *mask = &v[3];
+    if (a->ndim != 2 || b->ndim != 2 || a->shape[1] != b->shape[0]) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a and b are not (m, k) and (k, n) matrices");
+    } else if (!is_matrix(out, a->shape[0], b->shape[1])) {
+        PyErr_SetString(PyExc_ValueError, "out is not (m, n)");
+    } else if (count == 4 && !is_matrix(mask, a->shape[0], b->shape[1])) {
+        PyErr_SetString(PyExc_ValueError, "mask is not (m, n)");
+    } else {
+        const ptrdiff_t a_row = a->strides[0] / (ptrdiff_t)sizeof(double);
+        const ptrdiff_t a_col = a->strides[1] / (ptrdiff_t)sizeof(double);
+        Py_BEGIN_ALLOW_THREADS
+        matmul_kseq(a->shape[0], a->shape[1], b->shape[1], a->buf, a_row,
+                    a_col, b->buf, relu, count == 4 ? mask->buf : NULL,
+                    out->buf);
+        Py_END_ALLOW_THREADS
+    }
+    release(v, count);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* host_stage(x, k, out): x (n, h, w), k (kh, kw), out (n, oh/2 * ow/2)
+   for the (oh, ow) = (h-kh+1, w-kw+1) correlation, whose dims are even */
+static PyObject *py_host_stage(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    (void)self;
+    if (!takes("host_stage", nargs, 3))
+        return NULL;
+    static const int rules[3] = {C_ORDER, C_ORDER, C_ORDER | WRITABLE};
+    static const char *const names[3] = {"x", "k", "out"};
+    Py_buffer v[3];
+    if (get_all(args, v, rules, names, 3) < 0)
+        return NULL;
+    const Py_buffer *x = &v[0], *k = &v[1], *out = &v[2];
+    double *rows = NULL;
+    if (x->ndim != 3 || k->ndim != 2 || x->shape[1] < k->shape[0]
+        || x->shape[2] < k->shape[1]) {
+        PyErr_SetString(PyExc_ValueError,
+                        "x is not (n, h, w) images of at least k's (kh, kw)");
+    } else {
+        const ptrdiff_t n = x->shape[0], h = x->shape[1], w = x->shape[2];
+        const ptrdiff_t kh = k->shape[0], kw = k->shape[1];
+        const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
+        if (oh % 2 || ow % 2)
+            PyErr_SetString(PyExc_ValueError,
+                            "the correlation's dims are not even");
+        else if (!is_matrix(out, n, oh / 2 * (ow / 2)))
+            PyErr_SetString(PyExc_ValueError,
+                            "out is not (n, oh/2 * ow/2)");
+        else if ((rows = PyMem_Malloc(2 * ow * sizeof(double))) == NULL)
+            PyErr_NoMemory();
+        else {
+            Py_BEGIN_ALLOW_THREADS
+            host_stage(n, h, w, x->buf, k->buf, kh, kw, rows, out->buf);
+            Py_END_ALLOW_THREADS
+        }
+    }
+    PyMem_Free(rows);
+    release(v, 3);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* adam_update_pair(w2, m2, v2, g2, w1, m1, v1, g1, b1, b2, eta, c1, c2,
+   eps): the non-finite count; each layer's four arrays have one size */
+static PyObject *py_adam_update_pair(PyObject *self, PyObject *const *args,
+                                     Py_ssize_t nargs)
+{
+    (void)self;
+    if (!takes("adam_update_pair", nargs, 14))
+        return NULL;
+    double f[6];
+    for (int i = 0; i < 6; i++)
+        if ((f[i] = PyFloat_AsDouble(args[8 + i])) == -1.0
+            && PyErr_Occurred())
+            return NULL;
+    enum { W = C_ORDER | WRITABLE };
+    static const int rules[8] = {W, W, W, C_ORDER, W, W, W, C_ORDER};
+    static const char *const names[8] = {"w2", "m2", "v2", "g2",
+                                         "w1", "m1", "v1", "g1"};
+    Py_buffer v[8];
+    if (get_all(args, v, rules, names, 8) < 0)
+        return NULL;
+    ptrdiff_t nonfinite = 0;
+    if (v[1].len != v[0].len || v[2].len != v[0].len
+        || v[3].len != v[0].len || v[5].len != v[4].len
+        || v[6].len != v[4].len || v[7].len != v[4].len) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a layer's w, m, v and g differ in size");
+    } else {
+        const ptrdiff_t n2 = v[0].len / (ptrdiff_t)sizeof(double);
+        const ptrdiff_t n1 = v[4].len / (ptrdiff_t)sizeof(double);
+        Py_BEGIN_ALLOW_THREADS
+        nonfinite = adam_update_pair(n2, v[0].buf, v[1].buf, v[2].buf,
+                                     v[3].buf, n1, v[4].buf, v[5].buf,
+                                     v[6].buf, v[7].buf, f[0], f[1], f[2],
+                                     f[3], f[4], f[5]);
+        Py_END_ALLOW_THREADS
+    }
+    release(v, 8);
+    if (PyErr_Occurred())
+        return NULL;
+    return PyLong_FromSsize_t(nonfinite);
+}
+
+#define ENTRY(name) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
+static PyMethodDef methods[] = {
+    ENTRY(matmul_kseq), ENTRY(host_stage), ENTRY(adam_update_pair),
+    {NULL, NULL, 0, NULL}};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT,
+                                    "_convpipe_native", NULL, -1, methods,
+                                    NULL, NULL, NULL, NULL};
+
+PyMODINIT_FUNC PyInit__convpipe_native(void)
+{
+    return PyModule_Create(&module);
+}
 """
 _CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
            "-fPIC", "-shared")
 
-# The kernels as Python sees them; cffi writes the argument conversions
-_CDEF = """
-void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n, const double *a,
-                 ptrdiff_t a_row, ptrdiff_t a_col, const double *b, int relu,
-                 const double *mask, double *out);
-void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w, const double *x,
-                const double *k, ptrdiff_t kh, ptrdiff_t kw, double *rows,
-                double *out);
-ptrdiff_t adam_update_pair(ptrdiff_t n2, double *w2, double *m2, double *v2,
-                           const double *g2, ptrdiff_t n1, double *w1,
-                           double *m1, double *v1, const double *g1,
-                           double b1, double b2, double eta, double c1,
-                           double c2, double eps);
-"""
 # the extension's name, which its init symbol follows, whatever its file
 _MODULE = "_convpipe_native"
 
 
 def _library_path():
-    import _cffi_backend  # ImportError without cffi
-
     cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    key = (_SOURCE, _CDEF, *_CFLAGS, importlib.machinery.EXTENSION_SUFFIXES[0],
-           _cffi_backend.__version__)
+    key = (_SOURCE, *_CFLAGS, importlib.machinery.EXTENSION_SUFFIXES[0])
     digest = hashlib.sha256("\0".join(key).encode()).hexdigest()
     return Path(cache) / "convpipe" / f"native-{digest}.so"
 
@@ -469,19 +698,11 @@ def _build(path, source=_SOURCE, flags=()):
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
-    # only to build: a built module needs only _cffi_backend
-    import sysconfig
-
-    import cffi
-
-    builder = cffi.FFI()
-    builder.cdef(_CDEF)
-    builder.set_source(_MODULE, source, compiler_verbose=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     # built next to its final name, so os.replace stays on one file system
     with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
         src = Path(tmp) / "native.c"
-        builder.emit_c_code(str(src))
+        src.write_text(source)
         lib = Path(tmp) / path.name
         subprocess.run([compiler, *_CFLAGS, *flags,
                         "-I", sysconfig.get_path("include"), "-o", str(lib),
@@ -508,24 +729,6 @@ def _import(path):
     return module
 
 
-ffi = None  # the loaded extension's FFI, set by kernels()
-
-
-def pointer(x):
-    """A double * to ndarray x's first element, for a kernel argument.
-
-    A C-contiguous x, or the transpose of an F-contiguous one, which starts
-    at the same element, is passed as its buffer (~0.3 us), which keeps x
-    alive as long as the pointer; any other x by address (~2 us).
-    """
-    flags = x.flags
-    if flags.c_contiguous:
-        return ffi.from_buffer("double[]", x)
-    if flags.f_contiguous:
-        return ffi.from_buffer("double[]", x.T)
-    return ffi.cast("double *", x.ctypes.data)
-
-
 _FLOAT64 = np.dtype(np.float64)  # native byte order
 
 
@@ -544,7 +747,6 @@ def operand(x, c_contiguous=False):
 def kernels():
     """The compiled kernels, built on first use; None (after one
     RuntimeWarning) if unavailable."""
-    global ffi
     try:
         path = _library_path()  # RuntimeError if there is no home directory
         if not path.exists():
@@ -559,5 +761,4 @@ def kernels():
                       f"loops: {exc} {stderr}".rstrip(), RuntimeWarning,
                       stacklevel=2)
         return None
-    ffi = module.ffi
-    return module.lib
+    return module

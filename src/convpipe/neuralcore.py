@@ -15,9 +15,9 @@ same bytes.
 The elementwise steps next to a product run in its call, as its epilogue:
 fc_forward's ReLU (relu=True) and backward's h1 > 0 mask on dH1
 (mask=h1). A training batch therefore makes five matmul_kseq calls and
-one adam.apply_batch_update call, each a single foreign call when the
-module loaded; the softmax and loss stay in numpy, whose exp, log and
-row sums a C loop would not match bit for bit.
+one adam.apply_batch_update call, each a single call into the module,
+with the arrays themselves, when it loaded; the softmax and loss stay in
+numpy, whose exp, log and row sums a C loop would not match bit for bit.
 
 There are no bias terms anywhere: both layers are pure weight matrices.
 """
@@ -117,10 +117,7 @@ def matmul_kseq(a, b, *, relu=False, mask=None):
             out = out * (mask > 0.0)
         return out
     out = np.empty((m, n), dtype=np.float64)
-    lib.matmul_kseq(m, k, n, native.pointer(a), a.strides[0] // a.itemsize,
-                    a.strides[1] // a.itemsize, native.pointer(b), bool(relu),
-                    native.ffi.NULL if mask is None else native.pointer(mask),
-                    native.pointer(out))
+    lib.matmul_kseq(a, b, relu, mask, out)
     return out
 
 

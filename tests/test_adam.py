@@ -229,8 +229,8 @@ def test_batch_update_takes_either_layer_in_any_layout(name, layout):
 
 def test_batch_update_keeps_its_gradient_copies_until_the_kernel_returns(
         monkeypatch):
-    # the kernel gets a pointer to a copied gradient, not the array: the
-    # copy must still be referenced when the foreign call runs
+    # the kernel gets a copied gradient, not the caller's array: the copy
+    # must still be referenced when the compiled call runs
     lib = native.kernels()
     if lib is None:
         pytest.skip("no compiled kernels")

@@ -320,6 +320,22 @@ def test_non_finite_pixels_rejected(bad):
         ImageSet(pixels)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "pixel values must be finite (NaN or inf found)"),
+    (np.inf, "pixel values must be finite (NaN or inf found)"),
+    (-np.inf, "pixel values must be finite (NaN or inf found)"),
+    (-0.1, "pixel values out of [0, 1]"),
+    (1.1, "pixel values out of [0, 1]"),
+], ids=["nan", "+inf", "-inf", "-0.1", "1.1"])
+def test_bad_pixel_messages(bad, message):
+    for where in ((0, 0, 0), (1, 1, 1)):  # the first pixel and the last
+        pixels = np.full((2, 2, 2), 0.5)
+        pixels[where] = bad
+        with pytest.raises(ValueError) as err:
+            ImageSet(pixels)
+        assert str(err.value) == message
+
+
 @pytest.mark.skipif(find_mnist_dir() is None,
                     reason="MNIST IDX files not available")
 def test_real_mnist_counts():

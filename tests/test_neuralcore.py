@@ -3,7 +3,7 @@ import os
 import re
 import shutil
 import subprocess
-import sys
+import sysconfig
 import threading
 import time
 import warnings
@@ -246,19 +246,26 @@ def _read_only(x):
 
 @pytest.mark.parametrize("view", [
     lambda x: x, lambda x: x.T, lambda x: x[:, ::2], lambda x: x[1:, 1:],
-    lambda x: x[2], lambda x: x[:0], _read_only, lambda x: _read_only(x).T,
-], ids=["C", "F", "strided", "offset", "row", "empty", "read_only",
-        "read_only_F"])
-def test_address_is_the_first_element(view):
-    if native.kernels() is None:
+    lambda x: x[2:3], lambda x: x[:0], lambda x: x[::-1], _read_only,
+    lambda x: _read_only(x).T,
+], ids=["C", "F", "strided", "offset", "row", "empty", "reversed",
+        "read_only", "read_only_F"])
+def test_any_view_of_a_gives_the_numpy_bytes(view):
+    # the entry point reads a through its own strides, without a copy
+    lib = native.kernels()
+    if lib is None:
         pytest.skip("no compiled kernels")
-    x = view(np.arange(20.0).reshape(4, 5))
-    assert int(native.ffi.cast("intptr_t", native.pointer(x))) == \
-        x.ctypes.data
+    rng = np.random.default_rng(18)
+    a = view(rng.normal(size=(6, 8)))
+    b = rng.normal(size=(a.shape[1], 5))
+    out = np.empty((a.shape[0], 5))
+    lib.matmul_kseq(a, b, False, None, out)
+    assert out.tobytes() == neuralcore._matmul_kseq_numpy(a, b).tobytes()
 
 
 def _misaligned(x):
-    return np.frombuffer(b"\0" + x.tobytes(), x.dtype, x.size,
+    """A writable copy of x one byte past an aligned address."""
+    return np.frombuffer(bytearray(b"\0" + x.tobytes()), x.dtype, x.size,
                          offset=1).reshape(x.shape)
 
 
@@ -280,6 +287,126 @@ def test_operand_is_an_aligned_float64_array(view, c_contiguous, same):
     assert got.dtype == np.float64 and got.flags.aligned
     assert got.flags.c_contiguous or not c_contiguous
     assert np.array_equal(got, x)
+
+
+# -- the entry points' checks: each raises before it writes anything -------
+
+def _matmul_args():
+    rng = np.random.default_rng(20)
+    return {"a": rng.normal(size=(6, 5)), "b": rng.normal(size=(5, 7)),
+            "relu": True, "mask": rng.normal(size=(6, 7)),
+            "out": np.full((6, 7), 3.0)}
+
+
+def _host_args():
+    rng = np.random.default_rng(21)
+    return {"x": rng.random((2, 8, 8)), "k": rng.normal(size=(3, 3)),
+            "out": np.full((2, 9), 3.0)}
+
+
+def _adam_args():
+    # the 8 arrays in call order, then b1, b2, eta, c1, c2 and eps
+    rng = np.random.default_rng(22)
+    arrays = {f"{name}{layer}": rng.random(shape)
+              for layer, shape in ((2, (4, 3)), (1, (5, 6)))
+              for name in "wmvg"}
+    return {**arrays, "b1": 0.9, "b2": 0.999, "eta": 0.01, "c1": 10.0,
+            "c2": 1000.0, "eps": 1e-7}
+
+
+ENTRY_ARGS = {"matmul_kseq": _matmul_args, "host_stage": _host_args,
+              "adam_update_pair": _adam_args}
+
+
+def _byte_strides(x):
+    """An array of x's shape whose row stride is not a multiple of 8."""
+    rows, cols = x.shape
+    buf = bytearray(rows * (8 * cols + 4))
+    return np.ndarray(x.shape, np.float64, buf, 0, (8 * cols + 4, 8))
+
+
+BAD_BUFFERS = {
+    "float32": lambda x: x.astype(np.float32),
+    "int64": lambda x: x.astype(np.int64),
+    "big_endian": lambda x: x.astype(">f8"),
+    "misaligned": _misaligned,
+    "F": np.asfortranarray,
+    "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
+    "read_only": lambda x: _read_only(x.copy()),
+    "byte_strides": _byte_strides,
+}
+_ANY = ("float32", "int64", "big_endian", "misaligned")
+_NOT_C = ("F", "strided")
+_OUT = _ANY + _NOT_C + ("read_only",)
+BAD_BUFFER_CASES = {
+    "matmul_kseq": {"a": _ANY + ("byte_strides",), "b": _ANY + _NOT_C,
+                    "mask": _ANY + _NOT_C, "out": _OUT},
+    "host_stage": {"x": _ANY + _NOT_C, "k": _ANY + _NOT_C, "out": _OUT},
+    "adam_update_pair": {f"{name}{layer}": _ANY + _NOT_C if name == "g"
+                         else _OUT for layer in (2, 1) for name in "wmvg"},
+}
+BAD_SHAPES = {
+    "matmul_kseq": {"b": [(6, 7), (5,)], "a": [(30,), (6, 5, 1)],
+                    "out": [(6, 8), (5, 7), (6, 7, 1)], "mask": [(6, 6)]},
+    "host_stage": {"x": [(8, 8), (2, 2, 8), (2, 9, 8)], "k": [(1, 3, 3)],
+                   "out": [(2, 8), (3, 9), (2, 9, 1)]},
+    "adam_update_pair": {"w2": [(4, 4)], "g2": [(3,)], "v1": [(5, 5)],
+                         "g1": [(31,)]},
+}
+
+
+def _call_and_check_nothing_written(entry, args, error, match=None):
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+    arrays = [x for x in args.values() if isinstance(x, np.ndarray)]
+    before = [x.tobytes() for x in arrays]
+    with pytest.raises(error, match=match):
+        getattr(lib, entry)(*args.values())
+    assert [x.tobytes() for x in arrays] == before
+
+
+@pytest.mark.parametrize("entry, name, bad", [
+    (entry, name, bad) for entry, names in BAD_BUFFER_CASES.items()
+    for name, bads in names.items() for bad in bads])
+def test_an_entry_point_rejects_a_buffer_before_writing(entry, name, bad):
+    """A rejected buffer raises and leaves every array as it was: for an
+    Adam call whose last array (g1) is rejected, the other seven too."""
+    args = ENTRY_ARGS[entry]()
+    args[name] = BAD_BUFFERS[bad](args[name])
+    _call_and_check_nothing_written(entry, args, BufferError, f"^{name} is ")
+
+
+@pytest.mark.parametrize("entry, name, shape", [
+    (entry, name, shape) for entry, names in BAD_SHAPES.items()
+    for name, shapes in names.items() for shape in shapes],
+    ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_an_entry_point_rejects_a_shape_before_writing(entry, name, shape):
+    args = ENTRY_ARGS[entry]()
+    args[name] = np.full(shape, 0.5)
+    _call_and_check_nothing_written(entry, args, ValueError)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_ARGS))
+def test_an_entry_point_checks_its_arguments_before_writing(entry):
+    args = ENTRY_ARGS[entry]()
+    short = dict(list(args.items())[:-1])
+    _call_and_check_nothing_written(entry, short, TypeError, "arguments")
+    if entry == "adam_update_pair":
+        _call_and_check_nothing_written(entry, {**args, "eps": "1e-7"},
+                                        TypeError)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_ARGS))
+def test_an_entry_point_takes_the_unbroken_arguments(entry):
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+    args = ENTRY_ARGS[entry]()
+    out = args["out" if "out" in args else "w1"]
+    before = out.tobytes()
+    getattr(lib, entry)(*args.values())
+    assert out.tobytes() != before
 
 
 def test_a_kernel_call_lets_other_threads_run():
@@ -376,8 +503,8 @@ def test_compiled_kernel_loads_when_a_compiler_is_present():
         pytest.skip("no cc or gcc on PATH")
     lib = native.kernels()
     assert lib is not None
-    assert sorted(dir(lib)) == ["adam_update_pair", "host_stage",
-                                "matmul_kseq"]
+    assert sorted(name for name in dir(lib) if not name.startswith("_")) == \
+        ["adam_update_pair", "host_stage", "matmul_kseq"]
 
 
 def _no_compiler(monkeypatch, cache_dir):
@@ -395,13 +522,17 @@ def _cache_not_writable(monkeypatch, cache_dir):
     cache_dir.write_bytes(b"")  # a file where the directory should be
 
 
-def _no_cffi(monkeypatch, cache_dir):
-    for name in ("cffi", "_cffi_backend"):
-        monkeypatch.setitem(sys.modules, name, None)  # import fails
+def _no_python_h(monkeypatch, cache_dir):
+    headers = cache_dir.parent / "include"  # an empty include directory
+    headers.mkdir(parents=True)
+    get_path = sysconfig.get_path
+    monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kw:
+                        str(headers) if name == "include"
+                        else get_path(name, *args, **kw))
 
 
 @pytest.mark.parametrize("breakage", [_no_compiler, _compiler_fails,
-                                      _cache_not_writable, _no_cffi])
+                                      _cache_not_writable, _no_python_h])
 def test_numpy_fallback_gives_the_same_bytes(breakage, tmp_path, monkeypatch):
     assert native.kernels() is not None or not _compiler_on_path()
     compiled = _kernel_outputs()
@@ -496,28 +627,8 @@ def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
             path = tmp_path / f"{name}{''.join(flags)}.so"
             native._build(path, source, flags)
             module = native._import(path)  # next to the dispatched build
-            monkeypatch.setattr(native, "kernels", lambda: module.lib)
-            monkeypatch.setattr(native, "ffi", module.ffi)
+            monkeypatch.setattr(native, "kernels", lambda: module)
             assert _kernel_outputs() == dispatched, (name, flags)
-
-
-def test_a_warm_load_does_not_import_cffi():
-    """cffi is needed to build the extension; loading a built one and
-    calling a kernel needs only its _cffi_backend."""
-    if native.kernels() is None:
-        pytest.skip("no compiled kernels")
-    src = str(Path(native.__file__).parents[1])
-    probe = ("import sys, numpy as np, convpipe\n"
-             "from convpipe import native, neuralcore\n"
-             "assert native.kernels() is not None\n"
-             "neuralcore.matmul_kseq(np.ones((2, 3)), np.ones((3, 4)))\n"
-             "assert '_cffi_backend' in sys.modules\n"
-             "assert 'cffi' not in sys.modules, 'cffi imported'\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
 
 
 def test_native_source_compiles_without_warnings(tmp_path):
@@ -527,8 +638,9 @@ def test_native_source_compiles_without_warnings(tmp_path):
     src = tmp_path / "native.c"
     src.write_text(native._SOURCE)
     built = subprocess.run([compiler, *native._CFLAGS, "-Wall", "-Wextra",
-                            "-Werror", "-o", str(tmp_path / "native.so"),
-                            str(src)], capture_output=True, text=True)
+                            "-Werror", "-I", sysconfig.get_path("include"),
+                            "-o", str(tmp_path / "native.so"), str(src)],
+                           capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
 
 
