@@ -2,10 +2,11 @@
 
 Training epochs, test epochs and `convpipe test` share run_epoch's one loop
 over a stream of host-stage results. The modes differ only in where that
-stream is produced (inline, or on a thread one batch ahead through a depth-1
-queue), so their numeric results are bit-identical. Each epoch also books an
-analytic latency model: measured host wall-times are machine-dependent, and
-the accelerator side is modeled in cycles.
+stream is produced (inline, or on a producer thread that runs up to
+_HIGH_WATER batches ahead), so their numeric results are bit-identical. Each
+epoch also books an analytic latency model: measured host wall-times are
+machine-dependent, and the accelerator side is modeled in cycles. The model
+keeps the paper's depth-1 hand-off buffer whatever the thread's lead.
 """
 
 import queue
@@ -81,17 +82,31 @@ def _host_stream(batches):
 
 _DONE = ("done", None, 0.0)  # the producer's end marker
 
+# The producer parks once _HIGH_WATER batches wait and resumes when the
+# consumer has taken the queue down to _LOW_WATER, so it is woken a few
+# times per epoch instead of once per batch; a waiting batch holds ~43 KB.
+_HIGH_WATER = 32
+_LOW_WATER = 8
+
 
 def _prefetched(stream):
-    """stream's items, each produced on a thread one item ahead through a
-    depth-1 queue. Closing the generator stops and joins the thread."""
-    q = queue.Queue(maxsize=1)
+    """stream's items, each produced on a thread that runs up to _HIGH_WATER
+    items ahead of the consumer and refills in bursts. Closing the generator
+    stops and joins the thread."""
+    q = queue.Queue()
     stop = threading.Event()
+    refill = threading.Event()  # set by the consumer at the low-water mark
 
     def produce():
         try:
             for conv, host_dt in stream:
                 q.put(("batch", conv, host_dt))
+                if q.qsize() >= _HIGH_WATER:
+                    # clear before each check, so a set after it ends the wait
+                    refill.clear()
+                    while q.qsize() > _LOW_WATER and not stop.is_set():
+                        refill.wait()
+                        refill.clear()
                 if stop.is_set():
                     break
             q.put(_DONE)
@@ -104,17 +119,15 @@ def _prefetched(stream):
         for tag, payload, host_dt in iter(q.get, _DONE):
             if tag == "error":
                 raise payload
+            if q.qsize() <= _LOW_WATER:
+                refill.set()
             yield payload, host_dt
     finally:
-        # tell the producer to wind down, and keep draining so one
-        # blocked on the full queue can finish
+        # stop before refill: a parked producer wakes and sees stop; the
+        # queue is unbounded, so its last put cannot block
         stop.set()
-        while worker.is_alive():
-            try:
-                q.get_nowait()
-            except queue.Empty:
-                pass
-            worker.join(timeout=0.005)
+        refill.set()
+        worker.join()
 
 
 def run_epoch(batches, state: ModelState, mode, is_training,

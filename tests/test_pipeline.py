@@ -1,9 +1,12 @@
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from convpipe import pipeline
 from convpipe.accelmodel import ResourceBudget
 from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
 from convpipe.dims import SHARPEN_KERNEL, ModelDims
@@ -139,8 +142,8 @@ def _new_threads(before):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pipelined_consumer_failure_does_not_hang():
-    # a failing accelerator stage must propagate promptly even while the
-    # producer thread is blocked on the full hand-off queue
+    # a failing accelerator stage must propagate promptly while the producer
+    # thread is still running: 8 batches never reach the high-water mark
     batches = _batches(4, 8 * 32)
     state = ModelState.initial(4)
     state.weights.w1[0, 0] = np.inf
@@ -150,6 +153,129 @@ def test_pipelined_consumer_failure_does_not_hang():
     with pytest.raises(FloatingPointError) as failure:
         run_epoch(batches, state, PIPELINED, True, BUDGET)
     assert _new_threads(before) == []
+
+
+def _wait_until(condition, timeout=30.0):
+    """Poll condition until it holds; False if timeout passes first."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pipelined_consumer_failure_while_the_producer_is_parked(monkeypatch):
+    # the accelerator stage fails on batch 0 only after the producer has
+    # filled the queue to the high-water mark; batch 1 waits until the
+    # consumer holds batch 0, so the producer parks at batch 32
+    high = pipeline._HIGH_WATER
+    hosted, accel_started = [], threading.Event()
+    host_stage, accel_kernel = pipeline.host_stage, pipeline.accel_kernel
+
+    def counting_host_stage(batch):
+        if batch.index == 1:
+            assert accel_started.wait(timeout=30)
+        conv = host_stage(batch)
+        hosted.append(batch.index)
+        return conv
+
+    def accel_kernel_after_park(*args):
+        accel_started.set()
+        assert _wait_until(lambda: len(hosted) == high + 1)
+        return accel_kernel(*args)
+
+    monkeypatch.setattr(pipeline, "host_stage", counting_host_stage)
+    monkeypatch.setattr(pipeline, "accel_kernel", accel_kernel_after_park)
+    state = ModelState.initial(4)
+    state.weights.w1[0, 0] = np.inf
+    before = threading.enumerate()
+    # as above, failure keeps run_epoch's frame alive
+    with pytest.raises(FloatingPointError) as failure:
+        run_epoch(_batches(4, 40 * 32), state, PIPELINED, True, BUDGET)
+    assert _new_threads(before) == []
+    assert hosted == list(range(high + 1))  # stopped while parked
+
+
+def _counting_stream(n, produced, first_taken):
+    """(i, 0.0) for each i < n, appending i to produced as it is made; item
+    1 waits for first_taken, so the consumer holds item 0 before the
+    producer runs ahead."""
+    for i in range(n):
+        if i == 1:
+            assert first_taken.wait(timeout=30)
+        produced.append(i)
+        yield i, 0.0
+
+
+def test_closing_the_prefetched_stream_stops_a_parked_producer():
+    high = pipeline._HIGH_WATER
+    produced, first_taken = [], threading.Event()
+    before = threading.enumerate()
+    items = pipeline._prefetched(_counting_stream(40, produced, first_taken))
+    assert next(items) == (0, 0.0)
+    first_taken.set()
+    assert _wait_until(lambda: len(produced) == high + 1)
+    items.close()
+    assert _new_threads(before) == []
+    assert len(produced) == high + 1
+
+
+def test_prefetched_refills_between_the_water_marks():
+    high, low = pipeline._HIGH_WATER, pipeline._LOW_WATER
+    n = 3 * high
+    produced, first_taken = [], threading.Event()
+    before = threading.enumerate()
+    items = pipeline._prefetched(_counting_stream(n, produced, first_taken))
+    got, leads = [], []
+
+    def take():
+        got.append(next(items)[0])
+        # the queue holds at most high items, the producer one more in flight
+        leads.append(len(produced) - len(got))
+
+    take()
+    first_taken.set()
+    # parked with items 1..high waiting
+    assert _wait_until(lambda: len(produced) == high + 1)
+    while len(got) < high - low:
+        take()
+    time.sleep(0.05)
+    assert len(produced) == high + 1  # low + 1 waiting: still parked
+    take()  # low waiting: the producer resumes
+    assert _wait_until(lambda: len(produced) > high + 1)
+    while len(got) < n:
+        take()
+    assert next(items, None) is None
+    assert got == list(range(n))
+    assert max(leads) <= high + 1
+    assert _new_threads(before) == []
+
+
+def test_prefetched_hand_off_under_frequent_thread_switches():
+    # more producer and consumer threads than cores, switching every few
+    # microseconds: a lost wake-up leaves a consumer stuck past the join
+    n, consumers = 400, 4
+    results = [None] * consumers
+
+    def consume(k):
+        items = pipeline._prefetched((i, 0.0) for i in range(n))
+        results[k] = [item for item, _ in items]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=consume, args=(k,), daemon=True)
+                   for k in range(consumers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [list(range(n))] * consumers
 
 
 @pytest.mark.parametrize("mode", [SEQUENTIAL, PIPELINED])
