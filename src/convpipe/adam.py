@@ -12,11 +12,11 @@ apply_batch_update, the training step's entry point, updates both layers
 in one call into the native extension module: adam_update_pair, one pass
 over the output layer's elements and then the hidden layer's that does
 numpy's operations in numpy's order for each of them, in place. The
-call takes the eight arrays themselves and checks all their buffers
-before it writes any. When native.kernels() is unavailable, or the call
-rejects a buffer (BufferError: not float64, not aligned, not C-contiguous
-or read-only), it runs adam_update on the output layer and then on the
-hidden layer instead, with the same bytes.
+call takes the eight arrays as they are, copying none, and checks all
+their buffers before it writes any. When native.kernels() is unavailable,
+or the call rejects a buffer (BufferError: not float64, not aligned, not
+C-contiguous or read-only), it runs adam_update on the output layer and
+then on the hidden layer instead, with the same bytes.
 """
 
 import math
@@ -118,17 +118,10 @@ def apply_batch_update(state: AdamState, weights, grads, hyper: AdamHyper):
     corr = correction_factors(hyper, state.step)
     lib = native.kernels()
     if lib is not None:
-        args = []
-        for w, m, v, g in layers:
-            # a float64 gradient in another layout is copied for the
-            # kernel; another dtype stays, so numpy updates in its precision
-            if g.dtype == np.float64:
-                g = native.operand(g, c_contiguous=True)
-            args += (w, m, v, g)
         try:
-            return lib.adam_update_pair(*args, hyper.beta1, hyper.beta2,
-                                        hyper.eta, corr.c1, corr.c2,
-                                        hyper.eps)
+            return lib.adam_update_pair(*layers[0], *layers[1], hyper.beta1,
+                                        hyper.beta2, hyper.eta, corr.c1,
+                                        corr.c2, hyper.eps)
         except BufferError:  # an array it cannot take; nothing was written
             pass
     return sum(adam_update(*layer, corr, hyper) for layer in layers)

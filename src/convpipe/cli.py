@@ -25,8 +25,8 @@ from .checkpoint import load_checkpoint
 # unused here; perfbench/tracing.py patches cli.host_stage and cli.accel_kernel
 from .hoststage import host_stage
 from .neuralcore import accel_kernel
-from .pipeline import (MODES, SEQUENTIAL, RunConfig, load_split, run_epoch,
-                       run_training, speedup_summary)
+from .pipeline import (MODES, SEQUENTIAL, RunConfig, constant_stage_seconds,
+                       load_split, run_epoch, run_training, speedup_summary)
 
 ENV_DATA_DIR = "CONVPIPE_DATA_DIR"
 
@@ -244,10 +244,7 @@ def cmd_estimate(args):
     accel_infer = cycles_to_seconds(infer.total_cycles, cfg.budget)
     if host is not None:
         for label, accel in (("training", accel_train), ("inference", accel_infer)):
-            # sequential_seconds and two_stage_pipeline_seconds of n
-            # constant stage times, in closed form
-            seq = n * (host + accel)
-            pipe = n * max(host, accel) + min(host, accel)
+            seq, pipe = constant_stage_seconds(n, host, accel)
             summary = speedup_summary({"host_seconds": host * n,
                                        "accel_seconds": accel * n,
                                        "sequential_seconds": seq,

@@ -11,7 +11,7 @@ allocated in C. It releases the GIL while it runs, so in pipelined mode
 the producer's host stage and the accelerator thread's matmuls run at the
 same time. conv2d_valid and maxpool2x2 are the numpy reference the tests
 compare it against, byte for byte, and the fallback host_stage runs when
-native.kernels() is unavailable.
+native.kernels() is unavailable or the call refuses an array.
 """
 
 from dataclasses import dataclass
@@ -76,12 +76,12 @@ def maxpool2x2(feature):
 def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     """conv -> pool -> row-major flatten for every image in the batch.
 
-    v_raw is (n, rows, cols) and may be any strided view, which is copied
-    to C order first; v is (n, pool_map), bit-identical to
-    maxpool2x2(conv2d_valid(v_raw, kernel)) flattened per image.
+    v_raw is (n, rows, cols); v is (n, pool_map), bit-identical to
+    maxpool2x2(conv2d_valid(v_raw, kernel)) flattened per image. The
+    compiled pass takes v_raw and kernel as they are, each C-contiguous
+    aligned native float64; any other array runs that numpy reference.
     """
-    images = native.operand(batch.v_raw, c_contiguous=True)
-    kernel = native.operand(kernel, c_contiguous=True)
+    images, kernel = np.asarray(batch.v_raw), np.asarray(kernel)
     if images.ndim != 3:
         raise ValueError(f"v_raw must be 3-d (batch, rows, cols), "
                          f"got shape {images.shape}")
@@ -92,9 +92,12 @@ def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     if oh % 2 or ow % 2:
         raise ValueError(f"feature dims {oh}x{ow} must be even for 2x2 pooling")
     lib = native.kernels()
-    if lib is None:
-        v = maxpool2x2(conv2d_valid(images, kernel)).reshape(n, oh * ow // 4)
-    else:
+    if lib is not None:
         v = np.empty((n, oh * ow // 4), dtype=np.float64)
-        lib.host_stage(images, kernel, v)
+        try:
+            lib.host_stage(images, kernel, v)
+            return ConvBatch(v, batch.out_actual, batch.index)
+        except BufferError:  # an array it cannot take; nothing was written
+            pass
+    v = maxpool2x2(conv2d_valid(images, kernel)).reshape(n, oh * ow // 4)
     return ConvBatch(v, batch.out_actual, batch.index)

@@ -40,7 +40,9 @@ the numpy code that is its reference and fallback:
 
 A tile only changes which elements are summed when, never the terms of one
 element's sum or their order, and padding lanes are never stored, so every
-path gives the same bits.
+path gives the same bits, but for the sign of a NaN where NaNs of both signs
+meet: an x86 add or multiply returns the one its operand order picks, which
+differs between tiles, builds and numpy's own loops.
 
 The module is compiled with `cc` (or `gcc`) and -O3 -std=c99
 -ffp-contract=off -fno-math-errno: without -ffp-contract=off, GCC in its
@@ -84,15 +86,9 @@ rule raises BufferError naming it, and a shape or size that does not fit
 raises ValueError; each entry point checks all its buffers and shapes
 before it writes anything, releases the GIL only around the kernel, so the
 pipelined producer and the accelerator thread run at the same time, and
-releases every buffer on every path. operand() gives the Python wrappers
-arrays that pass.
-
-On a 2-core AVX-512F Xeon (min of 4 processes, 7 x 2000 calls each), a
-bare 1x1x1 matmul_kseq call takes 0.56 us against 2.7 us through the
-earlier cffi wrappers with three ffi.from_buffer pointers; through
-neuralcore.matmul_kseq a 1x1x1 product takes 1.8 us (3.4 us), a 32x128x10
-one 7.1 us (9.0 us), and adam.apply_batch_update on the default dims
-54 us (62 us).
+releases every buffer on every path. The Python wrappers pass the caller's
+arrays as they are and run their numpy reference when a call raises
+BufferError.
 
 The module is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
 (~/.cache when XDG_CACHE_HOME is unset), keyed by the source, the flags
@@ -102,10 +98,9 @@ compiled with -I the interpreter's include directory, for Python.h, and
 imported under the name _convpipe_native, which its init symbol follows,
 whatever its file is called; Python keys a loaded extension by its path
 too, so builds at other paths load beside it as separate modules. A build
-then removes the cache's other native-*.so files (and kseq-*.so, the old
-name) not loaded for 30 days, as kernels() touches the module it loads:
-checkouts of other sources keep theirs, and a process that has one loaded
-keeps using it.
+then removes the cache's other native-*.so files not loaded for 30 days,
+as kernels() touches the module it loads: checkouts of other sources keep
+theirs, and a process that has one loaded keeps using it.
 
 When Python.h or a compiler is missing, the build fails or the cache
 directory cannot be written, kernels() emits one RuntimeWarning and
@@ -125,8 +120,6 @@ import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 # Every accumulator starts at +0.0 like the numpy loops: starting from the
 # first product instead would turn an all -0.0 sum into -0.0.
@@ -709,15 +702,13 @@ def _build(path, source=_SOURCE, flags=()):
                         str(src)], check=True, capture_output=True,
                        timeout=300)
         os.replace(lib, path)
-    # modules of other sources or flags, and libraries of the old
-    # single-kernel name, not loaded for 30 days; a process that has one
-    # loaded keeps its mapping
+    # modules of other sources or flags not loaded for 30 days; a process
+    # that has one loaded keeps its mapping
     cutoff = path.stat().st_mtime - 30 * 24 * 3600
-    for pattern in ("native-*.so", "kseq-*.so"):
-        for stale in path.parent.glob(pattern):
-            with contextlib.suppress(OSError):
-                if stale != path and stale.stat().st_mtime < cutoff:
-                    stale.unlink()
+    for stale in path.parent.glob("native-*.so"):
+        with contextlib.suppress(OSError):
+            if stale != path and stale.stat().st_mtime < cutoff:
+                stale.unlink()
 
 
 def _import(path):
@@ -727,20 +718,6 @@ def _import(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-_FLOAT64 = np.dtype(np.float64)  # native byte order
-
-
-def operand(x, c_contiguous=False):
-    """x as an aligned float64 ndarray, C-contiguous if asked: x itself
-    when it is one already, which the flag tests find in a tenth of
-    np.require's ~2 us."""
-    if type(x) is np.ndarray and x.dtype is _FLOAT64:
-        flags = x.flags
-        if flags.aligned and (not c_contiguous or flags.c_contiguous):
-            return x
-    return np.require(x, np.float64, ("C", "A") if c_contiguous else ("A",))
 
 
 @functools.cache

@@ -91,33 +91,39 @@ def matmul_kseq(a, b, *, relu=False, mask=None):
     """(m, k) @ (k, n) accumulated strictly in ascending k order.
 
     Equivalent to the scalar loop `for k: acc[i][j] += a[i][k] * b[k][j]`
-    bit for bit, starting from acc = +0.0. `a` may be any strided view
-    (h1.T and v.T are not copied); `b` is copied only if not C-contiguous.
+    bit for bit, starting from acc = +0.0. The compiled kernel takes the
+    arrays as they are: `a` in any strides (h1.T and v.T are not copied),
+    `b` and `mask` C-contiguous, each aligned native float64. Any other
+    array runs _matmul_kseq_numpy on float64 copies, with the same bytes.
 
     The epilogue runs on the finished product, in the same call: `relu`
     gives np.maximum(0.0, product), and an (m, n) `mask` then gives
     product * (mask > 0.0), a multiply that turns a negative value under
     a zero mask into -0.0 and keeps a NaN.
     """
-    a, b = native.operand(a), native.operand(b, c_contiguous=True)
+    a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
     (m, k), n = a.shape, b.shape[1]
     if mask is not None:
-        mask = native.operand(mask, c_contiguous=True)
+        mask = np.asarray(mask)
         if mask.shape != (m, n):
             raise ValueError(f"mask {mask.shape} does not match the "
                              f"product's {(m, n)}")
     lib = native.kernels()
-    if lib is None:
-        out = _matmul_kseq_numpy(a, b)
-        if relu:
-            out = np.maximum(0.0, out)
-        if mask is not None:
-            out = out * (mask > 0.0)
-        return out
-    out = np.empty((m, n), dtype=np.float64)
-    lib.matmul_kseq(a, b, relu, mask, out)
+    if lib is not None:
+        out = np.empty((m, n), dtype=np.float64)
+        try:
+            lib.matmul_kseq(a, b, relu, mask, out)
+            return out
+        except BufferError:  # an array it cannot take; nothing was written
+            pass
+    out = _matmul_kseq_numpy(np.asarray(a, np.float64),
+                             np.asarray(b, np.float64))
+    if relu:
+        out = np.maximum(0.0, out)
+    if mask is not None:
+        out = out * (mask > 0.0)
     return out
 
 
@@ -158,7 +164,8 @@ def backward(trace: ForwardTrace, out_actual, weights: Weights) -> Gradients:
     n = trace.h2.shape[0]
     dz = (trace.h2 - out_actual) / n
     g_w2 = matmul_kseq(trace.h1.T, dz)
-    dh1 = matmul_kseq(dz, weights.w2.T, mask=trace.h1)
+    # the kernel takes b only in C order, so W2^T is copied for it
+    dh1 = matmul_kseq(dz, np.ascontiguousarray(weights.w2.T), mask=trace.h1)
     g_w1 = matmul_kseq(trace.v.T, dh1)
     return Gradients(g_w1, g_w2)
 

@@ -40,7 +40,7 @@ def two_stage_pipeline_seconds(host_times, accel_times):
 
     The producer starts batch k+1 as soon as batch k is in the buffer; the
     buffer accepts a batch once the consumer has taken the previous one.
-    Reduces to n*max(h,a) + min(h,a) for constant stage times.
+    Reduces to constant_stage_seconds' form for constant stage times.
     """
     if len(host_times) != len(accel_times):
         raise ValueError("per-batch time lists differ in length")
@@ -56,6 +56,12 @@ def two_stage_pipeline_seconds(host_times, accel_times):
         host_start = place  # producer moves on once the batch is buffered
         prev_take, prev_done = take, done
     return prev_done
+
+
+def constant_stage_seconds(n, host, accel):
+    """sequential_seconds and two_stage_pipeline_seconds of n batches that
+    each take `host` and `accel` seconds, in closed form, so any n is cheap."""
+    return n * (host + accel), n * max(host, accel) + min(host, accel)
 
 
 @dataclass

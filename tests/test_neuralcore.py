@@ -1,4 +1,5 @@
 import hashlib
+import importlib.machinery
 import os
 import re
 import shutil
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 from convpipe import adam as adam_mod
-from convpipe import native, neuralcore
+from convpipe import hoststage, native, neuralcore
 from convpipe.accelmodel import ResourceBudget
 from convpipe.adam import AdamHyper, AdamState, apply_batch_update
-from convpipe.checkpoint import save_checkpoint
+from convpipe.checkpoint import load_checkpoint, save_checkpoint
 from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
 from convpipe.hoststage import ConvBatch, conv2d_valid, host_stage, maxpool2x2
@@ -24,7 +25,7 @@ from convpipe.neuralcore import (ForwardTrace, Gradients, ModelState,
                                  Weights, accel_kernel, accuracy, backward,
                                  fc_forward, init_weights, matmul_kseq,
                                  out_forward)
-from convpipe.pipeline import SEQUENTIAL, run_epoch
+from convpipe.pipeline import MODES, SEQUENTIAL, run_epoch
 
 from oracles import (finite_diff_gradient, naive_accuracy, naive_matmul,
                      softmax_rows_highprec)
@@ -62,7 +63,8 @@ def test_matmul_kseq_matches_triple_loop_bitwise():
 
 def _production_operands():
     """The five products of one training batch at the default dims, in the
-    layouts their call sites pass, with ReLU zeros and -0.0 entries."""
+    layouts their call sites pass, with ReLU zeros and -0.0 entries; and
+    W2^T as the F-order view backward copies, which runs the numpy loop."""
     rng = np.random.default_rng(11)
     v = rng.normal(size=(32, 169))
     v[::3, ::5] = -0.0
@@ -72,13 +74,16 @@ def _production_operands():
     h1[4] = -0.0  # a whole row of -0.0: its products are zeros of either sign
     dz = rng.normal(size=(32, 10)) / 32
     dz[7] = -0.0
-    dh1 = matmul_kseq(dz, w2.T) * (h1 > 0.0)
+    w2_t = np.ascontiguousarray(w2.T)
+    dh1 = matmul_kseq(dz, w2_t) * (h1 > 0.0)
     return {"v@w1": (v, w1), "h1@w2": (h1, w2), "h1.T@dz": (h1.T, dz),
-            "dz@w2.T": (dz, w2.T), "v.T@dh1": (v.T, dh1)}
+            "dz@w2.T": (dz, w2_t), "v.T@dh1": (v.T, dh1),
+            "dz@w2.T.F": (dz, w2.T)}
 
 
 PRODUCTION_SHAPES = {"v@w1": (32, 128), "h1@w2": (32, 10), "h1.T@dz": (128, 10),
-                     "dz@w2.T": (32, 128), "v.T@dh1": (169, 128)}
+                     "dz@w2.T": (32, 128), "v.T@dh1": (169, 128),
+                     "dz@w2.T.F": (32, 128)}
 
 
 @pytest.mark.parametrize("layout", sorted(PRODUCTION_SHAPES))
@@ -154,10 +159,17 @@ def test_matmul_kseq_empty_edges(m, k, n):
 
 
 def test_matmul_kseq_shape_check():
-    with pytest.raises(ValueError):
-        matmul_kseq(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="mask"):
-        matmul_kseq(np.zeros((2, 3)), np.zeros((3, 4)), mask=np.ones((4, 2)))
+    # the same messages for an array the kernel takes, one it refuses and
+    # a list
+    for convert in (np.asarray, np.asfortranarray, np.float32,
+                    np.ndarray.tolist):
+        with pytest.raises(ValueError, match=r"^cannot multiply \(2, 3\) by "
+                                             r"\(2, 3\)$"):
+            matmul_kseq(convert(np.zeros((2, 3))), convert(np.zeros((2, 3))))
+        with pytest.raises(ValueError, match=r"^mask \(4, 2\) does not match "
+                                             r"the product's \(2, 4\)$"):
+            matmul_kseq(np.zeros((2, 3)), np.zeros((3, 4)),
+                        mask=convert(np.ones((4, 2))))
 
 
 # (m, k, n, layout of a): the two production products that carry an
@@ -174,9 +186,10 @@ def _epilogue_operands(m, k, n, layout):
     a = rng.normal(size=(k, m)).T if layout == "T" else rng.normal(size=(m, k))
     b = rng.normal(size=(k, n))
     a[0, 0], a[1, 0], a[2, 0], a[3] = np.nan, np.inf, -np.inf, 0.0
-    # a strided view, whose cycle of values starts anew in each row
+    # a cycle of values that starts anew in each row, in the C order the
+    # kernel takes
     mask = np.resize([0.0, -0.0, np.nan, np.inf, -np.inf, -1.5, 2.0, 5e-324],
-                     (m, n + 1))[:, :n]
+                     (m, n + 1))[:, :n].copy()
     return a, b, mask
 
 
@@ -267,26 +280,6 @@ def _misaligned(x):
     """A writable copy of x one byte past an aligned address."""
     return np.frombuffer(bytearray(b"\0" + x.tobytes()), x.dtype, x.size,
                          offset=1).reshape(x.shape)
-
-
-@pytest.mark.parametrize("view, c_contiguous, same", [
-    (lambda x: x, False, True), (lambda x: x, True, True),
-    (lambda x: x[:, ::2], False, True),
-    (np.asfortranarray, True, False), (lambda x: x[:, ::2], True, False),
-    (lambda x: x[::-1], True, False),
-    (lambda x: x.astype(np.float32), True, False),
-    (lambda x: x.astype(np.int64), True, False), (_misaligned, True, False),
-], ids=["C", "C_asked_C", "strided", "F_asked_C", "strided_asked_C",
-        "reversed_asked_C", "float32_asked_C", "int64_asked_C",
-        "misaligned_asked_C"])
-def test_operand_is_an_aligned_float64_array(view, c_contiguous, same):
-    # x itself when it already is what the kernel needs, else a copy that is
-    x = view(np.arange(-7.0, 13.0).reshape(4, 5))
-    got = native.operand(x, c_contiguous)
-    assert (got is x) == same
-    assert got.dtype == np.float64 and got.flags.aligned
-    assert got.flags.c_contiguous or not c_contiguous
-    assert np.array_equal(got, x)
 
 
 # -- the entry points' checks: each raises before it writes anything -------
@@ -407,6 +400,87 @@ def test_an_entry_point_takes_the_unbroken_arguments(entry):
     before = out.tobytes()
     getattr(lib, entry)(*args.values())
     assert out.tobytes() != before
+
+
+# -- the wrappers: an array the kernel refuses runs the numpy reference -------
+
+# each way an array can break the entry point's rules, and a list, which
+# np.asarray makes an array the kernel takes
+REFUSED = {**{bad: BAD_BUFFERS[bad] for bad in _ANY + _NOT_C},
+           "list": np.ndarray.tolist}
+REFUSED_CASES = [(name, kind, masked) for name in ("a", "b", "mask")
+                 for kind in REFUSED
+                 for masked in ((True,) if name == "mask" else (False, True))]
+
+
+def _wrapper_operands():
+    """a, b and mask of a 9x130x45 product: past 128 rows of b and through
+    both tiles, with values an int64 cast keeps apart."""
+    rng = np.random.default_rng(23)
+    return {"a": rng.normal(size=(9, 130)) * 3,
+            "b": rng.normal(size=(130, 45)) * 3,
+            "mask": rng.normal(size=(9, 45)) * 3}
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+@pytest.mark.parametrize("name, kind, masked", REFUSED_CASES,
+                         ids=[f"{n}-{k}-{'mask' if m else 'nomask'}"
+                              for n, k, m in REFUSED_CASES])
+def test_matmul_kseq_runs_numpy_on_an_array_the_kernel_refuses(
+        name, kind, masked, relu, monkeypatch):
+    args = _wrapper_operands()
+    if not masked:
+        args["mask"] = None
+    args[name] = REFUSED[kind](args[name])
+    a, b = (np.asarray(args[x], np.float64) for x in "ab")
+    want = neuralcore._matmul_kseq_numpy(a, b)
+    if relu:
+        want = np.maximum(0.0, want)
+    if masked:
+        want = want * (np.asarray(args["mask"], np.float64) > 0.0)
+    calls = []
+    reference = neuralcore._matmul_kseq_numpy
+    monkeypatch.setattr(neuralcore, "_matmul_kseq_numpy",
+                        lambda a, b: calls.append(1) or reference(a, b))
+    got = matmul_kseq(args["a"], args["b"], relu=relu, mask=args["mask"])
+    assert got.tobytes() == want.tobytes()
+    # a takes any strides, and a list becomes a C-order float64 array
+    taken = kind == "list" or (name == "a" and kind in _NOT_C)
+    assert bool(calls) == (native.kernels() is None or not taken)
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran: the kernel refused an array")
+    return refuse
+
+
+def _train_then_test(mode, path):
+    """The checkpoint after a 4-batch training epoch, and the loss and
+    accuracy of a test epoch on that checkpoint loaded back."""
+    budget = ResourceBudget()
+    state, _ = run_epoch(_epoch_batches(), ModelState.initial(3), mode, True,
+                         budget)
+    save_checkpoint(path, state)
+    _, test = run_epoch(_epoch_batches(), load_checkpoint(path), mode, False,
+                        budget)
+    return path.read_bytes(), test.mean_loss, test.accuracy
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_production_epoch_never_falls_back(mode, tmp_path, monkeypatch):
+    """Every array a training or a test epoch passes is one its kernel
+    takes: with the numpy references made to raise, both epochs give an
+    unpatched run's checkpoint and result. An array that fell back, such
+    as W2^T left uncopied, would otherwise show only as a slower epoch."""
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
+    want = _train_then_test(mode, tmp_path / "want.ckpt")
+    monkeypatch.setattr(neuralcore, "_matmul_kseq_numpy",
+                        _refuse("_matmul_kseq_numpy"))
+    monkeypatch.setattr(hoststage, "conv2d_valid", _refuse("conv2d_valid"))
+    monkeypatch.setattr(adam_mod, "adam_update", _refuse("adam_update"))
+    assert _train_then_test(mode, tmp_path / "got.ckpt") == want
 
 
 def test_a_kernel_call_lets_other_threads_run():
@@ -570,8 +644,9 @@ def test_second_load_reuses_the_cached_library(empty_kernel_cache, monkeypatch):
 
 
 def test_a_new_build_removes_stale_libraries(empty_kernel_cache):
-    """Only libraries unused for longer than 30 days go: a fresh library of
-    another source belongs to another checkout and stays."""
+    """Only modules unused for longer than 30 days go: a fresh module of
+    another source belongs to another checkout and stays, and so does a
+    file of any other name."""
     if not _compiler_on_path():
         pytest.skip("no cc or gcc on PATH")
     empty_kernel_cache.mkdir(parents=True)
@@ -583,7 +658,22 @@ def test_a_new_build_removes_stale_libraries(empty_kernel_cache):
     assert native.kernels() is not None
     assert {p.name for p in empty_kernel_cache.iterdir()} == \
         {"native-0000.c", "native-1111.so", native._library_path().name,
-         "other.so"}
+         "kseq-0000.so", "other.so"}
+
+
+def test_the_kernel_source_and_flags_are_pinned():
+    """The cached module's name keys on _SOURCE, _CFLAGS and the ABI tag,
+    and a rebuilt module moves the kernels' timings on its own: a change
+    to either is deliberate, and updates these pins."""
+    assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
+        "80644fbb0a9bcd67005dc237bb67f95a9524da2348c171be5d27e803b8a77a6e"
+    assert native._CFLAGS == ("-O3", "-std=c99", "-ffp-contract=off",
+                              "-fno-math-errno", "-fPIC", "-shared")
+    if importlib.machinery.EXTENSION_SUFFIXES[0] == \
+            ".cpython-311-x86_64-linux-gnu.so":
+        assert native._library_path().name == (
+            "native-a75d1950d8e4df59ca85ce6d5a0bc4d911d127cff40e3200d63b7343"
+            "a81ae97e.so")
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):

@@ -11,7 +11,8 @@ from convpipe.accelmodel import ResourceBudget
 from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
 from convpipe.dims import SHARPEN_KERNEL, ModelDims
 from convpipe.neuralcore import ModelState
-from convpipe.pipeline import (PIPELINED, SEQUENTIAL, RunConfig, load_datasets,
+from convpipe.pipeline import (PIPELINED, SEQUENTIAL, RunConfig,
+                               constant_stage_seconds, load_datasets,
                                run_epoch, run_training, sequential_seconds,
                                speedup_summary, two_stage_pipeline_seconds)
 
@@ -28,10 +29,14 @@ def _batches(seed, n_images):
 # -- latency algebra ----------------------------------------------------------
 
 def test_constant_stage_times_formula():
+    # the closed form `estimate` prints agrees with the recurrences
     for h, a in ((1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (0.1, 3.0)):
         n = 25
-        total = two_stage_pipeline_seconds([h] * n, [a] * n)
-        assert total == pytest.approx(max(h, a) * n + min(h, a), rel=1e-12)
+        seq, pipe = constant_stage_seconds(n, h, a)
+        assert seq == pytest.approx(sequential_seconds([h] * n, [a] * n),
+                                    rel=1e-12)
+        assert pipe == pytest.approx(
+            two_stage_pipeline_seconds([h] * n, [a] * n), rel=1e-12)
 
 
 def test_pipeline_recurrence_matches_discrete_event_oracle():
