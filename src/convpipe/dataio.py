@@ -237,11 +237,30 @@ def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
                       cols=DEFAULT_DIMS.image_y,
                       num_classes=DEFAULT_DIMS.classes):
     """Deterministic random dataset for fixtures: byte-quantized pixels in
-    [0, 1] and labels uniform over the classes."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    [0, 1] and labels uniform over the classes.
+
+    The pixels are the values of rng.integers(0, 256, size=(n, rows, cols)),
+    taken straight from PCG64's raw words. For int64 output, integers()
+    draws each value from one 32-bit half of a 64-bit word, low half first,
+    by Lemire's method; a range of 256 never rejects, and the value is the
+    half's top byte, byte 3 or 7 of the little-endian word. An odd count
+    draws its last pixel through integers() itself, which leaves the word's
+    high half buffered in the generator where integers() would have left
+    it, so the labels' draw gives the labels integers() alone would give."""
+    for name, value, least in (("n", n, 0), ("rows", rows, 0),
+                               ("cols", cols, 0),
+                               ("num_classes", num_classes, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
-    pixels = rng.integers(0, 256, size=(n, rows, cols)).astype(np.float64)
+    count = n * rows * cols
+    words = count // 2
+    pixels = np.empty(count, dtype=np.float64)
+    pixels[:2 * words] = (rng.bit_generator.random_raw(words)
+                          .astype("<u8", copy=False).view(np.uint8)[3::4])
+    if count % 2:
+        pixels[-1] = rng.integers(0, 256)
     pixels /= 255.0
     labels = rng.integers(0, num_classes, size=n).astype(np.int64)
-    return ImageSet(pixels), LabelSet(labels, num_classes)
+    return (ImageSet(pixels.reshape(n, rows, cols)),
+            LabelSet(labels, num_classes))

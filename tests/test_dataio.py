@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 
 import numpy as np
 import pytest
@@ -196,6 +197,70 @@ def test_synthetic_determinism_and_seed_sensitivity():
 def test_synthetic_empty():
     images, labels = synthetic_dataset(0, 0)
     assert images.count == 0 and labels.count == 0
+
+
+def integers_fixture(seed, n, rows, cols, num_classes):
+    """The fixture as numpy's integers() draws it: the reference that
+    synthetic_dataset's raw-word draw must equal byte for byte."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(n, rows, cols)).astype(np.float64)
+    pixels /= 255.0
+    return pixels, rng.integers(0, num_classes, size=n).astype(np.int64)
+
+
+def assert_same_fixture(seed, n, rows, cols, num_classes):
+    images, labels = synthetic_dataset(seed, n, rows, cols, num_classes)
+    pixels, want_labels = integers_fixture(seed, n, rows, cols, num_classes)
+    for got, want in ((images.pixels, pixels), (labels.labels, want_labels)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+# the two default splits, empty sets, single pixels, odd pixel counts
+# (whose last pixel leaves half a raw word buffered for the labels' draw)
+# and a set with no pixels but one label
+@pytest.mark.parametrize("n, rows, cols, num_classes", [
+    (512, 28, 28, 10), (2048, 28, 28, 10), (0, 28, 28, 10), (1, 1, 1, 1),
+    (5, 5, 5, 3), (7, 3, 3, 2), (3, 1, 1, 10), (33, 30, 16, 37),
+    (1, 0, 5, 2)])
+@pytest.mark.parametrize("seed", range(6))
+def test_synthetic_pixels_are_the_integers_draw(seed, n, rows, cols,
+                                                num_classes):
+    assert_same_fixture(seed, n, rows, cols, num_classes)
+
+
+# sha256 of the little-endian pixel and label bytes of the train and test
+# splits a seed-0 run builds. The pixels are bytes divided by 255.0, exact
+# on every CPU, so only a change to numpy's generator or to the draw moves
+# them.
+@pytest.mark.parametrize("seed, n, pixels_sha, labels_sha", [
+    (1, 2048,
+     "6d28c6c9e97754c4671c6fc9866208946aa6bfb2d4f157ea8e9f1eab22b5274a",
+     "d79a163f4f5f1573ae7f321eee72353a89ec6a9381234f7c0d5e152337663728"),
+    (2, 512,
+     "42a50677b9b3815a7b0d5f8453bbeed6ec168dec23b017633eb3982eab942f8c",
+     "b392b0f0e35ff3d9b3119cc0c172825332794038bba6a65f2452624265ae1084"),
+])
+def test_synthetic_fixture_bytes_are_pinned(seed, n, pixels_sha, labels_sha):
+    images, labels = synthetic_dataset(seed, n)
+    assert hashlib.sha256(
+        images.pixels.astype("<f8").tobytes()).hexdigest() == pixels_sha
+    assert hashlib.sha256(
+        labels.labels.astype("<i8").tobytes()).hexdigest() == labels_sha
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 28, 28, 10), "n must be >= 0, got -1"),
+    ((2, -1, 28, 10), "rows must be >= 0, got -1"),
+    ((2, 28, -3, 10), "cols must be >= 0, got -3"),
+    # two negative sizes multiply to a positive pixel count
+    ((2, -2, -3, 10), "rows must be >= 0, got -2"),
+    ((2, 28, 28, 0), "num_classes must be >= 1, got 0"),
+    ((0, 28, 28, -1), "num_classes must be >= 1, got -1"),
+])
+def test_synthetic_rejects_a_bad_size(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        synthetic_dataset(0, *args)
 
 
 def test_idx_round_trip_exact(tmp_path):

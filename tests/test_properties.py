@@ -1,5 +1,6 @@
-"""Property-based differential tests: the compiled kernels against their
-numpy references, over inputs hypothesis draws.
+"""Property-based differential tests, over inputs hypothesis draws: the
+compiled kernels against their numpy references, and the synthetic
+fixture's raw-word draw against numpy's integers().
 
 Each property runs a fixed, bounded set of examples (derandomize=True), so
 a run is deterministic, and a counterexample it finds stays as one of its
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from convpipe import neuralcore
 from convpipe.neuralcore import matmul_kseq
 
+from test_dataio import assert_same_fixture
 from test_neuralcore import REFUSED
 
 # the 4-row and 32-column register tile, the narrow tile's 12 columns next
@@ -92,3 +94,12 @@ def test_matmul_kseq_gives_the_numpy_bytes(m, k, n, seed, share, a_layout,
             want = want * (mask > 0.0)
         got = matmul_kseq(a, b, relu=relu, mask=mask)
     _same_bytes_up_to_nan_sign(got, want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 64),
+       rows=st.integers(0, 40), cols=st.integers(0, 40),
+       num_classes=st.integers(1, 40))
+def test_synthetic_dataset_gives_the_integers_bytes(seed, n, rows, cols,
+                                                    num_classes):
+    assert_same_fixture(seed, n, rows, cols, num_classes)
