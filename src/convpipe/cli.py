@@ -272,7 +272,6 @@ def build_parser():
 
     def common(p, with_data=True):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--report", dest="report_path",
                        help="write a JSON report here")
         p.add_argument("--max-multipliers", dest="budget.max_multipliers",
@@ -282,6 +281,7 @@ def build_parser():
                        type=int)
         p.add_argument("--clock-ns", dest="budget.clock_ns", type=float)
         if with_data:
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--data-dir",
                            help=f"directory with IDX files "
                                 f"(fallback: ${ENV_DATA_DIR})")

@@ -6,10 +6,11 @@ IDX is the classic big-endian binary format: u32 magic, u32 count,
 one writer cover both kinds; the public loaders and writers only convert
 the uint8 payload. Files may be plain or gzip-compressed; compression is
 detected from the 1f 8b prefix.
-The payload must end the file where the header's count says: a byte
-after it fails with its path and offset like a malformed header. A gzip
-stream is read to its end, where gzip checks its CRC and length, so a
-corrupt or truncated .gz fails the same way.
+The payload must end the file where the header's count says; a gzip
+stream is read to its end, where gzip checks its CRC and length. A
+malformed IDX file or checkpoint (checkpoint reads through _read_exact
+and _read_to_end) raises FormatError with its path and the byte offset
+of the field that failed, in the uncompressed stream for a .gz.
 """
 
 import gzip
@@ -26,12 +27,13 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
-    """Malformed IDX file; carries the byte offset where parsing failed."""
+class FormatError(ValueError):
+    """A malformed IDX file or checkpoint, with the byte offset of the
+    field that failed."""
 
-    def __init__(self, message, path, offset):
-        super().__init__(f"{path}: {message} (at byte offset {offset})")
-        self.path = str(path)
+    def __init__(self, path, offset, message):
+        super().__init__(f"{path}: byte {offset}: {message}")
+        self.path = path
         self.offset = offset
 
 
@@ -112,52 +114,49 @@ def _read_exact(f, n, path, what):
         while len(data) < n:
             chunk = f.read(min(n - len(data), _READ_CHUNK))
             if not chunk:
-                raise IdxFormatError(f"truncated file while reading {what}: "
-                                     f"wanted {n} bytes, got {len(data)}",
-                                     path, offset)
+                raise FormatError(path, offset, f"truncated {what}: {n} bytes "
+                                                f"needed, {len(data)} left")
             data += chunk
     except _GZIP_ERRORS as exc:
-        raise IdxFormatError(f"corrupt gzip stream while reading {what}: "
-                             f"{exc}", path, offset + len(data)) from exc
+        raise FormatError(path, offset + len(data), f"corrupt gzip stream "
+                          f"while reading {what}: {exc}") from exc
     return data
 
 
 def _read_to_end(f, path, what):
-    """Check that the file ends with the payload the header sized: a byte
-    after it fails with its offset. A gzip stream is read to its end,
-    where gzip checks its CRC and length; offsets count uncompressed
-    bytes."""
+    """Check that the file ends after `what`: a byte after it fails with
+    its offset. A gzip stream is read to its end, where gzip checks its
+    CRC and length; offsets count uncompressed bytes."""
     offset = f.tell()
     try:
         extra = f.read(1)
     except _GZIP_ERRORS as exc:
-        raise IdxFormatError(f"corrupt gzip stream after the {what}: {exc}",
-                             path, offset) from exc
+        raise FormatError(path, offset, f"corrupt gzip stream after the "
+                                        f"{what}: {exc}") from exc
     if extra:
-        raise IdxFormatError(f"bytes after the {what}, where the header's "
-                             f"count ends the file", path, offset)
+        raise FormatError(path, offset, f"bytes after the {what}, where the "
+                                        f"file must end")
 
 
 def _read_idx(path, kind, magic, dims, payload):
     """The uint8 payload of an IDX file of kind "image" or "label", shaped
     as its header says. dims holds a (name, expected size or None) pair per
     dimension after the count; payload names the data in errors."""
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         raise FileNotFoundError(f"{kind} file not found: {path}")
     with open(path, "rb") as probe:
         packed = probe.read(2) == b"\x1f\x8b"
     with (gzip.open if packed else open)(path, "rb") as f:
         got = int.from_bytes(_read_exact(f, 4, path, "magic"), "big")
         if got != magic:
-            raise IdxFormatError(f"bad {kind} magic 0x{got:08x}, expected "
-                                 f"0x{magic:08x}", path, 0)
+            raise FormatError(path, 0, f"bad {kind} magic 0x{got:08x}, "
+                                       f"expected 0x{magic:08x}")
         shape = [int.from_bytes(_read_exact(f, 4, path, what), "big")
                  for what in ("count", *(f"{name}s" for name, _ in dims))]
         for i, ((name, expected), size) in enumerate(zip(dims, shape[1:])):
             if expected is not None and size != expected:
-                raise IdxFormatError(f"{name} count {size} != expected "
-                                     f"{expected}", path, 8 + 4 * i)
+                raise FormatError(path, 8 + 4 * i, f"{name} count {size} "
+                                                   f"!= expected {expected}")
         data = _read_exact(f, math.prod(shape), path, payload)
         _read_to_end(f, path, payload)
     return np.frombuffer(data, dtype=np.uint8).reshape(shape)
@@ -190,8 +189,8 @@ def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
         np.int64)
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))
-        raise IdxFormatError(f"corrupt label {labels[bad]} >= {num_classes}",
-                             Path(path), 8 + bad)
+        raise FormatError(path, 8 + bad,
+                          f"corrupt label {labels[bad]} >= {num_classes}")
     return LabelSet(labels, num_classes)
 
 

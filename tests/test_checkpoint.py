@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from convpipe.adam import AdamHyper
-from convpipe.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
-                                 save_checkpoint)
+from convpipe.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from convpipe.dataio import FormatError
 from convpipe.dims import ModelDims
 from convpipe.hoststage import ConvBatch
 from convpipe.neuralcore import ModelState, accel_kernel
@@ -61,7 +61,7 @@ def test_magic_bytes(tmp_path):
 def test_bad_magic_names_file(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"XXXX" + bytes(100))
-    with pytest.raises(CheckpointError) as err:
+    with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert "bad.ckpt" in str(err.value)
     assert "magic" in str(err.value)
@@ -75,7 +75,7 @@ def test_truncated_checkpoint(tmp_path):
     # low-level struct/numpy failure
     for cut in (5, 9, 40, len(data) // 2, len(data) - 3):
         path.write_bytes(data[:cut])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
 
@@ -89,7 +89,9 @@ def test_hyper_override_on_load(tmp_path):
 # byte offsets in a DIMS checkpoint: magic, version, then w1 (9x5) and w2 (5x10)
 W1_AT = 8
 W2_AT = W1_AT + 8 + 9 * 5 * 8
-NAMED_AT = W2_AT + 8 + 5 * 10 * 8 + 8 + 4  # after the step counter and count
+COUNT_AT = W2_AT + 8 + 5 * 10 * 8 + 8  # the array count, after the step counter
+NAMED_AT = COUNT_AT + 4
+MW1_SIZE = 4 + 3 + 8 + 9 * 5 * 8  # mW1's name length, name, rows/cols, data
 
 
 def _saved(tmp_path, name="model.ckpt"):
@@ -99,7 +101,7 @@ def _saved(tmp_path, name="model.ckpt"):
 
 
 def _load_error(path, **kwargs):
-    with pytest.raises(CheckpointError) as err:
+    with pytest.raises(FormatError) as err:
         load_checkpoint(path, **kwargs)
     assert err.value.path == path
     assert str(err.value).startswith(f"{path}: byte {err.value.offset}: ")
@@ -140,11 +142,36 @@ def test_non_ascii_name_names_path_and_offset(tmp_path):
 
 
 def test_missing_optimizer_array_names_path(tmp_path):
+    # an array count of 3 and no mW1 entry
     path, data = _saved(tmp_path)
-    path.write_bytes(data[:NAMED_AT + 4] + b"xW1" + data[NAMED_AT + 7:])
+    data = (data[:COUNT_AT] + (3).to_bytes(4, "little")
+            + data[NAMED_AT + MW1_SIZE:])
+    path.write_bytes(data)
     err = _load_error(path)
     assert err.offset == len(data)
     assert "missing optimizer arrays ['mW1']" in str(err)
+
+
+def test_unknown_array_name_fails_at_its_offset(tmp_path):
+    path, data = _saved(tmp_path)
+    path.write_bytes(data[:NAMED_AT + 4] + b"xW1" + data[NAMED_AT + 7:])
+    err = _load_error(path)
+    assert err.offset == NAMED_AT + 4
+    assert str(err).endswith("array name 'xW1' is unknown")
+
+
+def test_repeated_array_name_fails_at_its_offset(tmp_path):
+    # mW1 stands twice, and the second copy's values differ: a loader that
+    # kept the last one would resume from other optimizer state
+    path, data = _saved(tmp_path)
+    entry = bytearray(data[NAMED_AT:NAMED_AT + MW1_SIZE])
+    entry[-1] ^= 0x40
+    data = (data[:COUNT_AT] + (5).to_bytes(4, "little") + data[NAMED_AT:]
+            + entry)
+    path.write_bytes(data)
+    err = _load_error(path)
+    assert err.offset == len(data) - MW1_SIZE + 4
+    assert str(err).endswith("array name 'mW1' is repeated")
 
 
 def test_bytes_after_the_last_array_name_path_and_offset(tmp_path):
@@ -152,8 +179,8 @@ def test_bytes_after_the_last_array_name_path_and_offset(tmp_path):
     path.write_bytes(data + b"\x00")
     err = _load_error(path)
     assert err.offset == len(data)
-    assert ("1 bytes after the last array, where the array count ends the "
-            "file") in str(err)
+    assert str(err).endswith("bytes after the last array, where the file "
+                             "must end")
 
 
 def test_weight_shapes_checked_against_dims(tmp_path):

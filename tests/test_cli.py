@@ -261,6 +261,14 @@ def test_estimate_bad_unroll_flag(capsys):
     assert "unroll-fc" in capsys.readouterr().err
 
 
+def test_estimate_takes_no_seed(capsys):
+    # estimate reads no data and draws no weights: a seed would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_estimate_unroll_from_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"unroll_fc": [1, 1],
@@ -493,7 +501,8 @@ def test_truncated_gzip_split_fails_with_its_path(data_dir, capsys):
     gz = data_dir / "train-images-idx3-ubyte.gz"
     gz.write_bytes(packed[:len(packed) // 2])
     assert main(["train", "--data-dir", str(data_dir), "--epochs", "1"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {gz}: corrupt gzip")
+    assert capsys.readouterr().err.startswith(f"error: {gz}: byte 16: corrupt "
+                                              f"gzip")
 
 
 def test_split_longer_than_its_header_fails_with_its_path(data_dir, capsys):
@@ -506,8 +515,8 @@ def test_split_longer_than_its_header_fails_with_its_path(data_dir, capsys):
     images = data_dir / "train-images-idx3-ubyte"
     assert main(["train", "--data-dir", str(data_dir), "--epochs", "1"]) == 2
     assert capsys.readouterr().err == (
-        f"error: {images}: bytes after the pixel data, where the header's "
-        f"count ends the file (at byte offset {16 + 96 * 28 * 28})\n")
+        f"error: {images}: byte {16 + 96 * 28 * 28}: bytes after the pixel "
+        f"data, where the file must end\n")
 
 
 def test_count_mismatch_names_both_files(data_dir, capsys):

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from convpipe.dataio import (IdxFormatError, ImageSet, LabelSet,
+from convpipe.dataio import (FormatError, ImageSet, LabelSet,
                              load_idx_images, load_idx_labels, make_batches,
                              synthetic_dataset, write_idx_images,
                              write_idx_labels)
@@ -53,7 +53,7 @@ def test_byte_scaling_is_div_255(tmp_path):
 
 def test_bad_image_magic_reports_offset(tmp_path):
     path = _image_file(tmp_path, bytes(28 * 28), 1, magic=0x00000801)
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_images(path)
     assert err.value.offset == 0
     assert "bad image magic 0x00000801, expected 0x00000803" in str(err.value)
@@ -61,17 +61,17 @@ def test_bad_image_magic_reports_offset(tmp_path):
 
 def test_truncated_image_file(tmp_path):
     path = _image_file(tmp_path, bytes(100), 1)  # wants 784 bytes
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_images(path)
     assert "truncated" in str(err.value)
 
 
 def test_truncated_label_file(tmp_path):
     path = _label_file(tmp_path, bytes([1, 2]), 5)
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_labels(path)
-    assert str(err.value) == (f"{path}: truncated file while reading label "
-                              f"data: wanted 5 bytes, got 2 (at byte offset 8)")
+    assert str(err.value) == (f"{path}: byte 8: truncated label data: 5 "
+                              f"bytes needed, 2 left")
 
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
@@ -80,25 +80,25 @@ def test_huge_declared_count_fails_at_the_data_offset(tmp_path, compressed):
     path = _image_file(tmp_path, bytes(100), 0xFFFFFFFF)
     if compressed:
         path.write_bytes(gzip.compress(path.read_bytes()))
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_images(path)
     assert err.value.offset == 16
-    assert str(err.value).startswith(f"{path}: truncated file")
-    assert "got 100" in str(err.value)
+    assert str(err.value).startswith(f"{path}: byte 16: truncated pixel data")
+    assert "100 left" in str(err.value)
     # the label payload starts right after the count
     path = _label_file(tmp_path, bytes(100), 0xFFFFFFFF)
     if compressed:
         path.write_bytes(gzip.compress(path.read_bytes()))
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_labels(path)
     assert err.value.offset == 8
-    assert str(err.value).startswith(f"{path}: truncated file while reading "
-                                     f"label data: wanted 4294967295 bytes")
+    assert str(err.value).startswith(f"{path}: byte 8: truncated label data: "
+                                     f"4294967295 bytes needed")
 
 
 def test_dimension_mismatch_rejected(tmp_path):
     path = _image_file(tmp_path, bytes(16 * 16), 1, rows=16, cols=16)
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_images(path)
     assert err.value.offset == 8
     # but loads fine when the caller opts out of the geometry check
@@ -106,7 +106,7 @@ def test_dimension_mismatch_rejected(tmp_path):
     assert images.rows == 16
     # rows that match leave the cols to fail at their own offset
     path = _image_file(tmp_path, bytes(28 * 16), 1, rows=28, cols=16)
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_images(path)
     assert err.value.offset == 12
     assert "col count 16 != expected 28" in str(err.value)
@@ -121,14 +121,14 @@ def test_single_label_byte(tmp_path):
 
 def test_label_out_of_range_is_corrupt(tmp_path):
     path = _label_file(tmp_path, bytes([3, 12]), 2)
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_labels(path)
     assert "corrupt" in str(err.value)
 
 
 def test_bad_label_magic(tmp_path):
     path = _label_file(tmp_path, bytes([1]), 1, magic=0x00000803)
-    with pytest.raises(IdxFormatError) as err:
+    with pytest.raises(FormatError) as err:
         load_idx_labels(path)
     assert err.value.offset == 0
     assert "bad label magic 0x00000803, expected 0x00000801" in str(err.value)
@@ -321,7 +321,7 @@ def test_truncated_gzip_fails_with_its_path(tmp_path, kind):
     # cuts in the header, the deflate data and the CRC and length trailer
     for cut in [*range(1, len(raw), max(1, len(raw) // 40)), len(raw) - 1]:
         gz.write_bytes(raw[:cut])
-        with pytest.raises(IdxFormatError) as err:
+        with pytest.raises(FormatError) as err:
             _load(kind, gz)
         assert str(err.value).startswith(f"{gz}: "), cut
 
@@ -342,7 +342,7 @@ def test_bit_flipped_gzip_fails_or_loads_unchanged(tmp_path, kind):
         gz.write_bytes(flipped)
         try:
             got = _load(kind, gz)
-        except IdxFormatError as err:
+        except FormatError as err:
             assert str(err).startswith(f"{gz}: ")
             failed += 1
             continue
@@ -366,9 +366,10 @@ def test_bytes_after_the_payload_fail_with_their_offset(tmp_path, kind,
     for data, end in ((raw[:7] + bytes([40]) + raw[8:], header + 40 * entry),
                       (raw + b"\0", len(raw))):
         path.write_bytes(gzip.compress(data) if packed else data)
-        with pytest.raises(IdxFormatError) as err:
+        with pytest.raises(FormatError) as err:
             _load(kind, path)
-        assert str(err.value).startswith(f"{path}: bytes after the ")
+        assert str(err.value).startswith(f"{path}: byte {end}: bytes after "
+                                         f"the ")
         assert err.value.offset == end
 
 

@@ -1,19 +1,28 @@
-"""Property-based differential tests, over inputs hypothesis draws: the
-compiled kernels against their numpy references, and the synthetic
-fixture's raw-word draw against numpy's integers().
+"""Property-based tests, over inputs hypothesis draws: the compiled
+kernels against their numpy references, the synthetic fixture's raw-word
+draw against numpy's integers(), and the checkpoint and IDX loaders on
+cut, extended and bit-flipped files.
 
 Each property runs a fixed, bounded set of examples (derandomize=True), so
 a run is deterministic, and a counterexample it finds stays as one of its
 @example cases.
 """
 
+import gzip
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convpipe import neuralcore
+from convpipe.checkpoint import load_checkpoint, save_checkpoint
+from convpipe.dataio import (FormatError, ImageSet, LabelSet,
+                             load_idx_images, load_idx_labels,
+                             write_idx_images, write_idx_labels)
 from convpipe.neuralcore import matmul_kseq
 
+from test_checkpoint import _trained_state
 from test_dataio import assert_same_fixture
 from test_neuralcore import REFUSED
 
@@ -103,3 +112,92 @@ def test_matmul_kseq_gives_the_numpy_bytes(m, k, n, seed, share, a_layout,
 def test_synthetic_dataset_gives_the_integers_bytes(seed, n, rows, cols,
                                                     num_classes):
     assert_same_fixture(seed, n, rows, cols, num_classes)
+
+
+# each binary input by file name, and what a load of it returns; a name
+# ending in .gz holds the gzipped bytes of the file without the suffix
+LOADERS = {"model.ckpt": lambda path: load_checkpoint(path).adam.v_w2,
+           "images": lambda path: load_idx_images(path, 6, 7).pixels,
+           "labels": lambda path: load_idx_labels(path).labels}
+NAMES = st.sampled_from(["model.ckpt", "images", "images.gz", "labels",
+                         "labels.gz"])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory for the files a property writes, and the uncompressed
+    bytes of each well-formed input and what a load of it returns, by file
+    name."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(7)
+    save_checkpoint(tmp / "model.ckpt", _trained_state(7))
+    write_idx_images(ImageSet(rng.integers(0, 256, (3, 6, 7)) / 255.0),
+                     tmp / "images")
+    write_idx_labels(LabelSet(rng.integers(0, 10, 12)), tmp / "labels")
+    plain = {name: (tmp / name).read_bytes() for name in LOADERS}
+    plain.update({"images.gz": plain["images"], "labels.gz": plain["labels"]})
+    return tmp, plain, {name: _load(tmp, name, _stored(name, data))
+                        for name, data in plain.items()}
+
+
+def _stored(name, data):
+    """The file bytes of name holding the uncompressed bytes data."""
+    return gzip.compress(data, mtime=0) if name.endswith(".gz") else data
+
+
+def _load(tmp, name, raw):
+    """What a load of a file name of bytes raw returns, or the FormatError
+    it raises, whose path and offset its message leads with."""
+    path = tmp / name
+    path.write_bytes(raw)
+    try:
+        return LOADERS[name.removesuffix(".gz")](path)
+    except FormatError as err:
+        assert err.path == path
+        assert str(err).startswith(f"{path}: byte {err.offset}: ")
+        return err
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(name=NAMES, data=st.data())
+def test_a_cut_file_fails(inputs, name, data):
+    tmp, plain, _ = inputs
+    raw = _stored(name, plain[name])
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    assert isinstance(_load(tmp, name, raw[:cut]), FormatError)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(name=NAMES, extra=st.binary(min_size=1, max_size=40))
+def test_bytes_after_the_end_fail_at_the_end(inputs, name, extra):
+    tmp, plain, _ = inputs
+    err = _load(tmp, name, _stored(name, plain[name] + extra))
+    assert isinstance(err, FormatError)
+    assert err.offset == len(plain[name])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(name=NAMES, data=st.data())
+def test_a_flipped_bit_fails_or_loads(inputs, name, data):
+    # gzip checks its CRC only at the end of the stream, where the loader
+    # reads it: a .gz that loads holds the original data
+    tmp, plain, want = inputs
+    raw = bytearray(_stored(name, plain[name]))
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+    raw[bit // 8] ^= 1 << bit % 8
+    got = _load(tmp, name, bytes(raw))
+    if name.endswith(".gz") and not isinstance(got, FormatError):
+        assert np.array_equal(got, want[name])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(name=st.sampled_from(["images.gz", "labels.gz"]),
+       extra=st.binary(min_size=1, max_size=40))
+# gzip skips zero padding after a stream
+@example(name="labels.gz", extra=b"\0\0")
+def test_bytes_after_a_gzip_stream_fail_or_load_unchanged(inputs, name,
+                                                          extra):
+    # gzip reads what follows a stream as the next member
+    tmp, plain, want = inputs
+    got = _load(tmp, name, _stored(name, plain[name]) + extra)
+    assert isinstance(got, FormatError) or np.array_equal(got, want[name])
