@@ -10,10 +10,12 @@ Layout (all integers little-endian):
     u32           number of named arrays
     per array     u32 name length, ascii name, u32 rows, u32 cols, float64 data
 
-The named section carries mW1, vW1, mW2 and vW2, each once, so training
-can resume exactly, and its last array ends the file. Round-trips are
-bit-exact. A malformed checkpoint raises dataio.FormatError, as a
-malformed IDX file does.
+The named section carries mW1, vW1, mW2 and vW2, each once, and its last
+array ends the file. Round-trips are bit-exact, so a library caller can
+resume training: load_checkpoint and more run_epoch calls end in the bytes
+of an uninterrupted run. No convpipe command starts training from a
+checkpoint; `convpipe test` only scores one. A malformed checkpoint raises
+dataio.FormatError, as a malformed IDX file does.
 """
 
 import struct

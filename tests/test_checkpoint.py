@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from convpipe.accelmodel import ResourceBudget
 from convpipe.adam import AdamHyper
 from convpipe.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from convpipe.dataio import FormatError
+from convpipe.dataio import FormatError, make_batches, synthetic_dataset
 from convpipe.dims import ModelDims
 from convpipe.hoststage import ConvBatch
 from convpipe.neuralcore import ModelState, accel_kernel
+from convpipe.pipeline import PIPELINED, SEQUENTIAL, run_epoch
 
 DIMS = ModelDims(batch=4, image_x=8, image_y=8, hidden=5, classes=10)
 
@@ -50,6 +52,33 @@ def test_resumed_training_matches_uninterrupted(tmp_path):
             _, resumed = accel_kernel(ConvBatch(v, y, i), resumed, True)
     assert np.array_equal(resumed.weights.w1, state_a.weights.w1)
     assert np.array_equal(resumed.weights.w2, state_a.weights.w2)
+
+
+@pytest.mark.parametrize("first,then", [(SEQUENTIAL, PIPELINED),
+                                        (PIPELINED, SEQUENTIAL)])
+def test_resumed_epochs_match_uninterrupted(tmp_path, first, then):
+    """k epochs in one mode, a checkpoint, a load and n - k epochs in the
+    other mode end in the checkpoint bytes of n epochs."""
+    n, k = 3, 1
+    images, labels = synthetic_dataset(8, 5 * DIMS.batch, DIMS.image_x,
+                                       DIMS.image_y)
+    batches = make_batches(images, labels, DIMS.batch)
+
+    def epochs(state, mode, count):
+        for _ in range(count):
+            state, _ = run_epoch(batches, state, mode, True, ResourceBudget(),
+                                 DIMS)
+        return state
+
+    save_checkpoint(tmp_path / "whole.ckpt",
+                    epochs(ModelState.initial(8, DIMS), first, n))
+    save_checkpoint(tmp_path / "mid.ckpt",
+                    epochs(ModelState.initial(8, DIMS), first, k))
+    resumed = load_checkpoint(tmp_path / "mid.ckpt", dims=DIMS)
+    assert resumed.adam.step == k * len(batches)
+    save_checkpoint(tmp_path / "resumed.ckpt", epochs(resumed, then, n - k))
+    assert (tmp_path / "resumed.ckpt").read_bytes() == \
+        (tmp_path / "whole.ckpt").read_bytes()
 
 
 def test_magic_bytes(tmp_path):

@@ -16,11 +16,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convpipe import neuralcore
+from convpipe.adam import (AdamHyper, AdamState, adam_update,
+                           apply_batch_update, correction_factors)
 from convpipe.checkpoint import load_checkpoint, save_checkpoint
-from convpipe.dataio import (FormatError, ImageSet, LabelSet,
+from convpipe.dataio import (FormatError, ImageSet, LabelSet, MiniBatch,
                              load_idx_images, load_idx_labels,
                              write_idx_images, write_idx_labels)
-from convpipe.neuralcore import matmul_kseq
+from convpipe.hoststage import conv2d_valid, host_stage, maxpool2x2
+from convpipe.neuralcore import Gradients, Weights, matmul_kseq
 
 from test_checkpoint import _trained_state
 from test_dataio import assert_same_fixture
@@ -38,6 +41,8 @@ DIM = st.one_of(st.sampled_from(EDGES), st.integers(0, 300))
 # values whose products overflow
 SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
                      2.2250738585072009e-308, 1e308, -1e308])
+# the share of drawn values that are SPECIALS
+SHARES = st.sampled_from([0.0, 0.001, 0.05, 0.5])
 
 
 def _values(rng, shape, share):
@@ -70,8 +75,9 @@ def _same_bytes_up_to_nan_sign(got, want):
     others. Where two NaNs of opposite sign meet in one sum or product, an
     x86 add or multiply returns the one its instruction's operand order
     picks, and that order differs between numpy's vector body and its
-    tail, and between the kernel's tiles and builds: which sign survives
-    is not part of the result."""
+    tail, and between the kernel's tiles and builds; in one pooling window,
+    numpy's max keeps the first NaN and the kernel's the last: which sign
+    survives is not part of the result."""
     nan = np.isnan(want)
     assert got.shape == want.shape
     assert np.array_equal(np.isnan(got), nan)
@@ -79,8 +85,7 @@ def _same_bytes_up_to_nan_sign(got, want):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(m=DIM, k=DIM, n=DIM, seed=st.integers(0, 2 ** 32 - 1),
-       share=st.sampled_from([0.0, 0.001, 0.05, 0.5]),
+@given(m=DIM, k=DIM, n=DIM, seed=st.integers(0, 2 ** 32 - 1), share=SHARES,
        a_layout=st.sampled_from(["C", "T", "strided", "reversed", "offset"]),
        b_layout=st.one_of(st.just("C"), st.sampled_from(sorted(B_LAYOUTS))),
        relu=st.booleans(), masked=st.booleans())
@@ -103,6 +108,63 @@ def test_matmul_kseq_gives_the_numpy_bytes(m, k, n, seed, share, a_layout,
             want = want * (mask > 0.0)
         got = matmul_kseq(a, b, relu=relu, mask=mask)
     _same_bytes_up_to_nan_sign(got, want)
+
+
+# output widths next to one and two of the host stage's 16-column blocks,
+# where the last block moves left over the one before it, and below one
+HOST_WIDTHS = st.one_of(st.sampled_from([2, 14, 16, 18, 30, 32, 34]),
+                        st.integers(1, 24).map(lambda half: 2 * half))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(0, 3), oh=st.integers(1, 6).map(lambda half: 2 * half),
+       ow=HOST_WIDTHS, kh=st.integers(1, 5), kw=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), share=SHARES)
+# a pooling window holds +NaN and then -NaN: numpy's max keeps the first
+# NaN, the kernel's max_nan the last
+@example(n=1, oh=2, ow=2, kh=2, kw=2, seed=0, share=0.5)
+def test_host_stage_gives_the_numpy_bytes(n, oh, ow, kh, kw, seed, share):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):  # inf - inf, inf * 0.0, overflow
+        x = _values(rng, (n, oh + kh - 1, ow + kw - 1), share)
+        kernel = _values(rng, (kh, kw), share)
+        want = maxpool2x2(conv2d_valid(x, kernel)).reshape(n, oh * ow // 4)
+        got = host_stage(MiniBatch(x, np.zeros((n, 10)), 0), kernel).v
+    _same_bytes_up_to_nan_sign(got, want)
+
+
+LAYER_SHAPES = st.tuples(st.integers(0, 40), st.integers(0, 40))
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(shape2=LAYER_SHAPES, shape1=LAYER_SHAPES, step=st.integers(0, 10 ** 4),
+       seed=st.integers(0, 2 ** 32 - 1), share=SHARES, beta1=UNIT,
+       beta2=UNIT, eta=st.floats(1e-6, 10.0), eps=st.floats(1e-12, 1e-2))
+def test_apply_batch_update_gives_two_adam_updates(shape2, shape1, step, seed,
+                                                   share, beta1, beta2, eta,
+                                                   eps):
+    rng = np.random.default_rng(seed)
+    hyper = AdamHyper(beta1, beta2, eta, eps)
+    # w, m, v and g of the output layer and then of the hidden layer; v is
+    # a second moment, so it holds no negative value
+    layers = [[_values(rng, shape, share) for _ in range(4)]
+              for shape in (shape2, shape1)]
+    for layer in layers:
+        layer[2] = np.abs(layer[2])
+    want = [[a.copy() for a in layer] for layer in layers]
+    (w2, m2, v2, g2), (w1, m1, v1, g1) = layers
+    state = AdamState(m1, v1, m2, v2, step)
+    with np.errstate(all="ignore"):
+        count = apply_batch_update(state, Weights(w1, w2), Gradients(g1, g2),
+                                   hyper)
+        corr = correction_factors(hyper, step + 1)
+        assert count == sum(adam_update(*layer, corr, hyper)
+                            for layer in want)
+    assert state.step == step + 1
+    for got_layer, want_layer in zip(layers, want):
+        for got, expected in zip(got_layer[:3], want_layer[:3]):
+            assert got.tobytes() == expected.tobytes()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
