@@ -10,10 +10,10 @@ Layout (all integers little-endian):
     u32           number of named arrays
     per array     u32 name length, ascii name, u32 rows, u32 cols, float64 data
 
-The named section carries mW1, vW1, mW2 and vW2, each once, and its last
-array ends the file. Round-trips are bit-exact, so a library caller can
-resume training: load_checkpoint and more run_epoch calls end in the bytes
-of an uninterrupted run. No convpipe command starts training from a
+The named section carries mW1, vW1, mW2 and vW2, in this order, and its
+last array ends the file. Round-trips are bit-exact, so a library caller
+can resume training: load_checkpoint and more run_epoch calls end in the
+bytes of an uninterrupted run. No convpipe command starts training from a
 checkpoint; `convpipe test` only scores one. A malformed checkpoint raises
 dataio.FormatError, as a malformed IDX file does.
 """
@@ -28,6 +28,10 @@ from .neuralcore import ModelState, Weights
 
 MAGIC = b"CNNW"
 VERSION = 1
+# the named section in file order: name, AdamState field, layer whose shape
+# the array has
+_MOMENTS = (("mW1", "m_w1", "w1"), ("vW1", "v_w1", "w1"),
+            ("mW2", "m_w2", "w2"), ("vW2", "v_w2", "w2"))
 
 
 def _write_array(f, a):
@@ -50,20 +54,17 @@ def _read_array(f, path, name, expected_shape=None):
 
 
 def save_checkpoint(path, state: ModelState):
-    named = [("mW1", state.adam.m_w1), ("vW1", state.adam.v_w1),
-             ("mW2", state.adam.m_w2), ("vW2", state.adam.v_w2)]
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         _write_array(f, state.weights.w1)
         _write_array(f, state.weights.w2)
         f.write(struct.pack("<Q", state.adam.step))
-        f.write(struct.pack("<I", len(named)))
-        for name, arr in named:
-            raw = name.encode("ascii")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            _write_array(f, arr)
+        f.write(struct.pack("<I", len(_MOMENTS)))
+        for name, field, _ in _MOMENTS:
+            f.write(struct.pack("<I", len(name)))
+            f.write(name.encode("ascii"))
+            _write_array(f, getattr(state.adam, field))
 
 
 def load_checkpoint(path, hyper=None, dims=None) -> ModelState:
@@ -87,28 +88,21 @@ def load_checkpoint(path, hyper=None, dims=None) -> ModelState:
         w1 = _read_array(f, path, "w1", w1_shape)
         w2 = _read_array(f, path, "w2", w2_shape)
         (step,) = _read_struct(f, "<Q", path, "step counter")
-        (n_named,) = _read_struct(f, "<I", path, "array count")
-        wanted = {"mW1": w1.shape, "vW1": w1.shape,
-                  "mW2": w2.shape, "vW2": w2.shape}
-        named = {}
-        for _ in range(n_named):
+        count_at = f.tell()
+        (count,) = _read_struct(f, "<I", path, "array count")
+        if count != len(_MOMENTS):
+            raise FormatError(path, count_at, f"array count {count}, "
+                                              f"expected {len(_MOMENTS)}")
+        weights, moments = Weights(w1, w2), {}
+        for name, field, layer in _MOMENTS:
             (name_len,) = _read_struct(f, "<I", path, "name length")
             offset = f.tell()
             raw = _read_exact(f, name_len, path, "array name")
-            try:
-                name = raw.decode("ascii")
-            except UnicodeDecodeError:
-                raise FormatError(path, offset, f"array name {bytes(raw)!r} "
-                                                "is not ASCII") from None
-            if name not in wanted:
-                raise FormatError(path, offset, f"array name {name!r} is "
-                                  + ("repeated" if name in named else "unknown"))
-            named[name] = _read_array(f, path, name, wanted.pop(name))
+            if raw != name.encode("ascii"):
+                raise FormatError(path, offset, f"array name {bytes(raw)!r}, "
+                                                f"expected {name!r}")
+            moments[field] = _read_array(f, path, name,
+                                         getattr(weights, layer).shape)
         _read_to_end(f, path, "last array")
-        if wanted:
-            raise FormatError(path, f.tell(),
-                              f"missing optimizer arrays {sorted(wanted)}")
-    adam = AdamState(m_w1=named["mW1"], v_w1=named["vW1"],
-                     m_w2=named["mW2"], v_w2=named["vW2"], step=step)
-    return ModelState(weights=Weights(w1, w2), adam=adam,
+    return ModelState(weights=weights, adam=AdamState(step=step, **moments),
                       hyper=hyper if hyper is not None else AdamHyper())

@@ -85,7 +85,7 @@ def _build(cls, values):
 def _parse_unroll(spec, name):
     """(a, b) from "a,b" or [a, b], each a positive integer."""
     if isinstance(spec, str):
-        spec = [int(p) if p.strip().isdigit() else p for p in spec.split(",")]
+        spec = [int(p) if p.strip().isdecimal() else p for p in spec.split(",")]
     if not (isinstance(spec, list) and len(spec) == 2
             and all(type(f) is int and f > 0 for f in spec)):
         raise ValueError(f"{name} expects two positive integers, e.g. 4,4")

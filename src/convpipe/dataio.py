@@ -10,7 +10,8 @@ The payload must end the file where the header's count says; a gzip
 stream is read to its end, where gzip checks its CRC and length. A
 malformed IDX file or checkpoint (checkpoint reads through _read_exact
 and _read_to_end) raises FormatError with its path and the byte offset
-of the field that failed, in the uncompressed stream for a .gz.
+of the field that failed, in the uncompressed stream for a .gz; a corrupt
+or cut gzip stream fails at the uncompressed byte where it breaks.
 """
 
 import gzip
@@ -57,14 +58,6 @@ class ImageSet:
     @property
     def count(self):
         return self.pixels.shape[0]
-
-    @property
-    def rows(self):
-        return self.pixels.shape[1]
-
-    @property
-    def cols(self):
-        return self.pixels.shape[2]
 
 
 @dataclass
@@ -118,8 +111,8 @@ def _read_exact(f, n, path, what):
                                                 f"needed, {len(data)} left")
             data += chunk
     except _GZIP_ERRORS as exc:
-        raise FormatError(path, offset + len(data), f"corrupt gzip stream "
-                          f"while reading {what}: {exc}") from exc
+        raise FormatError(path, f.tell(), f"corrupt gzip stream while "
+                                          f"reading {what}: {exc}") from exc
     return data
 
 

@@ -167,18 +167,17 @@ def test_non_ascii_name_names_path_and_offset(tmp_path):
     path.write_bytes(data[:NAMED_AT + 4] + b"m\xe9\xff" + data[NAMED_AT + 7:])
     err = _load_error(path)
     assert err.offset == NAMED_AT + 4
-    assert "array name b'm\\xe9\\xff' is not ASCII" in str(err)
+    assert str(err).endswith("array name b'm\\xe9\\xff', expected 'mW1'")
 
 
 def test_missing_optimizer_array_names_path(tmp_path):
     # an array count of 3 and no mW1 entry
     path, data = _saved(tmp_path)
-    data = (data[:COUNT_AT] + (3).to_bytes(4, "little")
-            + data[NAMED_AT + MW1_SIZE:])
-    path.write_bytes(data)
+    path.write_bytes(data[:COUNT_AT] + (3).to_bytes(4, "little")
+                     + data[NAMED_AT + MW1_SIZE:])
     err = _load_error(path)
-    assert err.offset == len(data)
-    assert "missing optimizer arrays ['mW1']" in str(err)
+    assert err.offset == COUNT_AT
+    assert str(err).endswith("array count 3, expected 4")
 
 
 def test_unknown_array_name_fails_at_its_offset(tmp_path):
@@ -186,7 +185,7 @@ def test_unknown_array_name_fails_at_its_offset(tmp_path):
     path.write_bytes(data[:NAMED_AT + 4] + b"xW1" + data[NAMED_AT + 7:])
     err = _load_error(path)
     assert err.offset == NAMED_AT + 4
-    assert str(err).endswith("array name 'xW1' is unknown")
+    assert str(err).endswith("array name b'xW1', expected 'mW1'")
 
 
 def test_repeated_array_name_fails_at_its_offset(tmp_path):
@@ -195,12 +194,29 @@ def test_repeated_array_name_fails_at_its_offset(tmp_path):
     path, data = _saved(tmp_path)
     entry = bytearray(data[NAMED_AT:NAMED_AT + MW1_SIZE])
     entry[-1] ^= 0x40
-    data = (data[:COUNT_AT] + (5).to_bytes(4, "little") + data[NAMED_AT:]
-            + entry)
-    path.write_bytes(data)
+    path.write_bytes(data[:COUNT_AT] + (5).to_bytes(4, "little")
+                     + data[NAMED_AT:] + entry)
     err = _load_error(path)
-    assert err.offset == len(data) - MW1_SIZE + 4
-    assert str(err).endswith("array name 'mW1' is repeated")
+    assert err.offset == COUNT_AT
+    assert str(err).endswith("array count 5, expected 4")
+    # the copy in vW1's place, with the count left at 4, fails at its name
+    vw1_at = NAMED_AT + MW1_SIZE
+    path.write_bytes(data[:vw1_at] + entry + data[vw1_at + MW1_SIZE:])
+    err = _load_error(path)
+    assert err.offset == vw1_at + 4
+    assert str(err).endswith("array name b'mW1', expected 'vW1'")
+
+
+def test_swapped_array_names_fail_at_the_first(tmp_path):
+    # mW1 and vW1 have the same shape, so only their order tells them apart
+    path, data = _saved(tmp_path)
+    vw1_at = NAMED_AT + MW1_SIZE
+    assert data[vw1_at:vw1_at + 7] == b"\x03\x00\x00\x00vW1"
+    path.write_bytes(data[:NAMED_AT] + data[vw1_at:vw1_at + MW1_SIZE]
+                     + data[NAMED_AT:vw1_at] + data[vw1_at + MW1_SIZE:])
+    err = _load_error(path)
+    assert err.offset == NAMED_AT + 4
+    assert str(err).endswith("array name b'vW1', expected 'mW1'")
 
 
 def test_bytes_after_the_last_array_name_path_and_offset(tmp_path):

@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import math
+import zlib
 
 import pytest
 
@@ -256,9 +257,11 @@ def test_estimate_bad_mode_algebra_flags_fail_before_output(capsys, argv,
 
 
 def test_estimate_bad_unroll_flag(capsys):
-    rc = main(["estimate", "--unroll-fc", "1,2,3"])
-    assert rc != 0
-    assert "unroll-fc" in capsys.readouterr().err
+    # "²" is a digit to str.isdigit, but int() rejects it
+    for spec in ("1,2,3", "²,4"):
+        rc = main(["estimate", "--unroll-fc", spec])
+        assert rc != 0
+        assert "unroll-fc" in capsys.readouterr().err, spec
 
 
 def test_estimate_takes_no_seed(capsys):
@@ -347,6 +350,7 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
     ({"batch_size": 16, "dims": {"batch": 32}},
      ["batch_size 16 differs from its derived value 32"]),
     ({"unroll_fc": [1, 2, 3]}, ["unroll_fc expects two positive integer"]),
+    ({"unroll_fc": "4,²"}, ["unroll_fc expects two positive integer"]),
     ({"synthetic_test": -5}, ["synthetic_test must be >= 0, got -5"]),
     ({"seed": -1}, ["seed: seed must be >= 0, got -1"]),
     ({"dims": {"hidden": 0}}, ["dims.hidden: hidden must be positive, got 0"]),
@@ -371,7 +375,8 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
      ["adam.eta: eta and eps must be positive and finite"]),
 ], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
         "bool_for_int", "string_for_float", "list_for_object",
-        "batch_size_mismatch", "bad_unroll", "negative_fixture_size",
+        "batch_size_mismatch", "bad_unroll", "bad_unroll_digit",
+        "negative_fixture_size",
         "negative_seed",
         "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image",
         "zero_batch_size", "batch_size_alone", "kernel_dims_together",
@@ -499,10 +504,12 @@ def test_truncated_gzip_split_fails_with_its_path(data_dir, capsys):
     packed = gzip.compress(plain.read_bytes())
     plain.unlink()
     gz = data_dir / "train-images-idx3-ubyte.gz"
-    gz.write_bytes(packed[:len(packed) // 2])
+    cut = packed[:len(packed) // 2]
+    gz.write_bytes(cut)
     assert main(["train", "--data-dir", str(data_dir), "--epochs", "1"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {gz}: byte 16: corrupt "
-                                              f"gzip")
+    at = len(zlib.decompressobj(31).decompress(cut))  # where the stream breaks
+    assert capsys.readouterr().err.startswith(f"error: {gz}: byte {at}: "
+                                              f"corrupt gzip")
 
 
 def test_split_longer_than_its_header_fails_with_its_path(data_dir, capsys):

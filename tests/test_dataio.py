@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_all_zero_image_loads_as_zeros(tmp_path):
     path = _image_file(tmp_path, bytes(28 * 28), 1)
     images = load_idx_images(path)
     assert images.count == 1
-    assert images.rows == 28 and images.cols == 28
+    assert images.pixels.shape == (1, 28, 28)
     assert np.all(images.pixels == 0.0)
 
 
@@ -103,14 +104,15 @@ def test_dimension_mismatch_rejected(tmp_path):
     assert err.value.offset == 8
     # but loads fine when the caller opts out of the geometry check
     images = load_idx_images(path, expected_rows=None, expected_cols=None)
-    assert images.rows == 16
+    assert images.pixels.shape == (1, 16, 16)
     # rows that match leave the cols to fail at their own offset
     path = _image_file(tmp_path, bytes(28 * 16), 1, rows=28, cols=16)
     with pytest.raises(FormatError) as err:
         load_idx_images(path)
     assert err.value.offset == 12
     assert "col count 16 != expected 28" in str(err.value)
-    assert load_idx_images(path, expected_cols=None).cols == 16
+    assert load_idx_images(path, expected_cols=None).pixels.shape == \
+        (1, 28, 16)
 
 
 def test_single_label_byte(tmp_path):
@@ -324,6 +326,28 @@ def test_truncated_gzip_fails_with_its_path(tmp_path, kind):
         with pytest.raises(FormatError) as err:
             _load(kind, gz)
         assert str(err.value).startswith(f"{gz}: "), cut
+
+
+@pytest.mark.parametrize("n", [64, 128, 2048])
+def test_cut_gzip_fails_at_its_break(tmp_path, n):
+    # the offset is the uncompressed byte where the stream breaks, which
+    # zlib decodes from the cut stream; the last two 2048-image cuts fall
+    # past the first 1 MiB chunk the reader asks for
+    images, _ = synthetic_dataset(0, n)
+    plain = tmp_path / "imgs.idx"
+    write_idx_images(images, plain)
+    raw = gzip.compress(plain.read_bytes(), mtime=0)
+    gz = tmp_path / "imgs.idx.gz"
+    for share in (0.1, 0.3, 0.5, 0.7, 0.95):
+        cut = raw[:int(len(raw) * share)]
+        gz.write_bytes(cut)
+        with pytest.raises(FormatError) as err:
+            load_idx_images(gz)
+        at = len(zlib.decompressobj(31).decompress(cut))
+        assert 16 < at < 16 + n * 28 * 28, share
+        assert err.value.offset == at, share
+        assert str(err.value).startswith(f"{gz}: byte {at}: corrupt gzip "
+                                         f"stream while reading pixel data")
 
 
 @pytest.mark.parametrize("kind", ["images", "labels"])
