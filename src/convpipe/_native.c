@@ -2,8 +2,13 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 /* One clone per listed target, picked by glibc's loader (an ifunc
    resolver) when the library is loaded. The target names are x86's; on
@@ -181,7 +186,8 @@ void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
             out[i] *= mask[i] > 0.0 ? 1.0 : 0.0;
 }
 
-/* numpy's max: a NaN operand wins, and stays once taken */
+/* numpy's max but for which NaN: a NaN operand wins, and each later NaN
+   replaces it, so a window keeps its last NaN where numpy keeps its first */
 HELPER double max_nan(double m, double x)
 {
     return (x > m || x != x) ? x : m;
@@ -219,7 +225,8 @@ HELPER void corr_pool(const double *img, ptrdiff_t w,
                     s[r][v] += kv * xv;
                 }
         }
-    /* max_nan lane by lane, over each 2x2 window in row-major order */
+    /* max_nan lane by lane, over each 2x2 window in row-major order: the
+       last NaN of a window is kept */
     for (int v = 0; v < HOST_V; v += 2) {
         const v4d xs[3] = {ODD(s[0][v], s[0][v + 1]),
                            EVEN(s[1][v], s[1][v + 1]),
@@ -322,6 +329,277 @@ ptrdiff_t adam_update_pair(ptrdiff_t n2, double *restrict w2,
     return adam_layer(n2, w2, m2, v2, g2, b1, b1c, b2, b2c, eta, c1, c2, eps)
            + adam_layer(n1, w1, m1, v1, g1, b1, b1c, b2, b2c, eta, c1, c2,
                         eps);
+}
+
+/* ---- Two cores: the big kernels in chunks, shared with a helper ---- */
+
+/* A product of at least SPLIT_PRODUCT multiply-adds runs in chunks of
+   CHUNK_ROWS rows of out, a multiple of TILE_R, so that every row is
+   summed by the same loop as in one call over all rows. An Adam pair of
+   at least SPLIT_ADAM elements runs in chunks of CHUNK_ELEMENTS, over the
+   output layer's elements and then the hidden layer's. Each chunk is one
+   call of the kernel, so it runs the clone the loader picked, and every
+   element is computed by one thread from the same terms in the same
+   order: the bytes do not depend on who ran which chunk. */
+#define SPLIT_PRODUCT 200000
+#define CHUNK_ROWS 8
+#define SPLIT_ADAM 8192
+#define CHUNK_ELEMENTS 2048
+/* How long the helper polls after its last chunk before it sleeps: about
+   the gap between a training batch's big kernels */
+#define SPIN_NS 135000
+
+/* x86's spin-wait hint; elsewhere a plain poll */
+#if defined(__x86_64__) || defined(__i386__)
+#define CPU_RELAX() __builtin_ia32_pause()
+#else
+#define CPU_RELAX() ((void)0)
+#endif
+
+/* matmul_kseq's arguments */
+struct product {
+    ptrdiff_t m, k, n;
+    const double *a;
+    ptrdiff_t a_row, a_col;
+    const double *b;
+    int relu;
+    const double *mask;
+    double *out;
+};
+
+/* adam_update_pair's arguments */
+struct adam_pair {
+    ptrdiff_t n2;
+    double *w2, *m2, *v2;
+    const double *g2;
+    ptrdiff_t n1;
+    double *w1, *m1, *v1;
+    const double *g1;
+    double b1, b2, eta, c1, c2, eps;
+};
+
+/* rows [i0, i1) of the product */
+static void product_rows(const struct product *p, ptrdiff_t i0, ptrdiff_t i1)
+{
+    matmul_kseq(i1 - i0, p->k, p->n, p->a + i0 * p->a_row, p->a_row,
+                p->a_col, p->b, p->relu, p->mask ? p->mask + i0 * p->n : NULL,
+                p->out + i0 * p->n);
+}
+
+static ptrdiff_t product_chunk(const void *args, ptrdiff_t c)
+{
+    const struct product *p = args;
+    const ptrdiff_t i0 = c * CHUNK_ROWS;
+    product_rows(p, i0, p->m - i0 < CHUNK_ROWS ? p->m : i0 + CHUNK_ROWS);
+    return 0;
+}
+
+/* elements [e0, e1) of the output layer's n2 and then the hidden layer's
+   n1; the number of non-finite weights written */
+static ptrdiff_t adam_elements(const struct adam_pair *p, ptrdiff_t e0,
+                               ptrdiff_t e1)
+{
+    const ptrdiff_t s2 = e0 < p->n2 ? e0 : p->n2;
+    const ptrdiff_t l2 = (e1 < p->n2 ? e1 : p->n2) - s2;
+    const ptrdiff_t s1 = (e0 > p->n2 ? e0 : p->n2) - p->n2;
+    const ptrdiff_t l1 = (e1 > p->n2 ? e1 : p->n2) - p->n2 - s1;
+    return adam_update_pair(l2, p->w2 + s2, p->m2 + s2, p->v2 + s2,
+                            p->g2 + s2, l1, p->w1 + s1, p->m1 + s1,
+                            p->v1 + s1, p->g1 + s1, p->b1, p->b2, p->eta,
+                            p->c1, p->c2, p->eps);
+}
+
+static ptrdiff_t adam_chunk(const void *args, ptrdiff_t c)
+{
+    const struct adam_pair *p = args;
+    const ptrdiff_t e0 = c * CHUNK_ELEMENTS, n = p->n2 + p->n1;
+    return adam_elements(p, e0,
+                         n - e0 < CHUNK_ELEMENTS ? n : e0 + CHUNK_ELEMENTS);
+}
+
+/* The one job the helper takes part in, set by the caller that holds
+   `caller` before it opens `range`; its args stay the caller's until
+   every chunk is done. */
+static struct {
+    ptrdiff_t (*chunk)(const void *args, ptrdiff_t c);
+    const void *args;
+    ptrdiff_t done;  /* chunks finished */
+    ptrdiff_t sum;   /* of their results */
+} job;
+/* The job's unclaimed chunks [front, back): front in the low 32 bits,
+   back in the high 32. The caller claims from the front and the helper
+   from the back, so each keeps its rows from one call to the next, and
+   the caller never waits for a chunk nobody has claimed. */
+static uint64_t range;
+static int sleeping;  /* the helper waits on `wake` */
+static int helper;    /* 1 running, 0 not started, -1 never; under `caller` */
+static pthread_mutex_t caller = PTHREAD_MUTEX_INITIALIZER;
+static pthread_mutex_t wake_lock = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t wake = PTHREAD_COND_INITIALIZER;
+
+/* The next unclaimed chunk, from the front or the back; -1 if none. A
+   claim made, by the helper too, sees the job the caller set before it
+   opened the range. */
+static ptrdiff_t claim(int back)
+{
+    uint64_t r = __atomic_load_n(&range, __ATOMIC_RELAXED);
+    for (;;) {
+        const uint64_t front = r & 0xffffffff, end = r >> 32;
+        if (front >= end)
+            return -1;
+        const uint64_t next = back ? r - ((uint64_t)1 << 32) : r + 1;
+        if (__atomic_compare_exchange_n(&range, &r, next, 0, __ATOMIC_ACQUIRE,
+                                        __ATOMIC_RELAXED))
+            return (ptrdiff_t)(back ? end - 1 : front);
+    }
+}
+
+static void run_chunk(ptrdiff_t c)
+{
+    __atomic_fetch_add(&job.sum, job.chunk(job.args, c), __ATOMIC_RELAXED);
+    __atomic_fetch_add(&job.done, 1, __ATOMIC_RELEASE);
+}
+
+static int has_work(void)
+{
+    const uint64_t r = __atomic_load_n(&range, __ATOMIC_SEQ_CST);
+    return (r & 0xffffffff) < (r >> 32);
+}
+
+/* Polls for SPIN_NS, then sleeps until a caller signals `wake`. Each poll
+   yields the CPU: a pause spin kept the pipelined producer, and the GIL
+   it held, off this core (pipelined training ran ~10% slower on a 2-core
+   x86 machine). A caller that opens the range and then reads
+   sleeping == 0 is seen by has_work, as both are sequentially
+   consistent. */
+static void wait_for_work(void)
+{
+    struct timespec t0, t;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    do {
+        if (has_work())
+            return;
+        sched_yield();
+        clock_gettime(CLOCK_MONOTONIC, &t);
+    } while ((t.tv_sec - t0.tv_sec) * 1000000000L + t.tv_nsec - t0.tv_nsec
+             < SPIN_NS);
+    pthread_mutex_lock(&wake_lock);
+    __atomic_store_n(&sleeping, 1, __ATOMIC_SEQ_CST);
+    while (!has_work())
+        pthread_cond_wait(&wake, &wake_lock);
+    __atomic_store_n(&sleeping, 0, __ATOMIC_RELAXED);
+    pthread_mutex_unlock(&wake_lock);
+}
+
+/* The helper touches no Python object: only job's chunks. */
+static void *helper_main(void *unused)
+{
+    (void)unused;
+    for (;;) {
+        wait_for_work();
+        ptrdiff_t c;
+        while ((c = claim(1)) >= 0)
+            run_chunk(c);
+    }
+    return NULL;
+}
+
+/* In a child forked while the helper existed: no helper, nothing held */
+static void forget_helper(void)
+{
+    pthread_mutex_init(&caller, NULL);
+    pthread_mutex_init(&wake_lock, NULL);
+    pthread_cond_init(&wake, NULL);
+    range = 0;
+    sleeping = 0;
+    helper = 0;
+}
+
+/* Starts the helper, unless the process may run on one CPU only. It
+   blocks every signal, so that they go to the interpreter's threads. */
+static int start_helper(void)
+{
+#ifdef CPU_COUNT
+    cpu_set_t cpus;
+    if (sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_COUNT(&cpus) < 2)
+        return 0;
+#endif
+    static int at_fork;
+    if (!at_fork && pthread_atfork(NULL, NULL, forget_helper) != 0)
+        return 0;
+    at_fork = 1;
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    pthread_t thread;
+    const int started = pthread_create(&thread, NULL, helper_main, NULL) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    if (started)
+        pthread_detach(thread);
+    return started;
+}
+
+/* Runs chunks [0, chunks) with the helper and sets *sum to the sum of
+   their results; returns 0, having run nothing, if the helper is taken by
+   another call or cannot run. The helper starts on the first call that
+   shares, never at load. */
+static int share(ptrdiff_t (*chunk)(const void *, ptrdiff_t),
+                 const void *args, ptrdiff_t chunks, ptrdiff_t *sum)
+{
+    if (chunks < 2 || (uint64_t)chunks > 0xffffffff
+        || pthread_mutex_trylock(&caller) != 0)
+        return 0;
+    if (helper == 0)
+        helper = start_helper() ? 1 : -1;
+    if (helper < 0) {
+        pthread_mutex_unlock(&caller);
+        return 0;
+    }
+    job.chunk = chunk;
+    job.args = args;
+    job.done = 0;
+    job.sum = 0;
+    __atomic_store_n(&range, (uint64_t)chunks << 32, __ATOMIC_SEQ_CST);
+    if (__atomic_load_n(&sleeping, __ATOMIC_SEQ_CST)) {
+        pthread_mutex_lock(&wake_lock);
+        pthread_cond_signal(&wake);
+        pthread_mutex_unlock(&wake_lock);
+    }
+    ptrdiff_t c;
+    while ((c = claim(0)) >= 0)
+        run_chunk(c);
+    /* at most the helper's one chunk in progress; yields in case the
+       helper shares this CPU */
+    for (unsigned i = 0; __atomic_load_n(&job.done, __ATOMIC_ACQUIRE) < chunks;
+         i++)
+        if (i < 1024)
+            CPU_RELAX();
+        else
+            sched_yield();
+    *sum = job.sum;
+    pthread_mutex_unlock(&caller);
+    return 1;
+}
+
+static void product(const struct product *p)
+{
+    ptrdiff_t unused;
+    if ((double)p->m * p->k * p->n < SPLIT_PRODUCT
+        || !share(product_chunk, p, (p->m + CHUNK_ROWS - 1) / CHUNK_ROWS,
+                  &unused))
+        product_rows(p, 0, p->m);
+}
+
+/* the number of non-finite weights written */
+static ptrdiff_t adam(const struct adam_pair *p)
+{
+    const ptrdiff_t n = p->n2 + p->n1;
+    ptrdiff_t nonfinite;
+    if (n < SPLIT_ADAM
+        || !share(adam_chunk, p, (n + CHUNK_ELEMENTS - 1) / CHUNK_ELEMENTS,
+                  &nonfinite))
+        nonfinite = adam_elements(p, 0, n);
+    return nonfinite;
 }
 
 /* ---- The entry points: each takes the ndarrays themselves ---- */
@@ -431,12 +709,13 @@ static PyObject *py_matmul_kseq(PyObject *self, PyObject *const *args,
     } else if (count == 4 && !is_matrix(mask, a->shape[0], b->shape[1])) {
         PyErr_SetString(PyExc_ValueError, "mask is not (m, n)");
     } else {
-        const ptrdiff_t a_row = a->strides[0] / (ptrdiff_t)sizeof(double);
-        const ptrdiff_t a_col = a->strides[1] / (ptrdiff_t)sizeof(double);
+        const struct product p = {
+            a->shape[0], a->shape[1], b->shape[1], a->buf,
+            a->strides[0] / (ptrdiff_t)sizeof(double),
+            a->strides[1] / (ptrdiff_t)sizeof(double), b->buf, relu,
+            count == 4 ? mask->buf : NULL, out->buf};
         Py_BEGIN_ALLOW_THREADS
-        matmul_kseq(a->shape[0], a->shape[1], b->shape[1], a->buf, a_row,
-                    a_col, b->buf, relu, count == 4 ? mask->buf : NULL,
-                    out->buf);
+        product(&p);
         Py_END_ALLOW_THREADS
     }
     release(v, count);
@@ -516,13 +795,13 @@ static PyObject *py_adam_update_pair(PyObject *self, PyObject *const *args,
         PyErr_SetString(PyExc_ValueError,
                         "a layer's w, m, v and g differ in size");
     } else {
-        const ptrdiff_t n2 = v[0].len / (ptrdiff_t)sizeof(double);
-        const ptrdiff_t n1 = v[4].len / (ptrdiff_t)sizeof(double);
+        const struct adam_pair p = {
+            v[0].len / (ptrdiff_t)sizeof(double), v[0].buf, v[1].buf,
+            v[2].buf, v[3].buf, v[4].len / (ptrdiff_t)sizeof(double),
+            v[4].buf, v[5].buf, v[6].buf, v[7].buf, f[0], f[1], f[2], f[3],
+            f[4], f[5]};
         Py_BEGIN_ALLOW_THREADS
-        nonfinite = adam_update_pair(n2, v[0].buf, v[1].buf, v[2].buf,
-                                     v[3].buf, n1, v[4].buf, v[5].buf,
-                                     v[6].buf, v[7].buf, f[0], f[1], f[2],
-                                     f[3], f[4], f[5]);
+        nonfinite = adam(&p);
         Py_END_ALLOW_THREADS
     }
     release(v, 8);

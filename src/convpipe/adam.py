@@ -9,11 +9,14 @@ adam_update is that update as numpy array expressions, one layer at a
 time. It is the reference for the compiled kernel and its fallback.
 
 apply_batch_update, the training step's entry point, updates both layers
-in one call into the native extension module: adam_update_pair, one pass
-over the output layer's elements and then the hidden layer's that does
-numpy's operations in numpy's order for each of them, in place. The
-call takes the eight arrays as they are, copying none, and checks all
-their buffers before it writes any. When native.kernels() is unavailable,
+in one call into the native extension module: adam_update_pair, which
+goes over the output layer's elements and then the hidden layer's and
+does numpy's operations in numpy's order for each of them, in place. At
+the default dims the calling thread shares its chunks of elements with
+the module's helper thread, and each element is still updated by one
+thread, with the same bytes (see native). The call takes the eight
+arrays as they are, copying none, and checks all their buffers before it
+writes any. When native.kernels() is unavailable,
 or the call rejects a buffer (BufferError: not float64, not aligned, not
 C-contiguous or read-only), it runs adam_update on the output layer and
 then on the hidden layer instead, with the same bytes.

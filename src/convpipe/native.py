@@ -42,6 +42,31 @@ producer and the accelerator thread run at the same time. A buffer that
 breaks an entry point's rules raises BufferError naming it, and the Python
 wrappers then run their numpy reference.
 
+The two big products of a training batch (fc_forward's and grad_w1's) and
+its Adam pair run on two cores. A product of at least 200k multiply-adds
+runs in chunks of 8 rows of out, and an Adam pair of at least 8192
+elements in chunks of 2048 elements, over the output layer and then the
+hidden layer. The calling thread claims chunks from the front of one
+atomic range and a helper thread from its back, so each core keeps the
+same rows, and their W1, m and v, from batch to batch, and the caller
+never waits for a chunk nobody has claimed. It waits only for the
+helper's chunk in progress, before it returns and releases the buffers.
+The helper is one pthread per loaded module, started by the first call
+that splits: never at import or at load, and never when
+sched_getaffinity gives the process one CPU. After its last chunk it polls
+for 135 us, yielding the CPU at each poll so that the pipelined producer
+keeps its core, and then sleeps on a condition variable. One call at a
+time takes it, by a trylock; a concurrent call runs alone. The helper
+blocks all signals and touches no Python object. A child forked after the
+helper started has none (a pthread_atfork handler clears its state), and
+its first split call starts its own; Python 3.12 and later warn that such
+a fork is made in a multi-threaded process. The bytes cannot change: a
+chunk is one call of the same kernel, and so of the same clone, on a slice
+of rows (a multiple of the 4-row tile, so each row is summed by the same
+loop as in the whole product) or of elements, so each element is computed
+by one thread from the same terms in the same order. The thresholds, chunk
+sizes and poll time are constants in _native.c, with no setting.
+
 The module is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
 (~/.cache when XDG_CACHE_HOME is unset), keyed by the source, the flags
 and the interpreter's extension suffix (its ABI tag), and written through

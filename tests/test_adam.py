@@ -194,6 +194,43 @@ def test_batch_update_matches_two_numpy_updates(compiled, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+# (output layer's shape, hidden layer's shape), past the kernel's split
+# threshold (8192 elements): its first chunk of 2048 elements ends one
+# element past, at and one element short of the output layer's end; the
+# third chunk holds the output layer's last element; the default dims
+SHARED_ADAM_SHAPES = [((89, 23), (100, 70)), ((128, 16), (100, 70)),
+                      ((683, 3), (100, 70)), ((4097,), (7, 1000)),
+                      ((128, 10), (169, 128))]
+
+
+@pytest.mark.parametrize("shapes", SHARED_ADAM_SHAPES, ids=str)
+def test_a_shared_update_gives_two_numpy_updates(shapes, unsplit_kernels,
+                                                 monkeypatch):
+    """An update shared with the helper thread, in chunks of elements over
+    the output layer and then the hidden layer, gives the bytes and the
+    non-finite count of adam_update on each layer, and of the same call in
+    a build where it runs on one thread."""
+    if unsplit_kernels is None:
+        pytest.skip("no compiled kernels")
+    (w2_shape, w1_shape), rng = shapes, np.random.default_rng(18)
+    weights = Weights(rng.normal(size=w1_shape), rng.normal(size=w2_shape))
+    state = AdamState(rng.normal(size=w1_shape) * 0.01,
+                      np.abs(rng.normal(size=w1_shape)) * 0.001,
+                      rng.normal(size=w2_shape) * 0.01,
+                      np.abs(rng.normal(size=w2_shape)) * 0.001, step=2)
+    grads = Gradients(_special_gradient(rng, w1_shape),
+                      _special_gradient(rng, w2_shape))
+    results = []
+    for kernels in (native.kernels(), unsplit_kernels, None):
+        monkeypatch.setattr(native, "kernels", lambda: kernels)
+        w, s = copy.deepcopy((weights, state))
+        with np.errstate(all="ignore"):  # inf - inf and the like
+            count = apply_batch_update(s, w, grads, HYPER)
+        results.append((count, [x.tobytes() for x in _six(w, s)]))
+    assert results[0][0] > 0
+    assert results[0] == results[1] == results[2]
+
+
 @pytest.mark.parametrize("layout", [_fortran, _strided, _float32])
 @pytest.mark.parametrize("name", ["w1", "w2", "m_w1", "v_w1", "m_w2", "v_w2",
                                   "g_w1", "g_w2"])

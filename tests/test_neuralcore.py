@@ -3,7 +3,9 @@ import importlib.machinery
 import os
 import re
 import shutil
+import signal
 import subprocess
+import sys
 import sysconfig
 import threading
 import time
@@ -174,8 +176,13 @@ def test_matmul_kseq_shape_check():
 
 # (m, k, n, layout of a): the two production products that carry an
 # epilogue (fc_forward's ReLU, backward's dH1 mask), and one that runs the
-# wide tile, the narrow tile and the rows past the last block of 4
-EPILOGUE_CASES = [(32, 169, 128, "C"), (32, 10, 128, "C"), (7, 130, 45, "T")]
+# wide tile, the narrow tile and the rows past the last block of 4; then
+# products past the kernel's split threshold (200k multiply-adds) with m
+# one chunk of 8 rows less one, one, one plus a row, two plus a row and
+# 169, grad_w1's m, so that the last chunk holds 7, 8, 1, 1 and 1 rows
+EPILOGUE_CASES = [(32, 169, 128, "C"), (32, 10, 128, "C"), (7, 130, 45, "T"),
+                  (7, 240, 130, "T"), (8, 200, 130, "C"), (9, 200, 130, "T"),
+                  (17, 200, 130, "C"), (169, 200, 130, "T")]
 
 
 def _epilogue_operands(m, k, n, layout):
@@ -216,6 +223,24 @@ def test_matmul_kseq_epilogues_match_numpy(case, compiled, monkeypatch):
     assert np.signbit(got["mask"][got["mask"] == 0.0]).any()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("case", EPILOGUE_CASES,
+                         ids=["{}x{}x{}.{}".format(*c) for c in EPILOGUE_CASES])
+def test_a_shared_product_gives_the_bytes_of_one_thread(case,
+                                                        unsplit_kernels):
+    """A product shared with the helper thread, in chunks of rows, gives
+    the bytes of the same call in a build where it runs on one thread,
+    with each epilogue and without, NaN signs included."""
+    if unsplit_kernels is None:
+        pytest.skip("no compiled kernels")
+    a, b, mask = _epilogue_operands(*case)
+    for relu, masked in ((False, None), (True, None), (False, mask),
+                         (True, mask)):
+        got, want = (np.empty((a.shape[0], b.shape[1])) for _ in range(2))
+        native.kernels().matmul_kseq(a, b, relu, masked, got)
+        unsplit_kernels.matmul_kseq(a, b, relu, masked, want)
+        assert got.tobytes() == want.tobytes(), (relu, masked is not None)
 
 
 # correlation output widths below, at and above the host stage's 16-column
@@ -511,6 +536,140 @@ def test_a_kernel_call_lets_other_threads_run():
     assert pause.max() < (end - start) / 2, (pause.max(), end - start)
 
 
+def _split_work():
+    """The bytes of grad_w1's product and of a batch's Adam pair: both past
+    the kernel's split thresholds."""
+    rng = np.random.default_rng(19)
+    v, dh1 = rng.normal(size=(32, 169)), rng.normal(size=(32, 128))
+    return matmul_kseq(v.T, dh1).tobytes() + _paired_adam_bytes()
+
+
+def _numpy_split_work(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "kernels", lambda: None)
+        return _split_work()
+
+
+def test_concurrent_split_calls_give_the_numpy_bytes(monkeypatch):
+    """More threads than cores make split calls at once: one call at a
+    time shares its chunks with the helper and the others run alone. Each
+    gives numpy's bytes, and none waits on another's job."""
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
+    want, results = _numpy_split_work(monkeypatch), {}
+
+    def work(i):
+        results[i] = [_split_work() == want for _ in range(30)]
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: [True] * 30 for i in range(3)}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
+    """A child forked after a split call, while another thread makes more,
+    inherits neither the helper nor a held lock: its split calls give
+    numpy's bytes and start its own helper, given two CPUs, and it exits
+    in time."""
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
+    tasks = Path("/proc/self/task")
+
+    def threads():
+        return len(list(tasks.iterdir())) if tasks.is_dir() else 0
+    # the helper the child's first split call starts, where it can be seen
+    started = int(tasks.is_dir() and len(os.sched_getaffinity(0)) > 1)
+    want = _numpy_split_work(monkeypatch)
+    assert _split_work() == want  # the helper runs from here on
+    stop = threading.Event()
+
+    def busy():
+        while not stop.is_set():
+            _split_work()
+    thread = threading.Thread(target=busy)
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn of a fork in a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                before = threads()
+                same = _split_work() == want
+                status = 0 if same and threads() - before == started else 1
+            finally:
+                os._exit(status)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    deadline = time.monotonic() + 60
+    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if ended[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert ended[0] == pid, "the child hung"
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
+
+
+# prints the epoch's checkpoint sha256 and the process's thread count at
+# start, after the imports, after loading the kernels and after the epoch;
+# argv[1] == "one" pins the process to one CPU before numpy's import
+_THREADS_OF_AN_EPOCH = """
+import os, sys
+from pathlib import Path
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+counts = [len(os.listdir("/proc/self/task"))]
+import test_neuralcore
+from convpipe import native
+counts.append(len(os.listdir("/proc/self/task")))
+native.kernels()
+counts.append(len(os.listdir("/proc/self/task")))
+sha = test_neuralcore._epoch_sha(Path(sys.argv[2]))
+counts.append(len(os.listdir("/proc/self/task")))
+print(sha, *counts)
+"""
+
+
+@pytest.mark.parametrize("cpus", ["one", "all"])
+def test_the_helper_starts_at_the_first_split_call_given_two_cpus(cpus,
+                                                                  tmp_path):
+    """Neither import nor loading the kernels starts a thread; the first
+    split call starts one helper, unless the process may use one CPU
+    only. The epoch's bytes are the same with the helper and without."""
+    if native.kernels() is None or not hasattr(os, "sched_setaffinity") \
+            or not Path("/proc/self/task").is_dir():
+        pytest.skip("no compiled kernels, or no CPU affinity")
+    if cpus == "all" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU")
+    paths = (Path(neuralcore.__file__).parents[1], Path(__file__).parent)
+    run = subprocess.run(
+        [sys.executable, "-c", _THREADS_OF_AN_EPOCH, cpus,
+         str(tmp_path / "child.ckpt")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+        timeout=120)
+    assert run.returncode == 0, run.stderr
+    sha, *counts = run.stdout.split()
+    assert sha == _epoch_sha(tmp_path / "parent.ckpt")
+    start, imported, loaded, trained = map(int, counts)
+    assert start == 1 and loaded == imported
+    assert trained == loaded + (cpus == "all")
+
+
 def _compiler_on_path():
     return shutil.which("cc") is not None or shutil.which("gcc") is not None
 
@@ -666,14 +825,14 @@ def test_the_kernel_source_and_flags_are_pinned():
     and a rebuilt module moves the kernels' timings on its own: a change
     to either is deliberate, and updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "80644fbb0a9bcd67005dc237bb67f95a9524da2348c171be5d27e803b8a77a6e"
+        "5ff0c9f4b63ff612f19a5d347d08f47fce3e6d9d62cba3fa014b584f186fc1f5"
     assert native._CFLAGS == ("-O3", "-std=c99", "-ffp-contract=off",
                               "-fno-math-errno", "-fPIC", "-shared")
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-a75d1950d8e4df59ca85ce6d5a0bc4d911d127cff40e3200d63b7343"
-            "a81ae97e.so")
+            "native-839bc871602a2f266e693eb332565c1d1dc329e783029ad8f5874f3b"
+            "1864d5b3.so")
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):
