@@ -139,18 +139,41 @@ HELPER void kseq_narrow_v4d(ptrdiff_t mt, ptrdiff_t k, ptrdiff_t n,
     } while ((t0 += PACK_K) < k);
 }
 
-/* relu != 0 stores numpy's maximum(0.0, x) as the select
+/* A kernel that run() can share with the helper: it computes the part
+   [lo, hi) of its job (rows of a product, elements of an Adam pair) and
+   returns a count that run() sums over the parts. */
+typedef ptrdiff_t kernel_fn(const void *job, ptrdiff_t lo, ptrdiff_t hi);
+
+/* out = a @ b, (m, k) by (k, n): a's element (i, t) is at
+   a[i * a_row + t * a_col], and b and out are C-contiguous.
+
+   relu != 0 stores numpy's maximum(0.0, x) as the select
    (0.0 >= x ? 0.0 : x), which keeps a NaN; the two differ only on -0.0,
    which no sum from +0.0 gives. A mask (NULL for none, else m x n and
    C-contiguous) then multiplies each element by (mask > 0.0 ? 1.0 : 0.0),
    as numpy's x * (mask > 0.0) does: a multiply, not a select, so a
    negative value under a zero mask is -0.0 and a NaN stays. */
+struct product {
+    ptrdiff_t m, k, n;
+    const double *a;
+    ptrdiff_t a_row, a_col;
+    const double *b;
+    int relu;
+    const double *mask;
+    double *out;
+};
+
+/* rows [lo, hi) of a struct product; returns 0 */
 KERNEL
-void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
-                 const double *a, ptrdiff_t a_row, ptrdiff_t a_col,
-                 const double *restrict b, int relu,
-                 const double *restrict mask, double *restrict out)
+ptrdiff_t matmul_kseq(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 {
+    const struct product *p = job;
+    const ptrdiff_t m = hi - lo, k = p->k, n = p->n;
+    const ptrdiff_t a_row = p->a_row, a_col = p->a_col;
+    const double *a = p->a + lo * a_row;
+    const double *restrict b = p->b;
+    const double *restrict mask = p->mask ? p->mask + lo * n : NULL;
+    double *restrict out = p->out + lo * n;
     const ptrdiff_t mt = m - m % TILE_R, nt = n - n % TILE_C;
     for (ptrdiff_t i0 = 0; i0 < mt; i0 += TILE_R)
         for (ptrdiff_t j0 = 0; j0 < nt; j0 += TILE_C) {
@@ -178,12 +201,13 @@ void matmul_kseq(ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
             kseq_narrow(mt, k, n, j0, nw, a, a_row, a_col, b, out);
     }
     kseq_rows(mt, m, k, n, a, a_row, a_col, b, out);
-    if (relu)
+    if (p->relu)
         for (ptrdiff_t i = 0; i < m * n; i++)
             out[i] = 0.0 >= out[i] ? 0.0 : out[i];
     if (mask)
         for (ptrdiff_t i = 0; i < m * n; i++)
             out[i] *= mask[i] > 0.0 ? 1.0 : 0.0;
+    return 0;
 }
 
 /* numpy's max but for which NaN: a NaN operand wins, and each later NaN
@@ -312,23 +336,35 @@ HELPER ptrdiff_t adam_layer(ptrdiff_t n, double *restrict w,
     return nonfinite;
 }
 
-/* A batch's two layer updates with the same factors: the output layer's
-   (n2 elements) first, then the hidden layer's (n1). 1-beta1 and 1-beta2
-   are one correctly rounded subtraction each, as in numpy. Returns the
-   number of non-finite weights both wrote. */
+/* A batch's two layer updates with the same factors: layer 0, the
+   output layer, then layer 1, the hidden layer, each of n[l] elements */
+struct adam_pair {
+    ptrdiff_t n[2];
+    double *w[2], *m[2], *v[2];
+    const double *g[2];
+    double b1, b2, eta, c1, c2, eps;
+};
+
+/* elements [lo, hi) of a struct adam_pair, counting through the output
+   layer's and then the hidden layer's. 1-beta1 and 1-beta2 are one
+   correctly rounded subtraction each, as in numpy. Returns the number of
+   non-finite weights written. */
 KERNEL
-ptrdiff_t adam_update_pair(ptrdiff_t n2, double *restrict w2,
-                           double *restrict m2, double *restrict v2,
-                           const double *restrict g2, ptrdiff_t n1,
-                           double *restrict w1, double *restrict m1,
-                           double *restrict v1, const double *restrict g1,
-                           double b1, double b2, double eta, double c1,
-                           double c2, double eps)
+ptrdiff_t adam_update_pair(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 {
-    const double b1c = 1.0 - b1, b2c = 1.0 - b2;
-    return adam_layer(n2, w2, m2, v2, g2, b1, b1c, b2, b2c, eta, c1, c2, eps)
-           + adam_layer(n1, w1, m1, v1, g1, b1, b1c, b2, b2c, eta, c1, c2,
-                        eps);
+    const struct adam_pair *p = job;
+    const double b1 = p->b1, b2 = p->b2, b1c = 1.0 - b1, b2c = 1.0 - b2;
+    ptrdiff_t nonfinite = 0;
+    for (int l = 0; l < 2; l++) {
+        const ptrdiff_t s = lo < p->n[l] ? lo : p->n[l];
+        const ptrdiff_t e = hi < p->n[l] ? hi : p->n[l];
+        nonfinite += adam_layer(e - s, p->w[l] + s, p->m[l] + s, p->v[l] + s,
+                                p->g[l] + s, b1, b1c, b2, b2c, p->eta, p->c1,
+                                p->c2, p->eps);
+        lo -= s;  /* [lo, hi) from the next layer's first element */
+        hi -= e;
+    }
+    return nonfinite;
 }
 
 /* ---- Two cores: the big kernels in chunks, shared with a helper ---- */
@@ -338,9 +374,10 @@ ptrdiff_t adam_update_pair(ptrdiff_t n2, double *restrict w2,
    summed by the same loop as in one call over all rows. An Adam pair of
    at least SPLIT_ADAM elements runs in chunks of CHUNK_ELEMENTS, over the
    output layer's elements and then the hidden layer's. Each chunk is one
-   call of the kernel, so it runs the clone the loader picked, and every
-   element is computed by one thread from the same terms in the same
-   order: the bytes do not depend on who ran which chunk. */
+   call of the kernel through its address, which the loader resolved to
+   the clone it picked, and every element is computed by one thread from
+   the same terms in the same order: the bytes do not depend on who ran
+   which chunk. */
 #define SPLIT_PRODUCT 200000
 #define CHUNK_ROWS 8
 #define SPLIT_ADAM 8192
@@ -356,73 +393,14 @@ ptrdiff_t adam_update_pair(ptrdiff_t n2, double *restrict w2,
 #define CPU_RELAX() ((void)0)
 #endif
 
-/* matmul_kseq's arguments */
-struct product {
-    ptrdiff_t m, k, n;
-    const double *a;
-    ptrdiff_t a_row, a_col;
-    const double *b;
-    int relu;
-    const double *mask;
-    double *out;
-};
-
-/* adam_update_pair's arguments */
-struct adam_pair {
-    ptrdiff_t n2;
-    double *w2, *m2, *v2;
-    const double *g2;
-    ptrdiff_t n1;
-    double *w1, *m1, *v1;
-    const double *g1;
-    double b1, b2, eta, c1, c2, eps;
-};
-
-/* rows [i0, i1) of the product */
-static void product_rows(const struct product *p, ptrdiff_t i0, ptrdiff_t i1)
-{
-    matmul_kseq(i1 - i0, p->k, p->n, p->a + i0 * p->a_row, p->a_row,
-                p->a_col, p->b, p->relu, p->mask ? p->mask + i0 * p->n : NULL,
-                p->out + i0 * p->n);
-}
-
-static ptrdiff_t product_chunk(const void *args, ptrdiff_t c)
-{
-    const struct product *p = args;
-    const ptrdiff_t i0 = c * CHUNK_ROWS;
-    product_rows(p, i0, p->m - i0 < CHUNK_ROWS ? p->m : i0 + CHUNK_ROWS);
-    return 0;
-}
-
-/* elements [e0, e1) of the output layer's n2 and then the hidden layer's
-   n1; the number of non-finite weights written */
-static ptrdiff_t adam_elements(const struct adam_pair *p, ptrdiff_t e0,
-                               ptrdiff_t e1)
-{
-    const ptrdiff_t s2 = e0 < p->n2 ? e0 : p->n2;
-    const ptrdiff_t l2 = (e1 < p->n2 ? e1 : p->n2) - s2;
-    const ptrdiff_t s1 = (e0 > p->n2 ? e0 : p->n2) - p->n2;
-    const ptrdiff_t l1 = (e1 > p->n2 ? e1 : p->n2) - p->n2 - s1;
-    return adam_update_pair(l2, p->w2 + s2, p->m2 + s2, p->v2 + s2,
-                            p->g2 + s2, l1, p->w1 + s1, p->m1 + s1,
-                            p->v1 + s1, p->g1 + s1, p->b1, p->b2, p->eta,
-                            p->c1, p->c2, p->eps);
-}
-
-static ptrdiff_t adam_chunk(const void *args, ptrdiff_t c)
-{
-    const struct adam_pair *p = args;
-    const ptrdiff_t e0 = c * CHUNK_ELEMENTS, n = p->n2 + p->n1;
-    return adam_elements(p, e0,
-                         n - e0 < CHUNK_ELEMENTS ? n : e0 + CHUNK_ELEMENTS);
-}
-
 /* The one job the helper takes part in, set by the caller that holds
    `caller` before it opens `range`; its args stay the caller's until
-   every chunk is done. */
+   every chunk is done. Chunk c is [c * chunk, (c + 1) * chunk), but the
+   last ends at size. */
 static struct {
-    ptrdiff_t (*chunk)(const void *args, ptrdiff_t c);
+    kernel_fn *kernel;
     const void *args;
+    ptrdiff_t size, chunk;
     ptrdiff_t done;  /* chunks finished */
     ptrdiff_t sum;   /* of their results */
 } job;
@@ -456,7 +434,10 @@ static ptrdiff_t claim(int back)
 
 static void run_chunk(ptrdiff_t c)
 {
-    __atomic_fetch_add(&job.sum, job.chunk(job.args, c), __ATOMIC_RELAXED);
+    const ptrdiff_t lo = c * job.chunk;
+    const ptrdiff_t hi = job.size - lo < job.chunk ? job.size : lo + job.chunk;
+    __atomic_fetch_add(&job.sum, job.kernel(job.args, lo, hi),
+                       __ATOMIC_RELAXED);
     __atomic_fetch_add(&job.done, 1, __ATOMIC_RELEASE);
 }
 
@@ -539,24 +520,27 @@ static int start_helper(void)
     return started;
 }
 
-/* Runs chunks [0, chunks) with the helper and sets *sum to the sum of
-   their results; returns 0, having run nothing, if the helper is taken by
-   another call or cannot run. The helper starts on the first call that
-   shares, never at load. */
-static int share(ptrdiff_t (*chunk)(const void *, ptrdiff_t),
-                 const void *args, ptrdiff_t chunks, ptrdiff_t *sum)
+/* The sum of kernel's results over [0, size) of args. With split, and
+   while the helper is free and can run, in chunks of `chunk` shared with
+   it; otherwise in one call on the calling thread. The helper starts on
+   the first call that shares, never at load. */
+static ptrdiff_t run(kernel_fn *kernel, const void *args, ptrdiff_t size,
+                     ptrdiff_t chunk, int split)
 {
-    if (chunks < 2 || (uint64_t)chunks > 0xffffffff
+    const ptrdiff_t chunks = (size + chunk - 1) / chunk;
+    if (!split || chunks < 2 || (uint64_t)chunks > 0xffffffff
         || pthread_mutex_trylock(&caller) != 0)
-        return 0;
+        return kernel(args, 0, size);
     if (helper == 0)
         helper = start_helper() ? 1 : -1;
     if (helper < 0) {
         pthread_mutex_unlock(&caller);
-        return 0;
+        return kernel(args, 0, size);
     }
-    job.chunk = chunk;
+    job.kernel = kernel;
     job.args = args;
+    job.size = size;
+    job.chunk = chunk;
     job.done = 0;
     job.sum = 0;
     __atomic_store_n(&range, (uint64_t)chunks << 32, __ATOMIC_SEQ_CST);
@@ -576,30 +560,9 @@ static int share(ptrdiff_t (*chunk)(const void *, ptrdiff_t),
             CPU_RELAX();
         else
             sched_yield();
-    *sum = job.sum;
+    const ptrdiff_t sum = job.sum;
     pthread_mutex_unlock(&caller);
-    return 1;
-}
-
-static void product(const struct product *p)
-{
-    ptrdiff_t unused;
-    if ((double)p->m * p->k * p->n < SPLIT_PRODUCT
-        || !share(product_chunk, p, (p->m + CHUNK_ROWS - 1) / CHUNK_ROWS,
-                  &unused))
-        product_rows(p, 0, p->m);
-}
-
-/* the number of non-finite weights written */
-static ptrdiff_t adam(const struct adam_pair *p)
-{
-    const ptrdiff_t n = p->n2 + p->n1;
-    ptrdiff_t nonfinite;
-    if (n < SPLIT_ADAM
-        || !share(adam_chunk, p, (n + CHUNK_ELEMENTS - 1) / CHUNK_ELEMENTS,
-                  &nonfinite))
-        nonfinite = adam_elements(p, 0, n);
-    return nonfinite;
+    return sum;
 }
 
 /* ---- The entry points: each takes the ndarrays themselves ---- */
@@ -715,7 +678,8 @@ static PyObject *py_matmul_kseq(PyObject *self, PyObject *const *args,
             a->strides[1] / (ptrdiff_t)sizeof(double), b->buf, relu,
             count == 4 ? mask->buf : NULL, out->buf};
         Py_BEGIN_ALLOW_THREADS
-        product(&p);
+        run(matmul_kseq, &p, p.m, CHUNK_ROWS,
+            (double)p.m * p.k * p.n >= SPLIT_PRODUCT);
         Py_END_ALLOW_THREADS
     }
     release(v, count);
@@ -796,12 +760,14 @@ static PyObject *py_adam_update_pair(PyObject *self, PyObject *const *args,
                         "a layer's w, m, v and g differ in size");
     } else {
         const struct adam_pair p = {
-            v[0].len / (ptrdiff_t)sizeof(double), v[0].buf, v[1].buf,
-            v[2].buf, v[3].buf, v[4].len / (ptrdiff_t)sizeof(double),
-            v[4].buf, v[5].buf, v[6].buf, v[7].buf, f[0], f[1], f[2], f[3],
-            f[4], f[5]};
+            {v[0].len / (ptrdiff_t)sizeof(double),
+             v[4].len / (ptrdiff_t)sizeof(double)},
+            {v[0].buf, v[4].buf}, {v[1].buf, v[5].buf}, {v[2].buf, v[6].buf},
+            {v[3].buf, v[7].buf}, f[0], f[1], f[2], f[3], f[4], f[5]};
+        const ptrdiff_t n = p.n[0] + p.n[1];
         Py_BEGIN_ALLOW_THREADS
-        nonfinite = adam(&p);
+        nonfinite = run(adam_update_pair, &p, n, CHUNK_ELEMENTS,
+                        n >= SPLIT_ADAM);
         Py_END_ALLOW_THREADS
     }
     release(v, 8);

@@ -128,7 +128,7 @@ def load_config(args):
             (values.setdefault(group, {}) if group else values)[name] = value
     if getattr(args, "synthetic", False):
         values["data_dir"] = None
-    if getattr(args, "unroll_fc", None):
+    if getattr(args, "unroll_fc", None) is not None:
         fc_unroll = _parse_unroll(args.unroll_fc, "--unroll-fc")
     return _build(RunConfig, values), fc_unroll
 

@@ -16,11 +16,9 @@ The elementwise steps next to a product run in its call, as its epilogue:
 fc_forward's ReLU (relu=True) and backward's h1 > 0 mask on dH1
 (mask=h1). A training batch therefore makes five matmul_kseq calls and
 one adam.apply_batch_update call into the module, with the arrays
-themselves, when it loaded. At the default dims, fc_forward's and
-grad_w1's products and the Adam update each share their chunks with the
-module's helper thread on a second core, with the same bytes (see
-native). The softmax and loss stay in numpy, whose exp, log and row sums
-a C loop would not match bit for bit.
+themselves, when it loaded; the big ones run on two cores (see native).
+The softmax and loss stay in numpy, whose exp, log and row sums a C loop
+would not match bit for bit.
 
 There are no bias terms anywhere: both layers are pure weight matrices.
 """

@@ -257,8 +257,9 @@ def test_estimate_bad_mode_algebra_flags_fail_before_output(capsys, argv,
 
 
 def test_estimate_bad_unroll_flag(capsys):
-    # "²" is a digit to str.isdigit, but int() rejects it
-    for spec in ("1,2,3", "²,4"):
+    # "²" is a digit to str.isdigit, but int() rejects it; "" is a given
+    # flag, not a missing one
+    for spec in ("1,2,3", "²,4", ""):
         rc = main(["estimate", "--unroll-fc", spec])
         assert rc != 0
         assert "unroll-fc" in capsys.readouterr().err, spec

@@ -825,14 +825,14 @@ def test_the_kernel_source_and_flags_are_pinned():
     and a rebuilt module moves the kernels' timings on its own: a change
     to either is deliberate, and updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "5ff0c9f4b63ff612f19a5d347d08f47fce3e6d9d62cba3fa014b584f186fc1f5"
+        "d90133c0e523acd412dc92ac09f74541c833fab57a8b4afb58b51e6aa7d2de00"
     assert native._CFLAGS == ("-O3", "-std=c99", "-ffp-contract=off",
                               "-fno-math-errno", "-fPIC", "-shared")
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-839bc871602a2f266e693eb332565c1d1dc329e783029ad8f5874f3b"
-            "1864d5b3.so")
+            "native-bb5843ced7545646f36824610b0d52f2971ce94ed878d61b721eda8f"
+            "d05d2658.so")
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):
@@ -888,7 +888,8 @@ def test_native_source_compiles_without_warnings(tmp_path):
     src = Path(native.__file__).with_name("_native.c")
     assert src.read_text() == native._SOURCE
     built = subprocess.run([compiler, *native._CFLAGS, "-Wall", "-Wextra",
-                            "-Werror", "-I", sysconfig.get_path("include"),
+                            "-Wshadow", "-Werror",
+                            "-I", sysconfig.get_path("include"),
                             "-o", str(tmp_path / "native.so"), str(src)],
                            capture_output=True, text=True)
     assert built.returncode == 0, built.stderr

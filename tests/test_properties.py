@@ -1,7 +1,8 @@
 """Property-based tests, over inputs hypothesis draws: the compiled
-kernels against their numpy references, the synthetic fixture's raw-word
-draw against numpy's integers(), and the checkpoint and IDX loaders on
-cut, extended and bit-flipped files.
+kernels against their numpy references, whole training runs of small
+models on every path, the synthetic fixture's raw-word draw against
+numpy's integers(), and the checkpoint and IDX loaders on cut, extended
+and bit-flipped files.
 
 Each property runs a fixed, bounded set of examples (derandomize=True), so
 a run is deterministic, and a counterexample it finds stays as one of its
@@ -15,15 +16,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from convpipe import neuralcore
+from convpipe import native, neuralcore
+from convpipe.accelmodel import ResourceBudget
 from convpipe.adam import (AdamHyper, AdamState, adam_update,
                            apply_batch_update, correction_factors)
 from convpipe.checkpoint import load_checkpoint, save_checkpoint
 from convpipe.dataio import (FormatError, ImageSet, LabelSet, MiniBatch,
-                             load_idx_images, load_idx_labels,
-                             write_idx_images, write_idx_labels)
+                             load_idx_images, load_idx_labels, make_batches,
+                             synthetic_dataset, write_idx_images,
+                             write_idx_labels)
+from convpipe.dims import ModelDims
 from convpipe.hoststage import conv2d_valid, host_stage, maxpool2x2
-from convpipe.neuralcore import Gradients, Weights, matmul_kseq
+from convpipe.neuralcore import Gradients, ModelState, Weights, matmul_kseq
+from convpipe.pipeline import MODES, run_epoch
 
 from test_checkpoint import _trained_state
 from test_dataio import assert_same_fixture
@@ -165,6 +170,81 @@ def test_apply_batch_update_gives_two_adam_updates(shape2, shape1, step, seed,
     for got_layer, want_layer in zip(layers, want):
         for got, expected in zip(got_layer[:3], want_layer[:3]):
             assert got.tobytes() == expected.tobytes()
+
+
+# Adam pairs past the kernel's split threshold (8192 elements), whose
+# output layer ends one element before, at or one after an edge of the
+# 2048-element chunks the pair is shared in, or holds all the elements
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(total=st.integers(8192, 30000), chunks=st.integers(0, 14),
+       offset=st.integers(-1, 1), step=st.integers(1, 10 ** 4),
+       seed=st.integers(0, 2 ** 32 - 1), share=SHARES)
+@example(total=8192, chunks=0, offset=0, step=1, seed=0, share=0.05)
+@example(total=8192, chunks=4, offset=0, step=1, seed=0, share=0.05)
+def test_a_shared_adam_pair_gives_two_adam_updates(unsplit_kernels, total,
+                                                   chunks, offset, step,
+                                                   seed, share):
+    """The pair's bytes and non-finite count are those of adam_update on
+    each layer and of the build that runs every call on one thread."""
+    if unsplit_kernels is None:
+        pytest.skip("no compiled kernels")
+    n2 = min(max(2048 * chunks + offset, 0), total)
+    rng = np.random.default_rng(seed)
+    hyper = AdamHyper()
+    corr = correction_factors(hyper, step)
+    layers = [[_values(rng, n, share) for _ in range(4)]
+              for n in (n2, total - n2)]
+    for layer in layers:
+        layer[2] = np.abs(layer[2])
+    results = []
+    for kernels in (native.kernels(), unsplit_kernels, None):
+        arrays = [[a.copy() for a in layer] for layer in layers]
+        with np.errstate(all="ignore"):
+            if kernels is None:
+                count = sum(adam_update(*layer, corr, hyper)
+                            for layer in arrays)
+            else:
+                count = kernels.adam_update_pair(
+                    *arrays[0], *arrays[1], hyper.beta1, hyper.beta2,
+                    hyper.eta, corr.c1, corr.c2, hyper.eps)
+        results.append((count, [a.tobytes() for layer in arrays
+                                for a in layer[:3]]))
+    assert results[0] == results[1] == results[2]
+
+
+# small models of two batches: an even image side, so that the 3x3
+# correlation's sides are even for the 2x2 pool; the larger ones pass the
+# split thresholds of products and Adam pairs, at ragged row counts
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(batch=st.integers(1, 40),
+       image_x=st.integers(2, 15).map(lambda half: 2 * half),
+       image_y=st.integers(2, 15).map(lambda half: 2 * half),
+       hidden=st.integers(1, 140), classes=st.integers(1, 37),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(batch=1, image_x=4, image_y=4, hidden=1, classes=1, seed=0)
+@example(batch=33, image_x=30, image_y=16, hidden=33, classes=37, seed=0)
+def test_every_path_trains_to_the_same_checkpoint(tmp_path_factory, batch,
+                                                  image_x, image_y, hidden,
+                                                  classes, seed):
+    """A training epoch on the compiled kernels and on the numpy loops,
+    each sequential and pipelined, ends in one checkpoint's bytes."""
+    dims = ModelDims(batch, image_x, image_y, hidden=hidden, classes=classes)
+    images, labels = synthetic_dataset(seed, 2 * batch, image_x, image_y,
+                                       classes)
+    batches = make_batches(images, labels, batch)
+    path = tmp_path_factory.getbasetemp() / "every-path.ckpt"
+    checkpoints = set()
+    for kernels in (native.kernels(), None):
+        # patched here, as a function-scoped fixture would outlive the
+        # example
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "kernels", lambda: kernels)
+            for mode in MODES:
+                state, _ = run_epoch(batches, ModelState.initial(seed, dims),
+                                     mode, True, ResourceBudget(), dims)
+                save_checkpoint(path, state)
+                checkpoints.add(path.read_bytes())
+    assert len(checkpoints) == 1
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
