@@ -119,7 +119,7 @@ def load_config(args):
                                     f"derived value {want}")
         if problems:
             raise ValueError(f"{path}: " + "; ".join(problems))
-    if ENV_DATA_DIR in os.environ:
+    if os.environ.get(ENV_DATA_DIR):  # an empty value counts as unset
         values.setdefault("data_dir", os.environ[ENV_DATA_DIR])
     names = {f.name for f in fields(RunConfig)}
     for key, value in vars(args).items():  # a flag's dest is its config key

@@ -206,6 +206,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.data_dir == "":  # Path("") would be the working directory
+            raise ValueError("data_dir must name a directory, got \"\"")
         self.batch_size = self.dims.batch
         for f in fields(self):
             low, value = f.metadata.get("min"), getattr(self, f.name)
@@ -243,6 +245,9 @@ def _split_batches(cfg: RunConfig, split):
     dims = cfg.dims
     if cfg.data_dir is not None:
         if not Path(cfg.data_dir).is_dir():
+            if Path(cfg.data_dir).exists():
+                raise NotADirectoryError(
+                    f"data dir is not a directory: {cfg.data_dir}")
             raise FileNotFoundError(f"data dir does not exist: {cfg.data_dir}")
         source = _find_idx(cfg.data_dir, _IDX_NAMES[f"{split}_images"])
         images = load_idx_images(source, dims.image_x, dims.image_y)

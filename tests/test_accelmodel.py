@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from convpipe.accelmodel import (ArrayAccess, LoopNestSpec, ResourceBudget,
-                                 check_port_conflicts, default_partitions,
-                                 estimate_pass, f64_words, model_transfer,
-                                 pass_nests, schedule)
+from convpipe.accelmodel import (ArrayAccess, BankConflict, LoopNestSpec,
+                                 ResourceBudget, check_port_conflicts,
+                                 default_partitions, estimate_pass, f64_words,
+                                 model_transfer, pass_nests, schedule)
 from convpipe.dims import DEFAULT_DIMS, ModelDims
 
 from oracles import (_bank_demand_per_launch, count_transfer_cycles,
@@ -57,6 +57,29 @@ def test_unpartitioned_array_rejected():
 def test_factor_below_one_rejected():
     with pytest.raises(ValueError, match="factor of v dim 0 must be >= 1"):
         check_port_conflicts(_reads("v", range(4)), {("v", 0): 0})
+
+
+def test_a_dimension_without_a_factor_has_one_bank():
+    # v's dim 0 has a factor and its dim 1 none, so dim 1's reads share a bank
+    accesses = [ArrayAccess("v", (4, 32), 1, (0, 1, 2, 3), "read")]
+    report = check_port_conflicts(accesses, {("v", 0): 4})
+    assert report.conflicts == [BankConflict("v", 1, 0, "read", 3)]
+    assert report.stall_cycles == 4
+
+
+@pytest.mark.parametrize("args, message", [
+    (((32,), 0, (0,), "load"), "kind must be read or write, got 'load'"),
+    (((32,), 1, (0,), "read"),
+     r"accessed_dim 1 out of range for dims \(32,\)"),
+    (((32,), -1, (0,), "read"),
+     r"accessed_dim -1 out of range for dims \(32,\)"),
+    (((32,), 0, (0, 32), "read"), r"offset 32 outside dim of size 32 \(v\)"),
+    (((32,), 0, (-1,), "write"), r"offset -1 outside dim of size 32 \(v\)"),
+], ids=["kind", "dim_past_the_end", "negative_dim", "offset_past_the_end",
+        "negative_offset"])
+def test_array_access_rejects_a_bad_reference(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ArrayAccess("v", *args)
 
 
 def test_dual_port_serves_one_read_and_one_write():
@@ -178,6 +201,19 @@ def test_no_unroll_degenerate_formula():
 def test_zero_trip_count_rejected():
     with pytest.raises(ValueError):
         LoopNestSpec("bad", (4, 0), (1, 1), 0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (((4, 4), (1,), 0), "trip_counts and unroll_factors differ in length"),
+    (((), (), 0), "empty loop nest"),
+    (((4, 4), (1, 0), 0), r"unroll factors must be >= 1: \(1, 0\)"),
+    (((4, 4), (1, 1), 2), "pipelined_level 2 out of range"),
+    (((4, 4), (1, 1), -1), "pipelined_level -1 out of range"),
+], ids=["lengths_differ", "empty", "zero_unroll",
+        "level_past_the_end", "negative_level"])
+def test_loop_nest_spec_rejects_a_bad_nest(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LoopNestSpec("bad", *args)
 
 
 def test_pipeline_level_everything_pipelined():

@@ -51,6 +51,44 @@ def test_train_missing_data_dir_fails_with_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_an_empty_data_dir_variable_counts_as_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("CONVPIPE_DATA_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "out.json"
+    assert main(["train", "--epochs", "0", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["data_dir"] is None
+
+
+def test_an_empty_data_dir_flag_fails_before_any_work(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "out.json"
+    assert main(["train", "--data-dir", "", "--epochs", "0",
+                 "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == 'error: data_dir must name a directory, got ""\n'
+    assert captured.out == ""
+    assert not report.exists()
+
+
+def test_a_data_dir_that_is_a_file_is_named(tmp_path, capsys):
+    not_a_dir = tmp_path / "hostname"
+    not_a_dir.write_text("host\n")
+    assert main(["train", "--data-dir", str(not_a_dir), "--epochs", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: data dir is not a directory: {not_a_dir}\n")
+
+
+@pytest.mark.parametrize("stem", ["train-labels-idx1-ubyte",
+                                  "t10k-images-idx3-ubyte"])
+def test_a_missing_idx_file_names_the_file_and_the_dir(data_dir, capsys,
+                                                       stem):
+    (data_dir / stem).unlink()
+    assert main(["train", "--data-dir", str(data_dir), "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {stem}[.gz] not found in data dir {data_dir}\n")
+
+
 def test_train_multi_epoch_report(data_dir, tmp_path):
     report_path = tmp_path / "out.json"
     rc = main(["train", "--data-dir", str(data_dir), "--epochs", "3",
@@ -353,6 +391,7 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
     ({"unroll_fc": [1, 2, 3]}, ["unroll_fc expects two positive integer"]),
     ({"unroll_fc": "4,²"}, ["unroll_fc expects two positive integer"]),
     ({"synthetic_test": -5}, ["synthetic_test must be >= 0, got -5"]),
+    ({"data_dir": ""}, ['data_dir: data_dir must name a directory, got ""']),
     ({"seed": -1}, ["seed: seed must be >= 0, got -1"]),
     ({"dims": {"hidden": 0}}, ["dims.hidden: hidden must be positive, got 0"]),
     ({"mode": "fast"}, ["mode: mode must be one of"]),
@@ -377,7 +416,7 @@ def test_test_command_builds_only_the_test_split(data_dir, tmp_path, monkeypatch
 ], ids=["misspelled_keys", "top_level_list", "string_int", "nested_string_int",
         "bool_for_int", "string_for_float", "list_for_object",
         "batch_size_mismatch", "bad_unroll", "bad_unroll_digit",
-        "negative_fixture_size",
+        "negative_fixture_size", "empty_data_dir",
         "negative_seed",
         "zero_hidden", "unknown_mode", "negative_eta", "zero_clock_odd_image",
         "zero_batch_size", "batch_size_alone", "kernel_dims_together",

@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import re
 import zlib
 
 import numpy as np
@@ -141,6 +142,39 @@ def test_count_mismatch_rejected_at_pairing():
     _, labels = synthetic_dataset(0, 39)
     with pytest.raises(ValueError, match="mismatch"):
         make_batches(images, labels, 32)
+
+
+def test_make_batches_rejects_a_zero_batch_size():
+    images, labels = synthetic_dataset(0, 4)
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
+        make_batches(images, labels, 0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ImageSet(np.zeros((2, 2))),
+     r"pixels must be 3-d, got shape \(2, 2\)"),
+    (lambda: ImageSet(np.zeros((1, 2, 2, 2))),
+     r"pixels must be 3-d, got shape \(1, 2, 2, 2\)"),
+    (lambda: LabelSet(np.zeros((2, 1), np.int64)),
+     r"labels must be 1-d, got shape \(2, 1\)"),
+    (lambda: LabelSet(np.array([0, 10])),
+     r"labels outside \[0, 10\): min 0, max 10"),
+    (lambda: LabelSet(np.array([3, -1]), num_classes=4),
+     r"labels outside \[0, 4\): min -1, max 3"),
+], ids=["2d_pixels", "4d_pixels", "2d_labels", "label_too_large",
+        "negative_label"])
+def test_a_set_of_the_wrong_rank_or_range_is_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("load, kind", [(load_idx_images, "image"),
+                                        (load_idx_labels, "label")])
+def test_a_missing_idx_file_is_named(tmp_path, load, kind):
+    missing = tmp_path / "nowhere-idx-ubyte"
+    message = f"{kind} file not found: {missing}"
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
+        load(missing)
 
 
 def _expected_batches(count, batch_size):

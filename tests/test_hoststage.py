@@ -103,6 +103,12 @@ def test_maxpool_rejects_odd_dims():
         maxpool2x2(np.zeros((25, 26)))
 
 
+def test_maxpool_rejects_a_4d_feature():
+    with pytest.raises(ValueError, match=r"^feature must be 2-d or 3-d, got "
+                                         r"shape \(1, 2, 2, 2\)$"):
+        maxpool2x2(np.zeros((1, 2, 2, 2)))
+
+
 def test_host_stage_zero_batch():
     batch = MiniBatch(np.zeros((32, 28, 28)), np.eye(10)[np.zeros(32, int)], 0)
     conv = host_stage(batch)

@@ -967,6 +967,21 @@ def test_out_forward_overflow_safe():
     assert np.isfinite(h2).all() and np.isfinite(loss)
 
 
+def test_a_layer_of_mismatched_weights_fails_in_its_product():
+    with pytest.raises(ValueError, match=r"^cannot multiply \(4, 9\) by "
+                                         r"\(8, 8\)$"):
+        fc_forward(np.zeros((4, 9)), np.zeros((8, 8)))
+    with pytest.raises(ValueError, match=r"^cannot multiply \(2, 3\) by "
+                                         r"\(4, 10\)$"):
+        out_forward(np.zeros((2, 3)), np.zeros((4, 10)), np.zeros((2, 10)))
+
+
+def test_out_forward_rejects_labels_of_another_shape():
+    with pytest.raises(ValueError, match=r"^out_actual \(2, 9\) does not "
+                                         r"match \(2, 10\)$"):
+        out_forward(np.zeros((2, 3)), np.zeros((3, 10)), np.zeros((2, 9)))
+
+
 def test_backward_zero_residual_gives_zero_grads():
     rng = np.random.default_rng(7)
     v = rng.normal(size=(4, 9))
@@ -1122,6 +1137,17 @@ def test_accuracy_matches_enumeration():
     h2 = rng.random((64, 10))
     y = np.eye(10)[rng.integers(0, 10, 64)]
     assert accuracy(h2, y) == naive_accuracy(h2, y)
+
+
+def test_accuracy_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 10\) vs "
+                                         r"\(4, 9\)$"):
+        accuracy(np.zeros((4, 10)), np.zeros((4, 9)))
+
+
+def test_accuracy_of_an_empty_batch_is_zero():
+    got = accuracy(np.zeros((0, 10)), np.zeros((0, 10)))
+    assert type(got) is float and got == 0.0
 
 
 def test_one_training_batch_calls_every_traced_entry_point(monkeypatch):

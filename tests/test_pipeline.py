@@ -384,3 +384,9 @@ def test_run_config_rejects_negative_counts(name):
 def test_load_datasets_missing_dir():
     with pytest.raises(FileNotFoundError, match="no/such/dir"):
         load_datasets(_tiny_config(data_dir="no/such/dir"))
+
+
+def test_an_unknown_split_is_rejected():
+    with pytest.raises(ValueError, match="^split must be 'train' or 'test', "
+                                         "got 'val'$"):
+        pipeline.load_split(_tiny_config(), "val")

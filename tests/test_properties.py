@@ -1,6 +1,7 @@
 """Property-based tests, over inputs hypothesis draws: the compiled
 kernels against their numpy references, whole training runs of small
-models on every path, the synthetic fixture's raw-word draw against
+models on every path, the cycle model against the event-driven simulator
+in oracles.py, the synthetic fixture's raw-word draw against
 numpy's integers(), and the checkpoint and IDX loaders on cut, extended
 and bit-flipped files.
 
@@ -17,7 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convpipe import native, neuralcore
-from convpipe.accelmodel import ResourceBudget
+from convpipe.accelmodel import (ResourceBudget, default_partitions,
+                                 estimate_pass, pass_nests)
 from convpipe.adam import (AdamHyper, AdamState, adam_update,
                            apply_batch_update, correction_factors)
 from convpipe.checkpoint import load_checkpoint, save_checkpoint
@@ -30,6 +32,7 @@ from convpipe.hoststage import conv2d_valid, host_stage, maxpool2x2
 from convpipe.neuralcore import Gradients, ModelState, Weights, matmul_kseq
 from convpipe.pipeline import MODES, run_epoch
 
+from oracles import count_transfer_cycles, simulate_nest_cycles
 from test_checkpoint import _trained_state
 from test_dataio import assert_same_fixture
 from test_neuralcore import REFUSED
@@ -245,6 +248,48 @@ def test_every_path_trains_to_the_same_checkpoint(tmp_path_factory, batch,
                 save_checkpoint(path, state)
                 checkpoints.add(path.read_bytes())
     assert len(checkpoints) == 1
+
+
+CAP = st.integers(1, 64)
+
+
+# small models, so that the simulator's walk of every launch stays cheap
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(batch=st.integers(1, 8),
+       image_x=st.integers(2, 5).map(lambda half: 2 * half),
+       image_y=st.integers(2, 5).map(lambda half: 2 * half),
+       hidden=st.integers(1, 16), classes=st.integers(1, 8),
+       fc_unroll=st.none() | st.tuples(CAP, CAP),
+       budget=st.builds(ResourceBudget, max_multipliers=CAP, max_adders=CAP,
+                        pipeline_depth=st.integers(1, 16),
+                        interface_cycles_per_word=st.integers(1, 4)))
+@example(batch=1, image_x=4, image_y=4, hidden=1, classes=1,
+         fc_unroll=(64, 64),
+         budget=ResourceBudget(max_multipliers=1, max_adders=1,
+                               pipeline_depth=1, interface_cycles_per_word=1))
+@example(batch=8, image_x=10, image_y=10, hidden=16, classes=8,
+         fc_unroll=(1, 1),
+         budget=ResourceBudget(max_multipliers=64, max_adders=64,
+                               pipeline_depth=16, interface_cycles_per_word=4))
+def test_the_cycle_model_matches_the_simulator(batch, image_x, image_y,
+                                               hidden, classes, fc_unroll,
+                                               budget):
+    """Each nest of both passes costs the simulator's cycles under the
+    default partitions, and a pass adds the transfer of its feature,
+    label and probability blocks, two interface words per float64."""
+    dims = ModelDims(batch, image_x, image_y, hidden=hidden, classes=classes)
+    partitions = default_partitions(dims)
+    transfer = count_transfer_cycles(
+        2 * batch * (dims.pool_map + 2 * classes),
+        budget.interface_cycles_per_word)
+    for mode in ("inference", "training"):
+        est = estimate_pass(mode, budget, dims, fc_unroll)
+        nests = pass_nests(mode, dims, fc_unroll)
+        assert [r.name for r in est.reports] == [n.name for n in nests]
+        simulated = [simulate_nest_cycles(n, partitions, budget)
+                     for n in nests]
+        assert [r.cycles for r in est.reports] == simulated
+        assert est.total_cycles == sum(simulated) + transfer
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
