@@ -140,8 +140,9 @@ HELPER void kseq_narrow_v4d(ptrdiff_t mt, ptrdiff_t k, ptrdiff_t n,
 }
 
 /* A kernel that run() can share with the helper: it computes the part
-   [lo, hi) of its job (rows of a product, elements of an Adam pair) and
-   returns a count that run() sums over the parts. */
+   [lo, hi) of its job (rows of a product, images of a host stage,
+   elements of an Adam pair) and returns a count that run() sums over the
+   parts. */
 typedef ptrdiff_t kernel_fn(const void *job, ptrdiff_t lo, ptrdiff_t hi);
 
 /* out = a @ b, (m, k) by (k, n): a's element (i, t) is at
@@ -264,21 +265,39 @@ HELPER void corr_pool(const double *img, ptrdiff_t w,
     }
 }
 
-/* x is n images of h rows of w, C-contiguous; the correlation output
+/* A host stage of at least SPLIT_HOST tap multiply-adds runs in chunks of
+   CHUNK_IMAGES images (see "Two cores"); each chunk has its own scratch
+   rows, so no two threads write the same. */
+#define SPLIT_HOST 100000
+#define CHUNK_IMAGES 4
+
+/* x is images of h rows of w, C-contiguous; the correlation output
    (h-kh+1) x (w-kw+1) must have even dims. rows is scratch for two
-   output rows; out is (n, (h-kh+1)/2 * (w-kw+1)/2), row-major.
+   output rows per chunk of CHUNK_IMAGES images; out is
+   (images, (h-kh+1)/2 * (w-kw+1)/2), row-major. */
+struct host_job {
+    const double *x, *k;
+    ptrdiff_t h, w, kh, kw;
+    double *rows, *out;
+};
+
+/* images [lo, hi) of a struct host_job, lo a multiple of CHUNK_IMAGES;
+   returns 0.
 
    With AVX2, each pair of output rows runs in blocks of HOST_C columns;
    the last block is moved left to end at the last column and recomputes
    the same values where it overlaps the one before it. Otherwise, and for
-   an output narrower than a block, two rows are summed in rows, one tap
-   at a time, and then pooled. */
+   an output narrower than a block, two rows are summed in the chunk's
+   rows, one tap at a time, and then pooled. */
 KERNEL
-void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w, const double *x,
-                const double *restrict k, ptrdiff_t kh, ptrdiff_t kw,
-                double *restrict rows, double *restrict out)
+ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 {
+    const struct host_job *p = job;
+    const ptrdiff_t n = hi - lo, h = p->h, w = p->w, kh = p->kh, kw = p->kw;
     const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
+    const double *x = p->x + lo * h * w;
+    const double *restrict k = p->k;
+    double *restrict out = p->out + lo * (oh / 2) * (ow / 2);
     if (AVX2_CPU && ow >= HOST_C) {
         for (ptrdiff_t b = 0; b < n; b++)
             for (ptrdiff_t r = 0; r < oh; r += 2) {
@@ -289,9 +308,10 @@ void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w, const double *x,
                     corr_pool(img + c, w, k, kh, kw, o + c / 2);
                 }
             }
-        return;
+        return 0;
     }
-    double *restrict r0 = rows, *restrict r1 = rows + ow;
+    double *restrict r0 = p->rows + lo / CHUNK_IMAGES * 2 * ow;
+    double *restrict r1 = r0 + ow;
     for (ptrdiff_t b = 0; b < n; b++) {
         const double *img = x + b * h * w;
         for (ptrdiff_t r = 0; r < oh; r++) {
@@ -312,6 +332,7 @@ void host_stage(ptrdiff_t n, ptrdiff_t h, ptrdiff_t w, const double *x,
                                  r1[c + 1]);
         }
     }
+    return 0;
 }
 
 /* numpy's order of operations, element by element, on n contiguous
@@ -371,13 +392,14 @@ ptrdiff_t adam_update_pair(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 
 /* A product of at least SPLIT_PRODUCT multiply-adds runs in chunks of
    CHUNK_ROWS rows of out, a multiple of TILE_R, so that every row is
-   summed by the same loop as in one call over all rows. An Adam pair of
-   at least SPLIT_ADAM elements runs in chunks of CHUNK_ELEMENTS, over the
-   output layer's elements and then the hidden layer's. Each chunk is one
-   call of the kernel through its address, which the loader resolved to
-   the clone it picked, and every element is computed by one thread from
-   the same terms in the same order: the bytes do not depend on who ran
-   which chunk. */
+   summed by the same loop as in one call over all rows. A host stage
+   splits by SPLIT_HOST into chunks of CHUNK_IMAGES images, both defined
+   with its kernel. An Adam pair of at least SPLIT_ADAM elements runs in
+   chunks of CHUNK_ELEMENTS, over the output layer's elements and then the
+   hidden layer's. Each chunk is one call of the kernel through its
+   address, which the loader resolved to the clone it picked, and every
+   element is computed by one thread from the same terms in the same
+   order: the bytes do not depend on who ran which chunk. */
 #define SPLIT_PRODUCT 200000
 #define CHUNK_ROWS 8
 #define SPLIT_ADAM 8192
@@ -497,12 +519,21 @@ static void forget_helper(void)
 }
 
 /* Starts the helper, unless the process may run on one CPU only. It
-   blocks every signal, so that they go to the interpreter's threads. */
+   blocks every signal, so that they go to the interpreter's threads.
+
+   The helper may run on any of the process's CPUs but the caller's. A new
+   thread starts on its creator's CPU, and where the kernel does not
+   balance threads between CPUs (a cpuset with sched_load_balance off, as
+   in some containers) it stays there: the helper then shared the caller's
+   CPU and a split call took as long as one thread, while the other CPU
+   idled (a 32-image host stage: 26.8 us either way, 19.3 us with the
+   helper moved off the caller's CPU, on a 2-vCPU KVM guest). */
 static int start_helper(void)
 {
 #ifdef CPU_COUNT
     cpu_set_t cpus;
-    if (sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_COUNT(&cpus) < 2)
+    const int known = sched_getaffinity(0, sizeof cpus, &cpus) == 0;
+    if (known && CPU_COUNT(&cpus) < 2)
         return 0;
 #endif
     static int at_fork;
@@ -515,9 +546,17 @@ static int start_helper(void)
     pthread_t thread;
     const int started = pthread_create(&thread, NULL, helper_main, NULL) == 0;
     pthread_sigmask(SIG_SETMASK, &old, NULL);
-    if (started)
-        pthread_detach(thread);
-    return started;
+    if (!started)
+        return 0;
+#ifdef CPU_COUNT
+    const int cpu = sched_getcpu();
+    if (known && cpu >= 0 && CPU_ISSET(cpu, &cpus)) {
+        CPU_CLR(cpu, &cpus);
+        pthread_setaffinity_np(thread, sizeof cpus, &cpus);  /* best effort */
+    }
+#endif
+    pthread_detach(thread);
+    return 1;
 }
 
 /* The sum of kernel's results over [0, size) of args. With split, and
@@ -711,17 +750,24 @@ static PyObject *py_host_stage(PyObject *self, PyObject *const *args,
         const ptrdiff_t n = x->shape[0], h = x->shape[1], w = x->shape[2];
         const ptrdiff_t kh = k->shape[0], kw = k->shape[1];
         const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
+        /* scratch rows per chunk, and at least one set */
+        const ptrdiff_t chunks =
+            n > CHUNK_IMAGES ? (n + CHUNK_IMAGES - 1) / CHUNK_IMAGES : 1;
         if (oh % 2 || ow % 2)
             PyErr_SetString(PyExc_ValueError,
                             "the correlation's dims are not even");
         else if (!is_matrix(out, n, oh / 2 * (ow / 2)))
             PyErr_SetString(PyExc_ValueError,
                             "out is not (n, oh/2 * ow/2)");
-        else if ((rows = PyMem_Malloc(2 * ow * sizeof(double))) == NULL)
+        else if ((rows = PyMem_Malloc(chunks * 2 * ow * sizeof(double)))
+                 == NULL)
             PyErr_NoMemory();
         else {
+            const struct host_job p = {x->buf, k->buf, h, w, kh, kw, rows,
+                                       out->buf};
             Py_BEGIN_ALLOW_THREADS
-            host_stage(n, h, w, x->buf, k->buf, kh, kw, rows, out->buf);
+            run(host_stage, &p, n, CHUNK_IMAGES,
+                (double)n * oh * ow * kh * kw >= SPLIT_HOST);
             Py_END_ALLOW_THREADS
         }
     }

@@ -42,13 +42,14 @@ producer and the accelerator thread run at the same time. A buffer that
 breaks an entry point's rules raises BufferError naming it, and the Python
 wrappers then run their numpy reference.
 
-The two big products of a training batch (fc_forward's and grad_w1's) and
-its Adam pair are shared in chunks with a helper thread on a second core,
-with the same bytes. _native.c's "Two cores" section says which calls
-split, how the chunks are claimed, when the helper starts, polls and
-sleeps, and why the bytes cannot change. Each loaded module has its own
-helper, and a child forked after it started starts its own; Python 3.12
-and later warn that such a fork is made in a multi-threaded process.
+The two big products of a training batch (fc_forward's and grad_w1's), its
+host stage and its Adam pair are shared in chunks with a helper thread on a
+second core, with the same bytes. _native.c's "Two cores" section says
+which calls split, how the chunks are claimed, when the helper starts,
+on which CPUs it may run, how it polls and sleeps, and why the bytes
+cannot change. Each loaded module has
+its own helper, and a child forked after it started starts its own; Python
+3.12 and later warn that such a fork is made in a multi-threaded process.
 
 The module is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
 (~/.cache when XDG_CACHE_HOME is unset), keyed by the source, the flags

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,51 @@ def test_host_stage_converts_other_operands(convert):
 def test_host_stage_empty_batch():
     conv = host_stage(_batch(np.zeros((0, 28, 28))))
     assert conv.v.shape == (0, 169)
+
+
+def _native_constant(name):
+    return int(re.search(rf"#define {name} (\d+)\n", native._SOURCE)[1])
+
+
+CHUNK_IMAGES = _native_constant("CHUNK_IMAGES")
+SPLIT_HOST = _native_constant("SPLIT_HOST")
+# (n, oh, ow, kh, kw): n images whose (oh, ow) correlation takes a
+# (kh, kw) kernel. At 50x50 and 3x3, CHUNK_IMAGES + 1 images pass
+# SPLIT_HOST; at 20x20 and 5x5 the batch reaches it exactly. 8x8 is
+# narrower than the AVX2 block, so each chunk sums its rows in its own
+# scratch; the first batch that splits is just above the threshold.
+_AT_SPLIT = -(-SPLIT_HOST // (20 * 20 * 5 * 5))
+_NARROW_SPLIT = -(-SPLIT_HOST // (8 * 8 * 3 * 3))
+SPLIT_HOST_CASES = {
+    "one": (1, 50, 50, 3, 3),
+    "chunk-1": (CHUNK_IMAGES - 1, 50, 50, 3, 3),
+    "chunk": (CHUNK_IMAGES, 50, 50, 3, 3),
+    "chunk+1": (CHUNK_IMAGES + 1, 50, 50, 3, 3),
+    "short_last": (3 * CHUNK_IMAGES + 2, 50, 50, 3, 3),
+    "at_split": (_AT_SPLIT, 20, 20, 5, 5),
+    "below_split": (_NARROW_SPLIT - 1, 8, 8, 3, 3),
+    "narrow_split": (_NARROW_SPLIT, 8, 8, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_HOST_CASES)
+def test_a_shared_host_stage_gives_the_bytes_of_one_thread(name,
+                                                           unsplit_kernels):
+    """A host stage shared with the helper thread, in chunks of images,
+    gives numpy's bytes and those of the same call in a build where it runs
+    on one thread: one image, a chunk and its neighbours, a short last
+    chunk, and the batches just below and at the split threshold."""
+    if unsplit_kernels is None:
+        pytest.skip("no compiled kernels")
+    n, oh, ow, kh, kw = SPLIT_HOST_CASES[name]
+    rng = np.random.default_rng(7)
+    v, kernel = rng.normal(size=(n, oh + kh - 1, ow + kw - 1)), \
+        rng.normal(size=(kh, kw))
+    want = _reference_bytes(v, kernel)
+    for kernels in (native.kernels(), unsplit_kernels):
+        got = np.empty((n, oh * ow // 4))
+        kernels.host_stage(v, kernel, got)
+        assert got.tobytes() == want
 
 
 def test_host_stage_propagates_nan_like_numpy():

@@ -537,11 +537,14 @@ def test_a_kernel_call_lets_other_threads_run():
 
 
 def _split_work():
-    """The bytes of grad_w1's product and of a batch's Adam pair: both past
-    the kernel's split thresholds."""
+    """The bytes of grad_w1's product, of a 32-image batch's host stage and
+    of a batch's Adam pair: all past the kernels' split thresholds."""
     rng = np.random.default_rng(19)
     v, dh1 = rng.normal(size=(32, 169)), rng.normal(size=(32, 128))
-    return matmul_kseq(v.T, dh1).tobytes() + _paired_adam_bytes()
+    images = rng.random((32, 28, 28))
+    return (matmul_kseq(v.T, dh1).tobytes()
+            + host_stage(MiniBatch(images, np.zeros((32, 10)), 0)).v.tobytes()
+            + _paired_adam_bytes())
 
 
 def _numpy_split_work(monkeypatch):
@@ -625,9 +628,10 @@ def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
     assert os.waitstatus_to_exitcode(ended[1]) == 0
 
 
-# prints the epoch's checkpoint sha256 and the process's thread count at
-# start, after the imports, after loading the kernels and after the epoch;
-# argv[1] == "one" pins the process to one CPU before numpy's import
+# prints the epoch's checkpoint sha256, the process's thread count at
+# start, after the imports, after loading the kernels and after the epoch,
+# and how many CPUs each thread the epoch started may run on; argv[1] ==
+# "one" pins the process to one CPU before numpy's import
 _THREADS_OF_AN_EPOCH = """
 import os, sys
 from pathlib import Path
@@ -638,10 +642,12 @@ import test_neuralcore
 from convpipe import native
 counts.append(len(os.listdir("/proc/self/task")))
 native.kernels()
-counts.append(len(os.listdir("/proc/self/task")))
+loaded = set(os.listdir("/proc/self/task"))
+counts.append(len(loaded))
 sha = test_neuralcore._epoch_sha(Path(sys.argv[2]))
-counts.append(len(os.listdir("/proc/self/task")))
-print(sha, *counts)
+started = set(os.listdir("/proc/self/task")) - loaded
+counts.append(len(loaded | started))
+print(sha, *counts, *(len(os.sched_getaffinity(int(t))) for t in started))
 """
 
 
@@ -650,7 +656,8 @@ def test_the_helper_starts_at_the_first_split_call_given_two_cpus(cpus,
                                                                   tmp_path):
     """Neither import nor loading the kernels starts a thread; the first
     split call starts one helper, unless the process may use one CPU
-    only. The epoch's bytes are the same with the helper and without."""
+    only, and the helper may run on every CPU but its starter's. The
+    epoch's bytes are the same with the helper and without."""
     if native.kernels() is None or not hasattr(os, "sched_setaffinity") \
             or not Path("/proc/self/task").is_dir():
         pytest.skip("no compiled kernels, or no CPU affinity")
@@ -665,9 +672,11 @@ def test_the_helper_starts_at_the_first_split_call_given_two_cpus(cpus,
     assert run.returncode == 0, run.stderr
     sha, *counts = run.stdout.split()
     assert sha == _epoch_sha(tmp_path / "parent.ckpt")
-    start, imported, loaded, trained = map(int, counts)
+    start, imported, loaded, trained, *helper_cpus = map(int, counts)
     assert start == 1 and loaded == imported
     assert trained == loaded + (cpus == "all")
+    assert helper_cpus == ([len(os.sched_getaffinity(0)) - 1]
+                           if cpus == "all" else [])
 
 
 def _compiler_on_path():
@@ -825,14 +834,14 @@ def test_the_kernel_source_and_flags_are_pinned():
     and a rebuilt module moves the kernels' timings on its own: a change
     to either is deliberate, and updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "d90133c0e523acd412dc92ac09f74541c833fab57a8b4afb58b51e6aa7d2de00"
+        "177b98f717d8da7d883f84fa8b5e20e2b52dd9fe4f53a3f00c88eb22f0f87b12"
     assert native._CFLAGS == ("-O3", "-std=c99", "-ffp-contract=off",
                               "-fno-math-errno", "-fPIC", "-shared")
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-bb5843ced7545646f36824610b0d52f2971ce94ed878d61b721eda8f"
-            "d05d2658.so")
+            "native-d01c5b5d542571f523c12bdd6badcdb185e4d61f4730357b7a488daa"
+            "1991ef02.so")
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):
