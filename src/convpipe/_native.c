@@ -399,7 +399,15 @@ ptrdiff_t adam_update_pair(const void *job, ptrdiff_t lo, ptrdiff_t hi)
    hidden layer's. Each chunk is one call of the kernel through its
    address, which the loader resolved to the clone it picked, and every
    element is computed by one thread from the same terms in the same
-   order: the bytes do not depend on who ran which chunk. */
+   order: the bytes do not depend on who ran which chunk.
+
+   A thread marked by set_background (the pipelined producer) does not
+   share its split calls: it queues one in the background slot and
+   sleeps, and the helper alone runs its chunks, one at a time, whenever
+   the front job has no chunk left to claim. So a front caller (the
+   consumer's products and Adam pairs) waits for at most one background
+   chunk in progress, and the marked thread leaves its CPU to the
+   consumer. */
 #define SPLIT_PRODUCT 200000
 #define CHUNK_ROWS 8
 #define SPLIT_ADAM 8192
@@ -415,27 +423,41 @@ ptrdiff_t adam_update_pair(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 #define CPU_RELAX() ((void)0)
 #endif
 
-/* The one job the helper takes part in, set by the caller that holds
-   `caller` before it opens `range`; its args stay the caller's until
-   every chunk is done. Chunk c is [c * chunk, (c + 1) * chunk), but the
-   last ends at size. */
-static struct {
+/* A job in chunks: chunk c is [c * chunk, (c + 1) * chunk), but the last
+   ends at size. */
+struct split {
     kernel_fn *kernel;
     const void *args;
     ptrdiff_t size, chunk;
     ptrdiff_t done;  /* chunks finished */
     ptrdiff_t sum;   /* of their results */
-} job;
+};
+
+/* The front job, which the helper takes part in, set by the caller that
+   holds `caller` before it opens `range`; its args stay the caller's
+   until every chunk is done. */
+static struct split job;
 /* The job's unclaimed chunks [front, back): front in the low 32 bits,
    back in the high 32. The caller claims from the front and the helper
    from the back, so each keeps its rows from one call to the next, and
    the caller never waits for a chunk nobody has claimed. */
 static uint64_t range;
-static int sleeping;  /* the helper waits on `wake` */
-static int helper;    /* 1 running, 0 not started, -1 never; under `caller` */
+/* The background job, set by the marked caller that took `slot_taken`
+   before it opens the slot; only the helper runs its chunks, in order,
+   so slot.done and slot.sum are the helper's until it closes the slot. */
+static struct split slot;
+static int slot_taken;  /* a marked call owns the slot */
+static int slot_open;   /* chunks left to run; cleared under slot_lock */
+static int sleeping;    /* the helper waits on `wake` */
+static int helper;      /* 1 running, 0 not started, -1 never; set under
+                           `caller`, read by any thread */
 static pthread_mutex_t caller = PTHREAD_MUTEX_INITIALIZER;
 static pthread_mutex_t wake_lock = PTHREAD_MUTEX_INITIALIZER;
 static pthread_cond_t wake = PTHREAD_COND_INITIALIZER;
+static pthread_mutex_t slot_lock = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t slot_done = PTHREAD_COND_INITIALIZER;
+/* the calling thread's split calls go to the slot */
+static __thread int background;
 
 /* The next unclaimed chunk, from the front or the back; -1 if none. A
    claim made, by the helper too, sees the job the caller set before it
@@ -454,27 +476,48 @@ static ptrdiff_t claim(int back)
     }
 }
 
+/* the kernel's result on chunk c of s */
+static ptrdiff_t run_part(const struct split *s, ptrdiff_t c)
+{
+    const ptrdiff_t lo = c * s->chunk;
+    const ptrdiff_t hi = s->size - lo < s->chunk ? s->size : lo + s->chunk;
+    return s->kernel(s->args, lo, hi);
+}
+
 static void run_chunk(ptrdiff_t c)
 {
-    const ptrdiff_t lo = c * job.chunk;
-    const ptrdiff_t hi = job.size - lo < job.chunk ? job.size : lo + job.chunk;
-    __atomic_fetch_add(&job.sum, job.kernel(job.args, lo, hi),
-                       __ATOMIC_RELAXED);
+    __atomic_fetch_add(&job.sum, run_part(&job, c), __ATOMIC_RELAXED);
     __atomic_fetch_add(&job.done, 1, __ATOMIC_RELEASE);
+}
+
+/* The helper's one chunk of an open slot; after the last it closes the
+   slot and wakes its owner. */
+static void run_slot_chunk(void)
+{
+    if (!__atomic_load_n(&slot_open, __ATOMIC_ACQUIRE))
+        return;
+    slot.sum += run_part(&slot, slot.done++);
+    if (slot.done * slot.chunk < slot.size)
+        return;
+    pthread_mutex_lock(&slot_lock);
+    __atomic_store_n(&slot_open, 0, __ATOMIC_RELAXED);
+    pthread_cond_signal(&slot_done);
+    pthread_mutex_unlock(&slot_lock);
 }
 
 static int has_work(void)
 {
     const uint64_t r = __atomic_load_n(&range, __ATOMIC_SEQ_CST);
-    return (r & 0xffffffff) < (r >> 32);
+    return (r & 0xffffffff) < (r >> 32)
+           || __atomic_load_n(&slot_open, __ATOMIC_SEQ_CST);
 }
 
 /* Polls for SPIN_NS, then sleeps until a caller signals `wake`. Each poll
-   yields the CPU: a pause spin kept the pipelined producer, and the GIL
-   it held, off this core (pipelined training ran ~10% slower on a 2-core
-   x86 machine). A caller that opens the range and then reads
-   sleeping == 0 is seen by has_work, as both are sequentially
-   consistent. */
+   yields the CPU, to whatever thread shares it: a pause spin once kept
+   the pipelined producer, and the GIL it held, off this core (pipelined
+   training ran ~10% slower on a 2-core x86 machine). A caller that opens
+   the range or the slot and then reads sleeping == 0 is seen by
+   has_work, as all three are sequentially consistent. */
 static void wait_for_work(void)
 {
     struct timespec t0, t;
@@ -494,7 +537,18 @@ static void wait_for_work(void)
     pthread_mutex_unlock(&wake_lock);
 }
 
-/* The helper touches no Python object: only job's chunks. */
+/* After a caller opened the range or the slot */
+static void wake_helper(void)
+{
+    if (__atomic_load_n(&sleeping, __ATOMIC_SEQ_CST)) {
+        pthread_mutex_lock(&wake_lock);
+        pthread_cond_signal(&wake);
+        pthread_mutex_unlock(&wake_lock);
+    }
+}
+
+/* The helper touches no Python object: only the chunks of the front job
+   and, while that has none to claim, one of the slot's at a time. */
 static void *helper_main(void *unused)
 {
     (void)unused;
@@ -503,6 +557,7 @@ static void *helper_main(void *unused)
         ptrdiff_t c;
         while ((c = claim(1)) >= 0)
             run_chunk(c);
+        run_slot_chunk();
     }
     return NULL;
 }
@@ -513,7 +568,11 @@ static void forget_helper(void)
     pthread_mutex_init(&caller, NULL);
     pthread_mutex_init(&wake_lock, NULL);
     pthread_cond_init(&wake, NULL);
+    pthread_mutex_init(&slot_lock, NULL);
+    pthread_cond_init(&slot_done, NULL);
     range = 0;
+    slot_taken = 0;
+    slot_open = 0;
     sleeping = 0;
     helper = 0;
 }
@@ -559,40 +618,70 @@ static int start_helper(void)
     return 1;
 }
 
-/* The sum of kernel's results over [0, size) of args. With split, and
-   while the helper is free and can run, in chunks of `chunk` shared with
-   it; otherwise in one call on the calling thread. The helper starts on
-   the first call that shares, never at load. */
+/* Whether the helper runs; the first call to ask, holding `caller`,
+   starts it. */
+static int helper_runs(void)
+{
+    if (__atomic_load_n(&helper, __ATOMIC_ACQUIRE) == 0)
+        __atomic_store_n(&helper, start_helper() ? 1 : -1, __ATOMIC_RELEASE);
+    return __atomic_load_n(&helper, __ATOMIC_ACQUIRE) > 0;
+}
+
+/* A marked thread's split call: queued in the slot, while this thread
+   sleeps until the helper has run every chunk. With the slot taken by
+   another marked call, or no helper, it runs in one call here. */
+static ptrdiff_t run_background(kernel_fn *kernel, const void *args,
+                                ptrdiff_t size, ptrdiff_t chunk)
+{
+    if (__atomic_load_n(&helper, __ATOMIC_ACQUIRE) == 0) {
+        pthread_mutex_lock(&caller);
+        helper_runs();
+        pthread_mutex_unlock(&caller);
+    }
+    int unowned = 0;
+    if (__atomic_load_n(&helper, __ATOMIC_ACQUIRE) < 0
+        || !__atomic_compare_exchange_n(&slot_taken, &unowned, 1, 0,
+                                        __ATOMIC_ACQUIRE, __ATOMIC_RELAXED))
+        return kernel(args, 0, size);
+    slot = (struct split){kernel, args, size, chunk, 0, 0};
+    __atomic_store_n(&slot_open, 1, __ATOMIC_SEQ_CST);
+    wake_helper();
+    pthread_mutex_lock(&slot_lock);
+    while (__atomic_load_n(&slot_open, __ATOMIC_RELAXED))
+        pthread_cond_wait(&slot_done, &slot_lock);
+    pthread_mutex_unlock(&slot_lock);
+    const ptrdiff_t sum = slot.sum;
+    __atomic_store_n(&slot_taken, 0, __ATOMIC_RELEASE);
+    return sum;
+}
+
+/* The sum of kernel's results over [0, size) of args. With split, on a
+   marked thread, through the slot; otherwise, while the helper is free
+   and can run, in chunks of `chunk` shared with it; else in one call on
+   the calling thread. The helper starts on the first call that shares or
+   queues, never at load. */
 static ptrdiff_t run(kernel_fn *kernel, const void *args, ptrdiff_t size,
                      ptrdiff_t chunk, int split)
 {
     const ptrdiff_t chunks = (size + chunk - 1) / chunk;
-    if (!split || chunks < 2 || (uint64_t)chunks > 0xffffffff
-        || pthread_mutex_trylock(&caller) != 0)
+    if (!split || chunks < 2 || (uint64_t)chunks > 0xffffffff)
         return kernel(args, 0, size);
-    if (helper == 0)
-        helper = start_helper() ? 1 : -1;
-    if (helper < 0) {
+    if (background)
+        return run_background(kernel, args, size, chunk);
+    if (pthread_mutex_trylock(&caller) != 0)
+        return kernel(args, 0, size);
+    if (!helper_runs()) {
         pthread_mutex_unlock(&caller);
         return kernel(args, 0, size);
     }
-    job.kernel = kernel;
-    job.args = args;
-    job.size = size;
-    job.chunk = chunk;
-    job.done = 0;
-    job.sum = 0;
+    job = (struct split){kernel, args, size, chunk, 0, 0};
     __atomic_store_n(&range, (uint64_t)chunks << 32, __ATOMIC_SEQ_CST);
-    if (__atomic_load_n(&sleeping, __ATOMIC_SEQ_CST)) {
-        pthread_mutex_lock(&wake_lock);
-        pthread_cond_signal(&wake);
-        pthread_mutex_unlock(&wake_lock);
-    }
+    wake_helper();
     ptrdiff_t c;
     while ((c = claim(0)) >= 0)
         run_chunk(c);
-    /* at most the helper's one chunk in progress; yields in case the
-       helper shares this CPU */
+    /* at most the helper's one chunk in progress, of this job or of the
+       slot; yields in case the helper shares this CPU */
     for (unsigned i = 0; __atomic_load_n(&job.done, __ATOMIC_ACQUIRE) < chunks;
          i++)
         if (i < 1024)
@@ -822,11 +911,26 @@ static PyObject *py_adam_update_pair(PyObject *self, PyObject *const *args,
     return PyLong_FromSsize_t(nonfinite);
 }
 
+/* set_background(flag): whether the calling thread's split calls queue
+   in the background slot; the mark ends with the thread */
+static PyObject *py_set_background(PyObject *self, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    (void)self;
+    if (!takes("set_background", nargs, 1))
+        return NULL;
+    const int flag = PyObject_IsTrue(args[0]);
+    if (flag < 0)
+        return NULL;
+    background = flag;
+    Py_RETURN_NONE;
+}
+
 #define ENTRY(name) \
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 static PyMethodDef methods[] = {
     ENTRY(matmul_kseq), ENTRY(host_stage), ENTRY(adam_update_pair),
-    {NULL, NULL, 0, NULL}};
+    ENTRY(set_background), {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT,
                                     "_convpipe_native", NULL, -1, methods,

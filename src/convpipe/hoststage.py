@@ -10,13 +10,16 @@ row; the call takes the arrays themselves, and its scratch rows are
 allocated in C. It releases the GIL while it runs, so in pipelined mode
 the producer's host stage and the accelerator thread's matmuls run at the
 same time. A batch of at least 100k tap multiply-adds (32 images of the
-default 28x28 at 3x3 are 194,688) is shared in chunks of 4 images with
-the kernels' helper thread, when that thread is free: in pipelined mode it
-is often busy with the accelerator thread's products, and the call then
-runs alone. Each image is computed by one thread either way, with the same
-bytes. conv2d_valid and maxpool2x2 are the numpy reference the tests
-compare it against, byte for byte, and the fallback host_stage runs when
-native.kernels() is unavailable or the call refuses an array.
+default 28x28 at 3x3 are 194,688) runs in chunks of 4 images. In
+sequential mode the call shares them with the kernels' helper thread, when
+that thread is free. In pipelined mode the producer's thread is marked
+(native's set_background): its call queues the chunks for the helper and
+sleeps, and the helper runs them between the accelerator thread's
+products, on the other core. Each image is computed by one thread either
+way, with the same bytes. conv2d_valid and maxpool2x2 are the numpy
+reference the tests compare it against, byte for byte, and the fallback
+host_stage runs when native.kernels() is unavailable or the call refuses
+an array.
 """
 
 from dataclasses import dataclass

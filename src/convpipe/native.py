@@ -1,10 +1,10 @@
 """The compiled kernels: the C source in _native.c, built on first use as
 an extension module.
 
-_native.c holds the three hot loops of a training step and one entry point
-per loop; its comments say how each loop is tiled and what each entry point
-checks. Each kernel gives the bytes of the numpy code that is its reference
-and fallback:
+_native.c holds the three hot loops of a training step, one entry point
+per loop, and set_background, which marks the calling thread; its comments
+say how each loop is tiled and what each entry point checks. Each kernel
+gives the bytes of the numpy code that is its reference and fallback:
 
 - matmul_kseq: neuralcore.matmul_kseq, reference
   neuralcore._matmul_kseq_numpy;
@@ -44,12 +44,16 @@ wrappers then run their numpy reference.
 
 The two big products of a training batch (fc_forward's and grad_w1's), its
 host stage and its Adam pair are shared in chunks with a helper thread on a
-second core, with the same bytes. _native.c's "Two cores" section says
-which calls split, how the chunks are claimed, when the helper starts,
-on which CPUs it may run, how it polls and sleeps, and why the bytes
-cannot change. Each loaded module has
-its own helper, and a child forked after it started starts its own; Python
-3.12 and later warn that such a fork is made in a multi-threaded process.
+second core, with the same bytes. A thread marked by set_background(True),
+the pipelined producer, does not share its split calls: it queues one at a
+time in a background slot and sleeps, and the helper runs that slot's
+chunks only when the front job has none left to claim. _native.c's "Two
+cores" section says which calls split, how the chunks are claimed, how the
+slot yields to the front job, when the helper starts, on which CPUs it may
+run, how it polls and sleeps, and why the bytes cannot change. Each loaded
+module has its own helper, and a child forked after it started starts its
+own, with an empty slot; Python 3.12 and later warn that such a fork is
+made in a multi-threaded process.
 
 The module is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
 (~/.cache when XDG_CACHE_HOME is unset), keyed by the source, the flags

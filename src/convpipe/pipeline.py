@@ -3,10 +3,14 @@
 Training epochs, test epochs and `convpipe test` share run_epoch's one loop
 over a stream of host-stage results. The modes differ only in where that
 stream is produced (inline, or on a producer thread that runs up to
-_HIGH_WATER batches ahead), so their numeric results are bit-identical. Each
-epoch also books an analytic latency model: measured host wall-times are
-machine-dependent, and the accelerator side is modeled in cycles. The model
-keeps the paper's depth-1 hand-off buffer whatever the thread's lead.
+_HIGH_WATER batches ahead), so their numeric results are bit-identical. The
+producer marks its thread for the compiled kernels: its host stage queues
+for the kernels' helper thread, which runs it on the other core whenever
+the consumer's kernels leave it free, while the producer sleeps. Each epoch
+also books an analytic latency model: measured host wall-times are
+machine-dependent, and in pipelined mode include the producer's wait for
+the helper; the accelerator side is modeled in cycles. The model keeps the
+paper's depth-1 hand-off buffer whatever the thread's lead.
 """
 
 import queue
@@ -17,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import checkpoint as ckpt_mod
+from . import native
 from .accelmodel import (PassEstimate, ResourceBudget, cycles_to_seconds,
                          estimate_pass)
 from .adam import AdamHyper
@@ -105,6 +110,11 @@ def _prefetched(stream):
 
     def produce():
         try:
+            lib = native.kernels()
+            if lib is not None:
+                # this thread's split calls run on the kernels' helper only
+                # when the consumer's calls leave it free
+                lib.set_background(True)
             for conv, host_dt in stream:
                 q.put(("batch", conv, host_dt))
                 if q.qsize() >= _HIGH_WATER:

@@ -1,5 +1,6 @@
 import os
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,33 @@ def unsplit_kernels(tmp_path_factory):
     path = tmp_path_factory.mktemp("unsplit") / "unsplit.so"
     native._build(path, source)
     return native._import(path)
+
+
+@pytest.fixture
+def on_a_marked_thread():
+    """A function that returns call()'s result, made on a new thread that
+    set_background marked, so that its split calls queue for the helper.
+    It fails if the call takes a minute; the thread is a daemon, so that a
+    hung call cannot hold the test process open."""
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+
+    def run(call):
+        outcome = []
+
+        def marked():
+            lib.set_background(True)
+            try:
+                outcome.append((call(), None))
+            except BaseException as exc:  # re-raised on the test's thread
+                outcome.append((None, exc))
+        thread = threading.Thread(target=marked, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert outcome, "a marked call did not return within a minute"
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return result
+    return run

@@ -1,4 +1,6 @@
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from convpipe import native
 from convpipe.dataio import MiniBatch, synthetic_dataset, make_batches
 from convpipe.hoststage import SHARPEN_KERNEL, conv2d_valid, host_stage, maxpool2x2
+from convpipe.neuralcore import matmul_kseq
 from convpipe.pipeline import RunConfig, load_datasets
 
 from oracles import naive_conv2d, naive_maxpool2x2
@@ -235,24 +238,91 @@ SPLIT_HOST_CASES = {
 }
 
 
+def _host_stage_bytes(kernels, v, kernel):
+    n, h, w = v.shape
+    got = np.empty((n, (h - kernel.shape[0] + 1) * (w - kernel.shape[1] + 1)
+                    // 4))
+    kernels.host_stage(v, kernel, got)
+    return got.tobytes()
+
+
 @pytest.mark.parametrize("name", SPLIT_HOST_CASES)
-def test_a_shared_host_stage_gives_the_bytes_of_one_thread(name,
-                                                           unsplit_kernels):
+def test_a_shared_host_stage_gives_the_bytes_of_one_thread(
+        name, unsplit_kernels, on_a_marked_thread):
     """A host stage shared with the helper thread, in chunks of images,
-    gives numpy's bytes and those of the same call in a build where it runs
-    on one thread: one image, a chunk and its neighbours, a short last
-    chunk, and the batches just below and at the split threshold."""
-    if unsplit_kernels is None:
-        pytest.skip("no compiled kernels")
+    or queued for it from a marked thread, gives numpy's bytes and those of
+    the same call in a build where it runs on one thread: one image, a
+    chunk and its neighbours, a short last chunk, and the batches just
+    below and at the split threshold."""
     n, oh, ow, kh, kw = SPLIT_HOST_CASES[name]
     rng = np.random.default_rng(7)
     v, kernel = rng.normal(size=(n, oh + kh - 1, ow + kw - 1)), \
         rng.normal(size=(kh, kw))
     want = _reference_bytes(v, kernel)
-    for kernels in (native.kernels(), unsplit_kernels):
-        got = np.empty((n, oh * ow // 4))
-        kernels.host_stage(v, kernel, got)
-        assert got.tobytes() == want
+    assert _host_stage_bytes(native.kernels(), v, kernel) == want
+    assert _host_stage_bytes(unsplit_kernels, v, kernel) == want
+    assert on_a_marked_thread(
+        lambda: _host_stage_bytes(native.kernels(), v, kernel)) == want
+
+
+def test_a_queued_host_stage_finishes_while_products_keep_the_helper_busy(
+        on_a_marked_thread):
+    """The helper runs a queued chunk only when the front job has none to
+    claim; a thread that makes split products back to back still leaves
+    it those gaps, so the queued host stage ends, with numpy's bytes."""
+    rng = np.random.default_rng(8)
+    v, kernel = rng.normal(size=(64, 28, 28)), rng.normal(size=(3, 3))
+    want = _reference_bytes(v, kernel)
+    a, b = rng.normal(size=(2, 200, 200))  # 8M multiply-adds: they split
+    stop = threading.Event()
+
+    def products():
+        while not stop.is_set():
+            matmul_kseq(a, b)
+    thread = threading.Thread(target=products)
+    thread.start()
+    try:
+        for _ in range(20):
+            assert on_a_marked_thread(
+                lambda: _host_stage_bytes(native.kernels(), v, kernel)) == want
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+def test_a_second_marked_call_runs_without_waiting_for_the_slot():
+    """There is one slot: a marked call made while another holds it runs
+    on its own thread, so it ends first, and both give numpy's bytes."""
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+    rng = np.random.default_rng(9)
+    # ~450M tap multiply-adds, against the second call's ~0.2M
+    long_v, long_k = rng.normal(size=(400, 64, 64)), rng.normal(size=(33, 33))
+    short_v, short_k = rng.normal(size=(32, 28, 28)), rng.normal(size=(3, 3))
+    got, ended, started = {}, {}, threading.Event()
+
+    def marked(name, v, kernel, before=None):
+        lib.set_background(True)
+        if before is not None:
+            assert before.wait(timeout=60)
+            time.sleep(0.002)  # the first call is in the slot
+        else:
+            started.set()
+        got[name] = _host_stage_bytes(lib, v, kernel)
+        ended[name] = time.perf_counter()
+    threads = [threading.Thread(target=marked, args=args, daemon=True)
+               for args in (("long", long_v, long_k),
+                            ("short", short_v, short_k, started))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {"long": _reference_bytes(long_v, long_k),
+                   "short": _reference_bytes(short_v, short_k)}
+    assert ended["short"] < ended["long"]
 
 
 def test_host_stage_propagates_nan_like_numpy():

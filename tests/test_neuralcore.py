@@ -555,13 +555,15 @@ def _numpy_split_work(monkeypatch):
 
 def test_concurrent_split_calls_give_the_numpy_bytes(monkeypatch):
     """More threads than cores make split calls at once: one call at a
-    time shares its chunks with the helper and the others run alone. Each
-    gives numpy's bytes, and none waits on another's job."""
+    time shares its chunks with the helper, one thread's calls queue for
+    it in the background slot, and the others run alone. Each gives
+    numpy's bytes, and none waits on another's job."""
     if native.kernels() is None:
         pytest.skip("no compiled kernels")
     want, results = _numpy_split_work(monkeypatch), {}
 
     def work(i):
+        native.kernels().set_background(i == 0)
         results[i] = [_split_work() == want for _ in range(30)]
     threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
     interval = sys.getswitchinterval()
@@ -579,10 +581,10 @@ def test_concurrent_split_calls_give_the_numpy_bytes(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
-    """A child forked after a split call, while another thread makes more,
-    inherits neither the helper nor a held lock: its split calls give
-    numpy's bytes and start its own helper, given two CPUs, and it exits
-    in time."""
+    """A child forked after a split call, while another thread makes more
+    from the background slot, inherits neither the helper, nor a held lock,
+    nor a queued job: its split calls give numpy's bytes and start its own
+    helper, given two CPUs, and it exits in time."""
     if native.kernels() is None:
         pytest.skip("no compiled kernels")
     tasks = Path("/proc/self/task")
@@ -596,6 +598,7 @@ def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
     stop = threading.Event()
 
     def busy():
+        native.kernels().set_background(True)
         while not stop.is_set():
             _split_work()
     thread = threading.Thread(target=busy)
@@ -628,12 +631,15 @@ def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
     assert os.waitstatus_to_exitcode(ended[1]) == 0
 
 
-# prints the epoch's checkpoint sha256, the process's thread count at
-# start, after the imports, after loading the kernels and after the epoch,
-# and how many CPUs each thread the epoch started may run on; argv[1] ==
-# "one" pins the process to one CPU before numpy's import
+# prints the checkpoint sha256 of an epoch in mode argv[3], the process's
+# thread count at start, after the imports, after loading the kernels and
+# after the epoch, and how many CPUs each thread the epoch started may run
+# on; argv[1] == "one" pins the process to one CPU before numpy's import.
+# A pipelined epoch's producer has ended, but may take a moment to leave
+# the thread list after its join: the count is read once at most the
+# expected helper is left, or after 10 s.
 _THREADS_OF_AN_EPOCH = """
-import os, sys
+import os, sys, time
 from pathlib import Path
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -644,8 +650,11 @@ counts.append(len(os.listdir("/proc/self/task")))
 native.kernels()
 loaded = set(os.listdir("/proc/self/task"))
 counts.append(len(loaded))
-sha = test_neuralcore._epoch_sha(Path(sys.argv[2]))
-started = set(os.listdir("/proc/self/task")) - loaded
+sha = test_neuralcore._epoch_sha(Path(sys.argv[2]), sys.argv[3])
+deadline = time.monotonic() + 10
+while len(started := set(os.listdir("/proc/self/task")) - loaded) \\
+        > (sys.argv[1] == "all") and time.monotonic() < deadline:
+    time.sleep(0.01)
 counts.append(len(loaded | started))
 print(sha, *counts, *(len(os.sched_getaffinity(int(t))) for t in started))
 """
@@ -656,27 +665,32 @@ def test_the_helper_starts_at_the_first_split_call_given_two_cpus(cpus,
                                                                   tmp_path):
     """Neither import nor loading the kernels starts a thread; the first
     split call starts one helper, unless the process may use one CPU
-    only, and the helper may run on every CPU but its starter's. The
-    epoch's bytes are the same with the helper and without."""
+    only, and the helper may run on every CPU but its starter's. In a
+    pipelined epoch that call is the marked producer's, and no other
+    thread outlives the epoch. The epoch's bytes are the same in both
+    modes, with the helper and without."""
     if native.kernels() is None or not hasattr(os, "sched_setaffinity") \
             or not Path("/proc/self/task").is_dir():
         pytest.skip("no compiled kernels, or no CPU affinity")
     if cpus == "all" and len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU")
     paths = (Path(neuralcore.__file__).parents[1], Path(__file__).parent)
-    run = subprocess.run(
-        [sys.executable, "-c", _THREADS_OF_AN_EPOCH, cpus,
-         str(tmp_path / "child.ckpt")], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
-        timeout=120)
-    assert run.returncode == 0, run.stderr
-    sha, *counts = run.stdout.split()
-    assert sha == _epoch_sha(tmp_path / "parent.ckpt")
-    start, imported, loaded, trained, *helper_cpus = map(int, counts)
-    assert start == 1 and loaded == imported
-    assert trained == loaded + (cpus == "all")
-    assert helper_cpus == ([len(os.sched_getaffinity(0)) - 1]
-                           if cpus == "all" else [])
+    want = _epoch_sha(tmp_path / "parent.ckpt")
+    for mode in MODES:
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADS_OF_AN_EPOCH, cpus,
+             str(tmp_path / "child.ckpt"), mode], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join(map(str, paths))})
+        assert run.returncode == 0, run.stderr
+        sha, *counts = run.stdout.split()
+        assert sha == want, mode
+        start, imported, loaded, trained, *helper_cpus = map(int, counts)
+        assert start == 1 and loaded == imported
+        assert trained == loaded + (cpus == "all"), mode
+        assert helper_cpus == ([len(os.sched_getaffinity(0)) - 1]
+                               if cpus == "all" else []), mode
 
 
 def _compiler_on_path():
@@ -688,10 +702,10 @@ def _epoch_batches():
     return make_batches(images, labels, 32)
 
 
-def _epoch_sha(path):
-    """sha256 of the checkpoint after a sequential 4-batch training epoch."""
-    state, _ = run_epoch(_epoch_batches(), ModelState.initial(3),
-                         SEQUENTIAL, True, ResourceBudget())
+def _epoch_sha(path, mode=SEQUENTIAL):
+    """sha256 of the checkpoint after a 4-batch training epoch."""
+    state, _ = run_epoch(_epoch_batches(), ModelState.initial(3), mode, True,
+                         ResourceBudget())
     save_checkpoint(path, state)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -746,7 +760,7 @@ def test_compiled_kernel_loads_when_a_compiler_is_present():
     lib = native.kernels()
     assert lib is not None
     assert sorted(name for name in dir(lib) if not name.startswith("_")) == \
-        ["adam_update_pair", "host_stage", "matmul_kseq"]
+        ["adam_update_pair", "host_stage", "matmul_kseq", "set_background"]
 
 
 def _no_compiler(monkeypatch, cache_dir):
@@ -834,14 +848,14 @@ def test_the_kernel_source_and_flags_are_pinned():
     and a rebuilt module moves the kernels' timings on its own: a change
     to either is deliberate, and updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "177b98f717d8da7d883f84fa8b5e20e2b52dd9fe4f53a3f00c88eb22f0f87b12"
+        "8629d6dbfbf88b3d7b13716fa1380e4e3eced4f7640bed660fc88da9a55ba56a"
     assert native._CFLAGS == ("-O3", "-std=c99", "-ffp-contract=off",
                               "-fno-math-errno", "-fPIC", "-shared")
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-d01c5b5d542571f523c12bdd6badcdb185e4d61f4730357b7a488daa"
-            "1991ef02.so")
+            "native-073519bd6806e1daedded911bdc09ab122cb99e1ffb97a065a95eeab"
+            "da0dce0c.so")
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):
