@@ -266,54 +266,79 @@ HELPER void corr_pool(const double *img, ptrdiff_t w,
 }
 
 /* A host stage of at least SPLIT_HOST tap multiply-adds runs in chunks of
-   CHUNK_IMAGES images (see "Two cores"); each chunk has its own scratch
-   rows, so no two threads write the same. */
+   CHUNK_IMAGES images (see "Two cores"); each chunk has its own scratch,
+   so no two threads write the same. */
 #define SPLIT_HOST 100000
 #define CHUNK_IMAGES 4
 
-/* x is images of h rows of w, C-contiguous; the correlation output
-   (h-kh+1) x (w-kw+1) must have even dims. rows is scratch for two
-   output rows per chunk of CHUNK_IMAGES images; out is
+/* byte_value[k] = k / 255.0, correctly rounded: the pixel value of byte k,
+   as numpy's division of a uint8 array by 255.0 gives it; set at load */
+static double byte_value[256];
+
+/* out[i] = byte_value[src[i]] for i < n, eight at a time, which the AVX
+   clones store as vectors. A function of its own: inlined in host_stage,
+   the plain loop kept its pointers on the stack and took about twice as
+   long (the AVX-512F machine of BENCH_33.json). */
+KERNEL
+void byte_values(ptrdiff_t n, const unsigned char *restrict src,
+                 double *restrict out)
+{
+    ptrdiff_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8; j++)
+            out[i + j] = byte_value[src[i + j]];
+    for (; i < n; i++)
+        out[i] = byte_value[src[i]];
+}
+
+/* The images are h rows of w, C-contiguous: the pixel values at x, or, with
+   x NULL, the bytes at bytes, byte k meaning byte_value[k]. The correlation
+   output (h-kh+1) x (w-kw+1) must have even dims. scratch holds `stride`
+   doubles per chunk of CHUNK_IMAGES images: two output rows, then, for
+   bytes, the pixel values of one image. out is
    (images, (h-kh+1)/2 * (w-kw+1)/2), row-major. */
 struct host_job {
-    const double *x, *k;
-    ptrdiff_t h, w, kh, kw;
-    double *rows, *out;
+    const double *x;
+    const unsigned char *bytes;
+    const double *k;
+    ptrdiff_t h, w, kh, kw, stride;
+    double *scratch, *out;
 };
 
 /* images [lo, hi) of a struct host_job, lo a multiple of CHUNK_IMAGES;
    returns 0.
 
-   With AVX2, each pair of output rows runs in blocks of HOST_C columns;
-   the last block is moved left to end at the last column and recomputes
-   the same values where it overlaps the one before it. Otherwise, and for
-   an output narrower than a block, two rows are summed in the chunk's
-   rows, one tap at a time, and then pooled. */
+   A byte image is converted, one image at a time, into the chunk's scratch
+   and read from there. With AVX2, each pair of output rows runs in blocks
+   of HOST_C columns; the last block is moved left to end at the last
+   column and recomputes the same values where it overlaps the one before
+   it. Otherwise, and for an output narrower than a block, two rows are
+   summed in the chunk's scratch, one tap at a time, and then pooled. */
 KERNEL
 ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 {
     const struct host_job *p = job;
-    const ptrdiff_t n = hi - lo, h = p->h, w = p->w, kh = p->kh, kw = p->kw;
+    const ptrdiff_t h = p->h, w = p->w, kh = p->kh, kw = p->kw;
     const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
-    const double *x = p->x + lo * h * w;
     const double *restrict k = p->k;
     double *restrict out = p->out + lo * (oh / 2) * (ow / 2);
-    if (AVX2_CPU && ow >= HOST_C) {
-        for (ptrdiff_t b = 0; b < n; b++)
-            for (ptrdiff_t r = 0; r < oh; r += 2) {
-                const double *img = x + (b * h + r) * w;
-                double *restrict o = out + (b * oh + r) / 2 * (ow / 2);
+    double *restrict r0 = p->scratch + lo / CHUNK_IMAGES * p->stride;
+    double *restrict r1 = r0 + ow;
+    double *restrict image = r1 + ow;
+    for (ptrdiff_t b = lo; b < hi; b++) {
+        const double *img = image;
+        if (p->bytes)
+            byte_values(h * w, p->bytes + b * h * w, image);
+        else
+            img = p->x + b * h * w;
+        if (AVX2_CPU && ow >= HOST_C) {
+            for (ptrdiff_t r = 0; r < oh; r += 2, out += ow / 2)
                 for (ptrdiff_t c0 = 0; c0 < ow; c0 += HOST_C) {
                     const ptrdiff_t c = c0 < ow - HOST_C ? c0 : ow - HOST_C;
-                    corr_pool(img + c, w, k, kh, kw, o + c / 2);
+                    corr_pool(img + r * w + c, w, k, kh, kw, out + c / 2);
                 }
-            }
-        return 0;
-    }
-    double *restrict r0 = p->rows + lo / CHUNK_IMAGES * 2 * ow;
-    double *restrict r1 = r0 + ow;
-    for (ptrdiff_t b = 0; b < n; b++) {
-        const double *img = x + b * h * w;
+            continue;
+        }
         for (ptrdiff_t r = 0; r < oh; r++) {
             double *restrict o = r % 2 ? r1 : r0;
             for (ptrdiff_t c = 0; c < ow; c++)
@@ -699,6 +724,7 @@ static ptrdiff_t run(kernel_fn *kernel, const void *args, ptrdiff_t size,
    and 8-byte aligned: rules are a set of these. */
 #define C_ORDER 1  /* C-contiguous */
 #define WRITABLE 2
+#define OR_BYTES 4  /* or uint8, at any address */
 
 /* numpy's aligned flag: the address and the strides of the axes longer
    than 1 are multiples of 8, or the buffer is empty */
@@ -716,7 +742,7 @@ static int aligned(const Py_buffer *view)
 /* obj's buffer in view, after the checks every operand passes. On
    failure sets BufferError (or the exporter's error), holds no buffer
    and returns -1. */
-static int get_doubles(PyObject *obj, Py_buffer *view, int rules,
+static int get_operand(PyObject *obj, Py_buffer *view, int rules,
                        const char *name)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
@@ -725,9 +751,14 @@ static int get_doubles(PyObject *obj, Py_buffer *view, int rules,
     if (*format == '@' || *format == '=')
         format++;
     const char *why = NULL;
-    if (strcmp(format, "d") != 0 || view->itemsize != sizeof(double))
-        why = "is not float64 in native byte order";
-    else if (!aligned(view))
+    const int bytes = (rules & OR_BYTES) && strcmp(format, "B") == 0
+                      && view->itemsize == 1;
+    if (!bytes && (strcmp(format, "d") != 0
+                   || view->itemsize != sizeof(double)))
+        why = rules & OR_BYTES ? "is neither float64 in native byte order "
+                                 "nor uint8"
+                               : "is not float64 in native byte order";
+    else if (!bytes && !aligned(view))
         why = "is not 8-byte aligned";
     else if ((rules & C_ORDER) && !PyBuffer_IsContiguous(view, 'C'))
         why = "is not C-contiguous";
@@ -751,7 +782,7 @@ static int get_all(PyObject *const *objs, Py_buffer *views, const int *rules,
                    const char *const *names, int n)
 {
     for (int i = 0; i < n; i++)
-        if (get_doubles(objs[i], &views[i], rules[i], names[i]) < 0) {
+        if (get_operand(objs[i], &views[i], rules[i], names[i]) < 0) {
             release(views, i);
             return -1;
         }
@@ -816,7 +847,8 @@ static PyObject *py_matmul_kseq(PyObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* host_stage(x, k, out): x (n, h, w), k (kh, kw), out (n, oh/2 * ow/2)
+/* host_stage(x, k, out): x (n, h, w), float64 pixel values or uint8
+   bytes (byte k is the value k / 255.0), k (kh, kw), out (n, oh/2 * ow/2)
    for the (oh, ow) = (h-kh+1, w-kw+1) correlation, whose dims are even */
 static PyObject *py_host_stage(PyObject *self, PyObject *const *args,
                                Py_ssize_t nargs)
@@ -824,13 +856,14 @@ static PyObject *py_host_stage(PyObject *self, PyObject *const *args,
     (void)self;
     if (!takes("host_stage", nargs, 3))
         return NULL;
-    static const int rules[3] = {C_ORDER, C_ORDER, C_ORDER | WRITABLE};
+    static const int rules[3] = {C_ORDER | OR_BYTES, C_ORDER,
+                                 C_ORDER | WRITABLE};
     static const char *const names[3] = {"x", "k", "out"};
     Py_buffer v[3];
     if (get_all(args, v, rules, names, 3) < 0)
         return NULL;
     const Py_buffer *x = &v[0], *k = &v[1], *out = &v[2];
-    double *rows = NULL;
+    double *scratch = NULL;
     if (x->ndim != 3 || k->ndim != 2 || x->shape[1] < k->shape[0]
         || x->shape[2] < k->shape[1]) {
         PyErr_SetString(PyExc_ValueError,
@@ -839,28 +872,31 @@ static PyObject *py_host_stage(PyObject *self, PyObject *const *args,
         const ptrdiff_t n = x->shape[0], h = x->shape[1], w = x->shape[2];
         const ptrdiff_t kh = k->shape[0], kw = k->shape[1];
         const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
-        /* scratch rows per chunk, and at least one set */
+        const int bytes = x->itemsize == 1;
+        /* scratch per chunk, and at least one set */
         const ptrdiff_t chunks =
             n > CHUNK_IMAGES ? (n + CHUNK_IMAGES - 1) / CHUNK_IMAGES : 1;
+        const ptrdiff_t stride = 2 * ow + (bytes ? h * w : 0);
         if (oh % 2 || ow % 2)
             PyErr_SetString(PyExc_ValueError,
                             "the correlation's dims are not even");
         else if (!is_matrix(out, n, oh / 2 * (ow / 2)))
             PyErr_SetString(PyExc_ValueError,
                             "out is not (n, oh/2 * ow/2)");
-        else if ((rows = PyMem_Malloc(chunks * 2 * ow * sizeof(double)))
+        else if ((scratch = PyMem_Malloc(chunks * stride * sizeof(double)))
                  == NULL)
             PyErr_NoMemory();
         else {
-            const struct host_job p = {x->buf, k->buf, h, w, kh, kw, rows,
-                                       out->buf};
+            const struct host_job p = {bytes ? NULL : x->buf,
+                                       bytes ? x->buf : NULL, k->buf, h, w,
+                                       kh, kw, stride, scratch, out->buf};
             Py_BEGIN_ALLOW_THREADS
             run(host_stage, &p, n, CHUNK_IMAGES,
                 (double)n * oh * ow * kh * kw >= SPLIT_HOST);
             Py_END_ALLOW_THREADS
         }
     }
-    PyMem_Free(rows);
+    PyMem_Free(scratch);
     release(v, 3);
     if (PyErr_Occurred())
         return NULL;
@@ -938,5 +974,7 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT,
 
 PyMODINIT_FUNC PyInit__convpipe_native(void)
 {
+    for (int b = 0; b < 256; b++)
+        byte_value[b] = (double)b / 255.0;
     return PyModule_Create(&module);
 }

@@ -16,9 +16,10 @@ import json
 import math
 import operator
 import os
+import shutil
 import sys
 from dataclasses import fields, is_dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from .accelmodel import cycles_to_seconds, estimate_pass
 from .checkpoint import load_checkpoint
@@ -265,9 +266,15 @@ def cmd_estimate(args):
 
 
 def build_parser():
+    # argparse makes a formatter for each argument it adds, and the stock
+    # formatter measures the terminal each time: this is the stock formatter
+    # at the width it measures, measured once per build
+    formatter = partial(argparse.HelpFormatter,
+                        width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="convpipe",
-        description="Split CNN trainer with a modeled accelerator stage")
+        description="Split CNN trainer with a modeled accelerator stage",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_data=True):
@@ -289,7 +296,8 @@ def build_parser():
             p.add_argument("--synthetic", action="store_true",
                            help="ignore data dir and use the synthetic fixture")
 
-    p_train = sub.add_parser("train", help="train and score each epoch")
+    p_train = sub.add_parser("train", help="train and score each epoch",
+                             formatter_class=formatter)
     common(p_train)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--mode", choices=list(MODES), default=None)
@@ -298,12 +306,13 @@ def build_parser():
     p_train.add_argument("--epochs-csv", help="also write the epoch table as CSV")
     p_train.set_defaults(func=cmd_train)
 
-    p_test = sub.add_parser("test", help="inference-only scoring of a checkpoint")
+    p_test = sub.add_parser("test", formatter_class=formatter,
+                            help="inference-only scoring of a checkpoint")
     common(p_test)
     p_test.add_argument("--checkpoint", dest="checkpoint_path", required=True)
     p_test.set_defaults(func=cmd_test)
 
-    p_est = sub.add_parser("estimate",
+    p_est = sub.add_parser("estimate", formatter_class=formatter,
                            help="schedule/resource estimates, no dataset needed")
     common(p_est, with_data=False)
     p_est.add_argument("--unroll-fc",

@@ -6,6 +6,14 @@ IDX is the classic big-endian binary format: u32 magic, u32 count,
 one writer cover both kinds; the public loaders and writers only convert
 the uint8 payload. Files may be plain or gzip-compressed; compression is
 detected from the 1f 8b prefix.
+
+Images stay bytes from the file to the host stage: an ImageSet of uint8
+pixels, and the MiniBatch.v_raw sliced from it, hold byte k for the pixel
+value k / 255.0, which hoststage.host_stage computes per image as it runs.
+Only uint8 carries that meaning; pixels of any other dtype, such as
+float64, are the pixel values themselves. A 60,000-image MNIST training set
+is 47 MB as bytes, against 376 MB as float64.
+
 The payload must end the file where the header's count says; a gzip
 stream is read to its end, where gzip checks its CRC and length. A
 malformed IDX file or checkpoint (checkpoint reads through _read_exact
@@ -40,16 +48,20 @@ class FormatError(ValueError):
 
 @dataclass
 class ImageSet:
-    """Pixel data scaled to [0, 1], shape (count, rows, cols) float64."""
+    """Images, shape (count, rows, cols): uint8 bytes, byte k meaning the
+    pixel value k / 255.0, or pixel values in [0, 1] of another dtype,
+    such as float64."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
         if self.pixels.ndim != 3:
             raise ValueError(f"pixels must be 3-d, got shape {self.pixels.shape}")
+        pixels = self.pixels
+        if pixels.dtype == np.uint8:  # every byte is a value in [0, 1]
+            return
         # min and max propagate NaN, which fails both comparisons, as do
         # -inf and +inf; only a failing set takes the isfinite pass
-        pixels = self.pixels
         if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
             if not np.isfinite(pixels).all():
                 raise ValueError("pixel values must be finite (NaN or inf found)")
@@ -85,9 +97,10 @@ class LabelSet:
 class MiniBatch:
     """One unit of processing: raw images plus one-hot labels.
 
-    v_raw is (batch, rows, cols) float64 in [0, 1]; out_actual is
-    (batch, classes) one-hot float64; index is the batch ordinal within
-    the epoch.
+    v_raw is (batch, rows, cols), as its ImageSet holds it: uint8 bytes,
+    byte k meaning the pixel value k / 255.0, or pixel values of another
+    dtype; out_actual is (batch, classes) one-hot float64; index is the
+    batch ordinal within the epoch.
     """
 
     v_raw: np.ndarray
@@ -165,15 +178,14 @@ def _write_idx(path, magic, data):
 
 def load_idx_images(path, expected_rows=DEFAULT_DIMS.image_x,
                     expected_cols=DEFAULT_DIMS.image_y):
-    """Load an IDX image file into an ImageSet with pixels scaled by 1/255.
+    """Load an IDX image file into an ImageSet of its uint8 bytes, byte k
+    meaning the pixel value k / 255.0.
 
     Pass expected_rows/expected_cols=None to accept any geometry.
     """
-    data = _read_idx(path, "image", IMAGE_MAGIC, (("row", expected_rows),
-                     ("col", expected_cols)), "pixel data")
-    pixels = data.astype(np.float64)
-    pixels /= 255.0
-    return ImageSet(pixels)
+    return ImageSet(_read_idx(path, "image", IMAGE_MAGIC,
+                              (("row", expected_rows), ("col", expected_cols)),
+                              "pixel data"))
 
 
 def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
@@ -190,11 +202,14 @@ def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
 def write_idx_images(images: ImageSet, path):
     """Write an ImageSet back to IDX bytes (inverse of load_idx_images).
 
-    Pixels are quantized with round(p * 255); sets loaded from IDX files
-    round-trip exactly.
+    uint8 pixels are written as they are, so sets loaded from IDX files
+    round-trip exactly; pixel values of another dtype are quantized with
+    rint(p * 255).
     """
-    _write_idx(path, IMAGE_MAGIC,
-               np.rint(images.pixels * 255.0).astype(np.uint8))
+    pixels = images.pixels
+    if pixels.dtype != np.uint8:
+        pixels = np.rint(pixels * 255.0).astype(np.uint8)
+    _write_idx(path, IMAGE_MAGIC, pixels)
 
 
 def write_idx_labels(labels: LabelSet, path):
@@ -228,12 +243,12 @@ def make_batches(images: ImageSet, labels: LabelSet,
 def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
                       cols=DEFAULT_DIMS.image_y,
                       num_classes=DEFAULT_DIMS.classes):
-    """Deterministic random dataset for fixtures: byte-quantized pixels in
-    [0, 1] and labels uniform over the classes.
+    """Deterministic random dataset for fixtures: uint8 pixels, byte k
+    meaning the pixel value k / 255.0, and labels uniform over the classes.
 
     The pixels are the values of rng.integers(0, 256, size=(n, rows, cols)),
-    taken straight from PCG64's raw words. For int64 output, integers()
-    draws each value from one 32-bit half of a 64-bit word, low half first,
+    as uint8, taken straight from PCG64's raw words. For int64 output,
+    integers() draws each value from one 32-bit half of a 64-bit word, low half first,
     by Lemire's method; a range of 256 never rejects, and the value is the
     half's top byte, byte 3 or 7 of the little-endian word. An odd count
     draws its last pixel through integers() itself, which leaves the word's
@@ -247,12 +262,11 @@ def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
     rng = np.random.default_rng(seed)
     count = n * rows * cols
     words = count // 2
-    pixels = np.empty(count, dtype=np.float64)
+    pixels = np.empty(count, dtype=np.uint8)
     pixels[:2 * words] = (rng.bit_generator.random_raw(words)
                           .astype("<u8", copy=False).view(np.uint8)[3::4])
     if count % 2:
         pixels[-1] = rng.integers(0, 256)
-    pixels /= 255.0
     labels = rng.integers(0, num_classes, size=n).astype(np.int64)
     return (ImageSet(pixels.reshape(n, rows, cols)),
             LabelSet(labels, num_classes))

@@ -6,9 +6,13 @@ overlap this stage with the accelerator stage.
 
 host_stage runs all three steps as one compiled C pass from the native
 extension module, writing each pooled value straight into its flattened
-row; the call takes the arrays themselves, and its scratch rows are
-allocated in C. It releases the GIL while it runs, so in pipelined mode
-the producer's host stage and the accelerator thread's matmuls run at the
+row; the call takes the arrays themselves, and its scratch is allocated
+in C. A batch of uint8 images (dataio's ImageSet and MiniBatch hold bytes,
+byte k meaning the pixel value k / 255.0) is scaled there, one image at a
+time, through a table of the 256 values into the scratch of the chunk
+that runs it, so no float64 copy of the batch is made; the numpy fallback
+computes v_raw / 255.0, the same correctly rounded divisions. It releases
+the GIL while it runs, so in pipelined mode the producer's host stage and the accelerator thread's matmuls run at the
 same time. A batch of at least 100k tap multiply-adds (32 images of the
 default 28x28 at 3x3 are 194,688) runs in chunks of 4 images. In
 sequential mode the call shares them with the kernels' helper thread, when
@@ -84,10 +88,14 @@ def maxpool2x2(feature):
 def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
     """conv -> pool -> row-major flatten for every image in the batch.
 
-    v_raw is (n, rows, cols); v is (n, pool_map), bit-identical to
-    maxpool2x2(conv2d_valid(v_raw, kernel)) flattened per image. The
-    compiled pass takes v_raw and kernel as they are, each C-contiguous
-    aligned native float64; any other array runs that numpy reference.
+    v_raw is (n, rows, cols): uint8 bytes, byte k meaning the pixel value
+    k / 255.0, or pixel values of any other dtype. v is (n, pool_map),
+    bit-identical to maxpool2x2(conv2d_valid(pixels, kernel)) flattened per
+    image, where pixels is v_raw / 255.0 for bytes and v_raw otherwise. The
+    compiled pass takes v_raw and kernel as they are, each C-contiguous,
+    v_raw uint8 or aligned native float64 and kernel aligned native
+    float64, and scales the bytes itself, one image at a time; any other
+    array runs that numpy reference.
     """
     images, kernel = np.asarray(batch.v_raw), np.asarray(kernel)
     if images.ndim != 3:
@@ -107,5 +115,7 @@ def host_stage(batch: MiniBatch, kernel=SHARPEN_KERNEL) -> ConvBatch:
             return ConvBatch(v, batch.out_actual, batch.index)
         except BufferError:  # an array it cannot take; nothing was written
             pass
+    if images.dtype == np.uint8:
+        images = images / 255.0
     v = maxpool2x2(conv2d_valid(images, kernel)).reshape(n, oh * ow // 4)
     return ConvBatch(v, batch.out_actual, batch.index)

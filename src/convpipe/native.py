@@ -9,7 +9,9 @@ gives the bytes of the numpy code that is its reference and fallback:
 - matmul_kseq: neuralcore.matmul_kseq, reference
   neuralcore._matmul_kseq_numpy;
 - host_stage: hoststage.host_stage, references hoststage.conv2d_valid and
-  hoststage.maxpool2x2;
+  hoststage.maxpool2x2; it takes float64 images or uint8 ones, whose byte k
+  it reads as k / 255.0 through a table built when the module loads, the
+  value numpy's division of the bytes by 255.0 gives;
 - adam_update_pair: adam.apply_batch_update, reference adam.adam_update once
   per layer.
 

@@ -1,14 +1,16 @@
+import argparse
 import csv
 import gzip
 import json
 import math
+import shutil
 import zlib
 
 import pytest
 
 from convpipe.accelmodel import ResourceBudget, cycles_to_seconds, estimate_pass
 from convpipe.checkpoint import save_checkpoint
-from convpipe.cli import main
+from convpipe.cli import build_parser, main
 from convpipe.dataio import (LabelSet, synthetic_dataset, write_idx_images,
                              write_idx_labels)
 from convpipe.dims import ModelDims
@@ -634,3 +636,25 @@ def test_output_paths_fail_before_any_work(tmp_path, monkeypatch, capsys, argv,
     assert str(path) in captured.err
     assert captured.out == ""
     assert {p.name for p in tmp_path.iterdir()} <= {"fresh.ckpt", "cfg.json"}
+
+
+@pytest.mark.parametrize("columns", ["40", "100"])
+def test_help_is_the_stock_formatters_from_one_terminal_measure(
+        monkeypatch, columns):
+    """build_parser measures the terminal once, and the help of the program
+    and of every command is what argparse's own formatter gives."""
+    monkeypatch.setenv("COLUMNS", columns)
+    measures = []
+    measure = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *args: measures.append(1) or measure(*args))
+    parser = build_parser()
+    assert len(measures) == 1
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    parsers = [parser, *commands.values()]
+    assert sorted(commands) == ["estimate", "test", "train"]
+    got = [p.format_help() for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert got == [p.format_help() for p in parsers]

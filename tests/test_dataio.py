@@ -10,6 +10,7 @@ from convpipe.dataio import (FormatError, ImageSet, LabelSet,
                              load_idx_images, load_idx_labels, make_batches,
                              synthetic_dataset, write_idx_images,
                              write_idx_labels)
+from convpipe.pipeline import RunConfig, load_split
 
 from conftest import find_mnist_dir
 
@@ -44,13 +45,17 @@ def test_all_zero_image_loads_as_zeros(tmp_path):
 
 
 def test_byte_scaling_is_div_255(tmp_path):
+    # the loader keeps the file's bytes; byte k is the pixel value k / 255.0,
+    # which the host stage computes
     raw = bytearray(28 * 28)
     raw[0] = 255
     raw[1] = 51
     images = load_idx_images(_image_file(tmp_path, bytes(raw), 1))
-    assert images.pixels[0, 0, 0] == 1.0
-    assert images.pixels[0, 0, 1] == 51 / 255  # == 0.2
-    assert images.pixels[0, 0, 1] == 0.2
+    assert images.pixels.dtype == np.uint8
+    assert images.pixels.tobytes() == bytes(raw)
+    assert images.pixels[0, 0, 0] / 255.0 == 1.0
+    assert images.pixels[0, 0, 1] / 255.0 == 51 / 255  # == 0.2
+    assert images.pixels[0, 0, 1] / 255.0 == 0.2
 
 
 def test_bad_image_magic_reports_offset(tmp_path):
@@ -227,7 +232,7 @@ def test_synthetic_determinism_and_seed_sensitivity():
     assert np.array_equal(a_img.pixels, b_img.pixels)
     assert np.array_equal(a_lab.labels, b_lab.labels)
     assert not np.array_equal(a_img.pixels, c_img.pixels)
-    assert a_img.pixels.min() >= 0.0 and a_img.pixels.max() <= 1.0
+    assert a_img.pixels.dtype == np.uint8
 
 
 def test_synthetic_empty():
@@ -236,11 +241,11 @@ def test_synthetic_empty():
 
 
 def integers_fixture(seed, n, rows, cols, num_classes):
-    """The fixture as numpy's integers() draws it: the reference that
-    synthetic_dataset's raw-word draw must equal byte for byte."""
+    """The fixture as numpy's integers() draws it, its pixels as uint8: the
+    reference that synthetic_dataset's raw-word draw must equal byte for
+    byte."""
     rng = np.random.default_rng(seed)
-    pixels = rng.integers(0, 256, size=(n, rows, cols)).astype(np.float64)
-    pixels /= 255.0
+    pixels = rng.integers(0, 256, size=(n, rows, cols)).astype(np.uint8)
     return pixels, rng.integers(0, num_classes, size=n).astype(np.int64)
 
 
@@ -265,10 +270,10 @@ def test_synthetic_pixels_are_the_integers_draw(seed, n, rows, cols,
     assert_same_fixture(seed, n, rows, cols, num_classes)
 
 
-# sha256 of the little-endian pixel and label bytes of the train and test
-# splits a seed-0 run builds. The pixels are bytes divided by 255.0, exact
-# on every CPU, so only a change to numpy's generator or to the draw moves
-# them.
+# sha256 of the little-endian pixel values and label bytes of the train and
+# test splits a seed-0 run builds. The pixel values are the bytes divided
+# by 255.0, as float64: exact on every CPU, so only a change to numpy's
+# generator or to the draw moves them.
 @pytest.mark.parametrize("seed, n, pixels_sha, labels_sha", [
     (1, 2048,
      "6d28c6c9e97754c4671c6fc9866208946aa6bfb2d4f157ea8e9f1eab22b5274a",
@@ -280,7 +285,8 @@ def test_synthetic_pixels_are_the_integers_draw(seed, n, rows, cols,
 def test_synthetic_fixture_bytes_are_pinned(seed, n, pixels_sha, labels_sha):
     images, labels = synthetic_dataset(seed, n)
     assert hashlib.sha256(
-        images.pixels.astype("<f8").tobytes()).hexdigest() == pixels_sha
+        (images.pixels / 255.0).astype("<f8").tobytes()).hexdigest() == \
+        pixels_sha
     assert hashlib.sha256(
         labels.labels.astype("<i8").tobytes()).hexdigest() == labels_sha
 
@@ -307,15 +313,52 @@ def test_idx_round_trip_exact(tmp_path):
     write_idx_labels(labels, lab_path)
     back_img = load_idx_images(img_path)
     back_lab = load_idx_labels(lab_path)
-    assert np.array_equal(back_img.pixels, images.pixels)
+    assert back_img.pixels.dtype == np.uint8
+    assert back_img.pixels.tobytes() == images.pixels.tobytes()
     assert np.array_equal(back_lab.labels, labels.labels)
-    # rows != cols, so a swap of the two in the header would show
-    pixels = np.random.default_rng(12).integers(0, 256, (5, 7, 11)) / 255.0
-    write_idx_images(ImageSet(pixels), img_path)
+    # rows != cols, so a swap of the two in the header would show; pixel
+    # values are written as rint(p * 255) and load back as those bytes
+    raw = np.random.default_rng(12).integers(0, 256, (5, 7, 11))
+    write_idx_images(ImageSet(raw / 255.0), img_path)
     assert img_path.read_bytes()[:16] == bytes.fromhex(
         "00000803 00000005 00000007 0000000b")
     back = load_idx_images(img_path, expected_rows=7, expected_cols=11)
-    assert np.array_equal(back.pixels, pixels)
+    assert back.pixels.tobytes() == raw.astype(np.uint8).tobytes()
+
+
+def test_bytes_are_written_as_they_are(tmp_path):
+    pixels = np.arange(256, dtype=np.uint8)[::-1].reshape(1, 16, 16)
+    write_idx_images(ImageSet(pixels), tmp_path / "imgs.idx")
+    assert (tmp_path / "imgs.idx").read_bytes()[16:] == pixels.tobytes()
+
+
+def test_an_image_set_of_bytes_takes_every_byte():
+    # every byte is a pixel value in [0, 1]; only other dtypes are checked
+    assert ImageSet(np.arange(256, dtype=np.uint8).reshape(4, 8, 8)).count \
+        == 4
+
+
+@pytest.mark.parametrize("source", ["synthetic", "idx"])
+def test_load_split_batches_hold_the_bytes(tmp_path, source):
+    """Both sources keep uint8 images up to the host stage: each batch's
+    v_raw is a uint8 view of one array, never a float copy."""
+    data_dir = None
+    if source == "idx":
+        data_dir = str(tmp_path)
+        for split, stem, seed, n in (("train", "train", 1, 64),
+                                     ("test", "t10k", 2, 32)):
+            images, labels = synthetic_dataset(seed, n)
+            write_idx_images(images, tmp_path / f"{stem}-images-idx3-ubyte")
+            write_idx_labels(labels, tmp_path / f"{stem}-labels-idx1-ubyte")
+    cfg = RunConfig(data_dir=data_dir, synthetic_train=64, synthetic_test=32)
+    for split, seed, n in (("train", 1, 64), ("test", 2, 32)):
+        batches = load_split(cfg, split)
+        want = synthetic_dataset(seed, n)[0].pixels
+        assert len(batches) == n // 32
+        for i, batch in enumerate(batches):
+            assert batch.v_raw.dtype == np.uint8
+            assert batch.v_raw.base is batches[0].v_raw.base is not None
+            assert batch.v_raw.tobytes() == want[32 * i:32 * (i + 1)].tobytes()
 
 
 def test_gzip_transparency(tmp_path):
@@ -324,7 +367,9 @@ def test_gzip_transparency(tmp_path):
     write_idx_images(images, plain)
     gz = tmp_path / "imgs.idx.gz"
     gz.write_bytes(gzip.compress(plain.read_bytes()))
-    assert np.array_equal(load_idx_images(gz).pixels, images.pixels)
+    back = load_idx_images(gz).pixels
+    assert back.dtype == np.uint8
+    assert back.tobytes() == images.pixels.tobytes()
 
 
 def _gzip_idx(tmp_path, kind):

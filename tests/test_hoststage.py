@@ -146,7 +146,7 @@ def test_host_stage_pure():
 def test_host_stage_flatten_is_row_major():
     images, labels = synthetic_dataset(9, 1)
     batch = MiniBatch(images.pixels, np.eye(10)[[0]], 0)
-    pooled = maxpool2x2(conv2d_valid(images.pixels[0]))
+    pooled = maxpool2x2(conv2d_valid(images.pixels[0] / 255.0))
     assert np.array_equal(host_stage(batch).v[0], pooled.reshape(-1))
 
 
@@ -164,9 +164,12 @@ def _batch(v):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_host_stage_matches_reference_on_every_fixture_batch(seed):
+    # the fixture's batches are bytes, byte k meaning the pixel value k / 255
     train, test = load_datasets(RunConfig(seed=seed))
     for batch in train + test:
-        assert host_stage(batch).v.tobytes() == _reference_bytes(batch.v_raw)
+        assert batch.v_raw.dtype == np.uint8
+        assert host_stage(batch).v.tobytes() == \
+            _reference_bytes(batch.v_raw / 255.0)
 
 
 def test_host_stage_negative_taps_on_zero_images_give_positive_zero():
@@ -263,6 +266,70 @@ def test_a_shared_host_stage_gives_the_bytes_of_one_thread(
     assert _host_stage_bytes(unsplit_kernels, v, kernel) == want
     assert on_a_marked_thread(
         lambda: _host_stage_bytes(native.kernels(), v, kernel)) == want
+
+
+def test_the_kernels_byte_values_are_the_divisions_by_255():
+    """Each byte's pixel value in the compiled pass is numpy's k / 255.0:
+    image k of the batch is 2x2 of byte k, and a 1x1 kernel of 1.0 passes
+    each value through the correlation (+0.0 + 1.0 * p) and the pool."""
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+    images = np.repeat(np.arange(256, dtype=np.uint8), 4).reshape(256, 2, 2)
+    got = np.empty((256, 1))
+    lib.host_stage(images, np.ones((1, 1)), got)
+    assert got.ravel().tobytes() == (np.arange(256) / 255.0).tobytes()
+
+
+def _byte_paths(unsplit_kernels, on_a_marked_thread, monkeypatch):
+    """host_stage(batch, kernel).v's bytes as a function of (v, kernel), on
+    each path by name: the compiled pass as built, shared with the helper
+    where the batch splits; the build where it never splits; queued from a
+    marked thread; and the numpy fallback."""
+    def compiled(lib):
+        def run(v, kernel):
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "kernels", lambda: lib)
+                return host_stage(_batch(v), kernel).v.tobytes()
+        return run
+    return {"split": compiled(native.kernels()),
+            "unsplit": compiled(unsplit_kernels),
+            "marked": lambda v, kernel: on_a_marked_thread(
+                lambda: _host_stage_bytes(native.kernels(), v, kernel)),
+            "numpy": compiled(None)}
+
+
+@pytest.mark.parametrize("name", SPLIT_HOST_CASES)
+def test_a_byte_batch_gives_the_bytes_of_its_pixel_values(
+        name, unsplit_kernels, on_a_marked_thread, monkeypatch):
+    """A uint8 batch gives the bytes of the same batch divided by 255.0, on
+    every path, at every chunk edge of the split."""
+    n, oh, ow, kh, kw = SPLIT_HOST_CASES[name]
+    rng = np.random.default_rng(10)
+    v = rng.integers(0, 256, size=(n, oh + kh - 1, ow + kw - 1),
+                     dtype=np.uint8)
+    kernel = rng.normal(size=(kh, kw))
+    want = _reference_bytes(v / 255.0, kernel)
+    for path, run in _byte_paths(unsplit_kernels, on_a_marked_thread,
+                                 monkeypatch).items():
+        assert run(v, kernel) == want, path
+
+
+def test_a_strided_byte_batch_runs_numpy_with_the_same_bytes(monkeypatch):
+    """The compiled pass takes C-contiguous bytes only: a strided uint8
+    batch is refused and runs the numpy reference on v_raw / 255.0."""
+    rng = np.random.default_rng(11)
+    v = rng.integers(0, 256, size=(6, 60, 31), dtype=np.uint8)[::2, 1::2, 2:30]
+    assert not v.flags.c_contiguous
+    lib = native.kernels()
+    if lib is not None:
+        with pytest.raises(BufferError, match="^x is not C-contiguous$"):
+            lib.host_stage(v, np.asarray(SHARPEN_KERNEL), np.empty((3, 169)))
+    calls = []
+    monkeypatch.setattr("convpipe.hoststage.conv2d_valid", lambda x, k:
+                        calls.append(x.dtype) or conv2d_valid(x, k))
+    assert host_stage(_batch(v)).v.tobytes() == _reference_bytes(v / 255.0)
+    assert calls == [np.float64]
 
 
 def test_a_queued_host_stage_finishes_while_products_keep_the_helper_busy(

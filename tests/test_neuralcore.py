@@ -579,13 +579,25 @@ def test_concurrent_split_calls_give_the_numpy_bytes(monkeypatch):
     assert results == {i: [True] * 30 for i in range(3)}
 
 
+def _thread_cpu(call):
+    """The calling thread's CPU seconds over call()."""
+    start = time.thread_time()
+    call()
+    return time.thread_time() - start
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
-    """A child forked after a split call, while another thread makes more
-    from the background slot, inherits neither the helper, nor a held lock,
-    nor a queued job: its split calls give numpy's bytes and start its own
-    helper, given two CPUs, and it exits in time."""
-    if native.kernels() is None:
+def test_a_forked_child_makes_its_own_split_calls(monkeypatch,
+                                                  unsplit_kernels,
+                                                  on_a_marked_thread):
+    """A child forked after a split call, while another thread's long
+    marked call holds the background slot, inherits neither the helper, nor
+    a held lock, nor a queued job, nor the slot: its split calls give
+    numpy's bytes and start its own helper, given two CPUs, a marked call
+    there queues for that helper instead of running on its own thread, and
+    the child exits in time."""
+    lib = native.kernels()
+    if lib is None:
         pytest.skip("no compiled kernels")
     tasks = Path("/proc/self/task")
 
@@ -595,15 +607,26 @@ def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
     started = int(tasks.is_dir() and len(os.sched_getaffinity(0)) > 1)
     want = _numpy_split_work(monkeypatch)
     assert _split_work() == want  # the helper runs from here on
-    stop = threading.Event()
+    # ~100M tap multiply-adds: tens of milliseconds in the slot
+    rng = np.random.default_rng(24)
+    v, kernel = rng.normal(size=(400, 64, 64)), rng.normal(size=(9, 9))
+
+    def long_call(kernels=lib):
+        kernels.host_stage(v, kernel, np.empty((400, 28 * 28)))
+    inline_cpu = _thread_cpu(lambda: long_call(unsplit_kernels))
+    stop, queued = threading.Event(), threading.Event()
 
     def busy():
-        native.kernels().set_background(True)
+        lib.set_background(True)
         while not stop.is_set():
             _split_work()
+            queued.set()
+            long_call()
     thread = threading.Thread(target=busy)
     thread.start()
     try:
+        assert queued.wait(timeout=60)
+        time.sleep(0.005)  # the long call holds the slot
         with warnings.catch_warnings():
             # Python 3.12 and later warn of a fork in a threaded process
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -613,7 +636,10 @@ def test_a_forked_child_makes_its_own_split_calls(monkeypatch):
             try:
                 before = threads()
                 same = _split_work() == want
-                status = 0 if same and threads() - before == started else 1
+                helper = threads() - before == started
+                marked_cpu = on_a_marked_thread(lambda: _thread_cpu(long_call))
+                queues = not started or marked_cpu < inline_cpu / 4
+                status = 0 if same and helper and queues else 1
             finally:
                 os._exit(status)
     finally:
@@ -848,14 +874,14 @@ def test_the_kernel_source_and_flags_are_pinned():
     and a rebuilt module moves the kernels' timings on its own: a change
     to either is deliberate, and updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "8629d6dbfbf88b3d7b13716fa1380e4e3eced4f7640bed660fc88da9a55ba56a"
+        "596a0623810a5ecf876d2e966720638ab2f4a87e5cdce3fec66d18228baae29e"
     assert native._CFLAGS == ("-O3", "-std=c99", "-ffp-contract=off",
                               "-fno-math-errno", "-fPIC", "-shared")
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-073519bd6806e1daedded911bdc09ab122cb99e1ffb97a065a95eeab"
-            "da0dce0c.so")
+            "native-bf9c552105bf38aa665b81021cff9875d7122813f39de21a1d9e2535"
+            "ac3bb838.so")
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):
