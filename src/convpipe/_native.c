@@ -211,11 +211,18 @@ ptrdiff_t matmul_kseq(const void *job, ptrdiff_t lo, ptrdiff_t hi)
     return 0;
 }
 
-/* numpy's max but for which NaN: a NaN operand wins, and each later NaN
-   replaces it, so a window keeps its last NaN where numpy keeps its first */
-HELPER double max_nan(double m, double x)
+/* The host stage's fixed kernel: KH x KW taps in row-major order, which
+   native.py passes from dims.SHARPEN_KERNEL as -DKH, -DKW and -DTAPS */
+#if !defined(KH) || !defined(KW) || !defined(TAPS)
+#error "KH, KW and TAPS undefined: native.py passes dims.SHARPEN_KERNEL's"
+#endif
+static const double taps[KH * KW] = {TAPS};
+
+/* numpy's max on the host stage's sums, none of which is NaN: bytes in
+   [0, 1] times finite taps */
+HELPER double max2(double m, double x)
 {
-    return (x > m || x != x) ? x : m;
+    return x > m ? x : m;
 }
 
 /* lanes 0, 2, 4, 6 and lanes 1, 3, 5, 7 of the eight in a and b */
@@ -235,14 +242,12 @@ HELPER double max_nan(double m, double x)
    Each sum starts from +0.0 and adds the taps in row-major kernel order,
    and the 2 x HOST_C sums stay in registers over all the taps; img is
    read with vector loads. */
-HELPER void corr_pool(const double *img, ptrdiff_t w,
-                      const double *restrict k, ptrdiff_t kh, ptrdiff_t kw,
-                      double *restrict out)
+HELPER void corr_pool(const double *img, ptrdiff_t w, double *restrict out)
 {
     v4d s[2][HOST_V] = {{{0.0}}};
-    for (ptrdiff_t i = 0; i < kh; i++)
-        for (ptrdiff_t j = 0; j < kw; j++) {
-            const double kv = k[i * kw + j];
+    for (int i = 0; i < KH; i++)
+        for (int j = 0; j < KW; j++) {
+            const double kv = taps[i * KW + j];
             for (int r = 0; r < 2; r++)
                 for (int v = 0; v < HOST_V; v++) {
                     v4d xv;
@@ -250,15 +255,14 @@ HELPER void corr_pool(const double *img, ptrdiff_t w,
                     s[r][v] += kv * xv;
                 }
         }
-    /* max_nan lane by lane, over each 2x2 window in row-major order: the
-       last NaN of a window is kept */
+    /* max2 lane by lane, over each 2x2 window in row-major order */
     for (int v = 0; v < HOST_V; v += 2) {
         const v4d xs[3] = {ODD(s[0][v], s[0][v + 1]),
                            EVEN(s[1][v], s[1][v + 1]),
                            ODD(s[1][v], s[1][v + 1])};
         v4d m = EVEN(s[0][v], s[0][v + 1]);
         for (int q = 0; q < 3; q++) {
-            const v4i take = (v4i)((xs[q] > m) | (xs[q] != xs[q]));
+            const v4i take = (v4i)(xs[q] > m);
             m = (v4d)(((v4i)xs[q] & take) | ((v4i)m & ~take));
         }
         memcpy(out + 2 * v, &m, sizeof m);
@@ -291,25 +295,22 @@ void byte_values(ptrdiff_t n, const unsigned char *restrict src,
         out[i] = byte_value[src[i]];
 }
 
-/* The images are h rows of w, C-contiguous: the pixel values at x, or, with
-   x NULL, the bytes at bytes, byte k meaning byte_value[k]. The correlation
-   output (h-kh+1) x (w-kw+1) must have even dims. scratch holds `stride`
-   doubles per chunk of CHUNK_IMAGES images: two output rows, then, for
-   bytes, the pixel values of one image. out is
-   (images, (h-kh+1)/2 * (w-kw+1)/2), row-major. */
+/* The images are h rows of w bytes, C-contiguous, byte k meaning
+   byte_value[k]. The correlation output (h-KH+1) x (w-KW+1) must have even
+   dims. scratch holds `stride` doubles per chunk of CHUNK_IMAGES images:
+   two output rows, then the pixel values of one image. out is
+   (images, (h-KH+1)/2 * (w-KW+1)/2), row-major. */
 struct host_job {
-    const double *x;
     const unsigned char *bytes;
-    const double *k;
-    ptrdiff_t h, w, kh, kw, stride;
+    ptrdiff_t h, w, stride;
     double *scratch, *out;
 };
 
 /* images [lo, hi) of a struct host_job, lo a multiple of CHUNK_IMAGES;
    returns 0.
 
-   A byte image is converted, one image at a time, into the chunk's scratch
-   and read from there. With AVX2, each pair of output rows runs in blocks
+   Each image is converted, one at a time, into the chunk's scratch and
+   read from there. With AVX2, each pair of output rows runs in blocks
    of HOST_C columns; the last block is moved left to end at the last
    column and recomputes the same values where it overlaps the one before
    it. Otherwise, and for an output narrower than a block, two rows are
@@ -318,24 +319,18 @@ KERNEL
 ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 {
     const struct host_job *p = job;
-    const ptrdiff_t h = p->h, w = p->w, kh = p->kh, kw = p->kw;
-    const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
-    const double *restrict k = p->k;
+    const ptrdiff_t h = p->h, w = p->w, oh = h - KH + 1, ow = w - KW + 1;
     double *restrict out = p->out + lo * (oh / 2) * (ow / 2);
     double *restrict r0 = p->scratch + lo / CHUNK_IMAGES * p->stride;
     double *restrict r1 = r0 + ow;
     double *restrict image = r1 + ow;
     for (ptrdiff_t b = lo; b < hi; b++) {
-        const double *img = image;
-        if (p->bytes)
-            byte_values(h * w, p->bytes + b * h * w, image);
-        else
-            img = p->x + b * h * w;
+        byte_values(h * w, p->bytes + b * h * w, image);
         if (AVX2_CPU && ow >= HOST_C) {
             for (ptrdiff_t r = 0; r < oh; r += 2, out += ow / 2)
                 for (ptrdiff_t c0 = 0; c0 < ow; c0 += HOST_C) {
                     const ptrdiff_t c = c0 < ow - HOST_C ? c0 : ow - HOST_C;
-                    corr_pool(img + r * w + c, w, k, kh, kw, out + c / 2);
+                    corr_pool(image + r * w + c, w, out + c / 2);
                 }
             continue;
         }
@@ -343,18 +338,17 @@ ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
             double *restrict o = r % 2 ? r1 : r0;
             for (ptrdiff_t c = 0; c < ow; c++)
                 o[c] = 0.0;
-            for (ptrdiff_t i = 0; i < kh; i++)
-                for (ptrdiff_t j = 0; j < kw; j++) {
-                    const double kv = k[i * kw + j];
-                    const double *xr = img + (r + i) * w + j;
+            for (int i = 0; i < KH; i++)
+                for (int j = 0; j < KW; j++) {
+                    const double kv = taps[i * KW + j];
+                    const double *xr = image + (r + i) * w + j;
                     for (ptrdiff_t c = 0; c < ow; c++)
                         o[c] += kv * xr[c];
                 }
             if (r % 2 == 0)
                 continue;
             for (ptrdiff_t c = 0; c < ow; c += 2)
-                *out++ = max_nan(max_nan(max_nan(r0[c], r0[c + 1]), r1[c]),
-                                 r1[c + 1]);
+                *out++ = max2(max2(max2(r0[c], r0[c + 1]), r1[c]), r1[c + 1]);
         }
     }
     return 0;
@@ -724,7 +718,7 @@ static ptrdiff_t run(kernel_fn *kernel, const void *args, ptrdiff_t size,
    and 8-byte aligned: rules are a set of these. */
 #define C_ORDER 1  /* C-contiguous */
 #define WRITABLE 2
-#define OR_BYTES 4  /* or uint8, at any address */
+#define BYTES 4  /* uint8 instead of float64, at any address */
 
 /* numpy's aligned flag: the address and the strides of the axes longer
    than 1 are multiples of 8, or the buffer is empty */
@@ -751,13 +745,12 @@ static int get_operand(PyObject *obj, Py_buffer *view, int rules,
     if (*format == '@' || *format == '=')
         format++;
     const char *why = NULL;
-    const int bytes = (rules & OR_BYTES) && strcmp(format, "B") == 0
-                      && view->itemsize == 1;
-    if (!bytes && (strcmp(format, "d") != 0
-                   || view->itemsize != sizeof(double)))
-        why = rules & OR_BYTES ? "is neither float64 in native byte order "
-                                 "nor uint8"
-                               : "is not float64 in native byte order";
+    const int bytes = rules & BYTES;
+    if (bytes && (strcmp(format, "B") != 0 || view->itemsize != 1))
+        why = "is not uint8";
+    else if (!bytes && (strcmp(format, "d") != 0
+                        || view->itemsize != sizeof(double)))
+        why = "is not float64 in native byte order";
     else if (!bytes && !aligned(view))
         why = "is not 8-byte aligned";
     else if ((rules & C_ORDER) && !PyBuffer_IsContiguous(view, 'C'))
@@ -847,36 +840,32 @@ static PyObject *py_matmul_kseq(PyObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* host_stage(x, k, out): x (n, h, w), float64 pixel values or uint8
-   bytes (byte k is the value k / 255.0), k (kh, kw), out (n, oh/2 * ow/2)
-   for the (oh, ow) = (h-kh+1, w-kw+1) correlation, whose dims are even */
+/* host_stage(x, out): x (n, h, w) uint8 bytes, byte k meaning the pixel
+   value k / 255.0, out (n, oh/2 * ow/2) for the (oh, ow) =
+   (h-KH+1, w-KW+1) correlation, whose dims are even */
 static PyObject *py_host_stage(PyObject *self, PyObject *const *args,
                                Py_ssize_t nargs)
 {
     (void)self;
-    if (!takes("host_stage", nargs, 3))
+    if (!takes("host_stage", nargs, 2))
         return NULL;
-    static const int rules[3] = {C_ORDER | OR_BYTES, C_ORDER,
-                                 C_ORDER | WRITABLE};
-    static const char *const names[3] = {"x", "k", "out"};
-    Py_buffer v[3];
-    if (get_all(args, v, rules, names, 3) < 0)
+    static const int rules[2] = {C_ORDER | BYTES, C_ORDER | WRITABLE};
+    static const char *const names[2] = {"x", "out"};
+    Py_buffer v[2];
+    if (get_all(args, v, rules, names, 2) < 0)
         return NULL;
-    const Py_buffer *x = &v[0], *k = &v[1], *out = &v[2];
+    const Py_buffer *x = &v[0], *out = &v[1];
     double *scratch = NULL;
-    if (x->ndim != 3 || k->ndim != 2 || x->shape[1] < k->shape[0]
-        || x->shape[2] < k->shape[1]) {
+    if (x->ndim != 3 || x->shape[1] < KH || x->shape[2] < KW) {
         PyErr_SetString(PyExc_ValueError,
-                        "x is not (n, h, w) images of at least k's (kh, kw)");
+                        "x is not (n, h, w) images of at least KH x KW");
     } else {
         const ptrdiff_t n = x->shape[0], h = x->shape[1], w = x->shape[2];
-        const ptrdiff_t kh = k->shape[0], kw = k->shape[1];
-        const ptrdiff_t oh = h - kh + 1, ow = w - kw + 1;
-        const int bytes = x->itemsize == 1;
+        const ptrdiff_t oh = h - KH + 1, ow = w - KW + 1;
         /* scratch per chunk, and at least one set */
         const ptrdiff_t chunks =
             n > CHUNK_IMAGES ? (n + CHUNK_IMAGES - 1) / CHUNK_IMAGES : 1;
-        const ptrdiff_t stride = 2 * ow + (bytes ? h * w : 0);
+        const ptrdiff_t stride = 2 * ow + h * w;
         if (oh % 2 || ow % 2)
             PyErr_SetString(PyExc_ValueError,
                             "the correlation's dims are not even");
@@ -887,17 +876,16 @@ static PyObject *py_host_stage(PyObject *self, PyObject *const *args,
                  == NULL)
             PyErr_NoMemory();
         else {
-            const struct host_job p = {bytes ? NULL : x->buf,
-                                       bytes ? x->buf : NULL, k->buf, h, w,
-                                       kh, kw, stride, scratch, out->buf};
+            const struct host_job p = {x->buf, h, w, stride, scratch,
+                                       out->buf};
             Py_BEGIN_ALLOW_THREADS
             run(host_stage, &p, n, CHUNK_IMAGES,
-                (double)n * oh * ow * kh * kw >= SPLIT_HOST);
+                (double)n * oh * ow * KH * KW >= SPLIT_HOST);
             Py_END_ALLOW_THREADS
         }
     }
     PyMem_Free(scratch);
-    release(v, 3);
+    release(v, 2);
     if (PyErr_Occurred())
         return NULL;
     Py_RETURN_NONE;

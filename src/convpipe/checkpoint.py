@@ -18,7 +18,10 @@ checkpoint; `convpipe test` only scores one. A malformed checkpoint raises
 dataio.FormatError, as a malformed IDX file does.
 """
 
+import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -54,17 +57,22 @@ def _read_array(f, path, name, expected_shape=None):
 
 
 def save_checkpoint(path, state: ModelState):
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        _write_array(f, state.weights.w1)
-        _write_array(f, state.weights.w2)
-        f.write(struct.pack("<Q", state.adam.step))
-        f.write(struct.pack("<I", len(_MOMENTS)))
-        for name, field, _ in _MOMENTS:
-            f.write(struct.pack("<I", len(name)))
-            f.write(name.encode("ascii"))
-            _write_array(f, getattr(state.adam, field))
+    """Write state to path, through a temporary file in path's directory
+    and os.replace, so that a save cut short leaves path as it was."""
+    with tempfile.TemporaryDirectory(dir=Path(path).parent) as tmp:
+        part = Path(tmp) / "checkpoint"
+        with open(part, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            _write_array(f, state.weights.w1)
+            _write_array(f, state.weights.w2)
+            f.write(struct.pack("<Q", state.adam.step))
+            f.write(struct.pack("<I", len(_MOMENTS)))
+            for name, field, _ in _MOMENTS:
+                f.write(struct.pack("<I", len(name)))
+                f.write(name.encode("ascii"))
+                _write_array(f, getattr(state.adam, field))
+        os.replace(part, path)
 
 
 def load_checkpoint(path, hyper=None, dims=None) -> ModelState:

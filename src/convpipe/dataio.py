@@ -7,12 +7,11 @@ one writer cover both kinds; the public loaders and writers only convert
 the uint8 payload. Files may be plain or gzip-compressed; compression is
 detected from the 1f 8b prefix.
 
-Images stay bytes from the file to the host stage: an ImageSet of uint8
-pixels, and the MiniBatch.v_raw sliced from it, hold byte k for the pixel
-value k / 255.0, which hoststage.host_stage computes per image as it runs.
-Only uint8 carries that meaning; pixels of any other dtype, such as
-float64, are the pixel values themselves. A 60,000-image MNIST training set
-is 47 MB as bytes, against 376 MB as float64.
+Images stay bytes from the file to the host stage: an ImageSet holds
+uint8 pixels only, and it and the MiniBatch.v_raw sliced from it hold byte
+k for the pixel value k / 255.0, which hoststage.host_stage computes per
+image as it runs. A 60,000-image MNIST training set is 47 MB as bytes,
+against 376 MB as float64.
 
 The payload must end the file where the header's count says; a gzip
 stream is read to its end, where gzip checks its CRC and length. A
@@ -48,24 +47,16 @@ class FormatError(ValueError):
 
 @dataclass
 class ImageSet:
-    """Images, shape (count, rows, cols): uint8 bytes, byte k meaning the
-    pixel value k / 255.0, or pixel values in [0, 1] of another dtype,
-    such as float64."""
+    """Images, shape (count, rows, cols), of uint8 bytes, byte k meaning
+    the pixel value k / 255.0, so every pixel is a value in [0, 1]."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
         if self.pixels.ndim != 3:
             raise ValueError(f"pixels must be 3-d, got shape {self.pixels.shape}")
-        pixels = self.pixels
-        if pixels.dtype == np.uint8:  # every byte is a value in [0, 1]
-            return
-        # min and max propagate NaN, which fails both comparisons, as do
-        # -inf and +inf; only a failing set takes the isfinite pass
-        if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
-            if not np.isfinite(pixels).all():
-                raise ValueError("pixel values must be finite (NaN or inf found)")
-            raise ValueError("pixel values out of [0, 1]")
+        if self.pixels.dtype != np.uint8:
+            raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
 
     @property
     def count(self):
@@ -98,9 +89,9 @@ class MiniBatch:
     """One unit of processing: raw images plus one-hot labels.
 
     v_raw is (batch, rows, cols), as its ImageSet holds it: uint8 bytes,
-    byte k meaning the pixel value k / 255.0, or pixel values of another
-    dtype; out_actual is (batch, classes) one-hot float64; index is the
-    batch ordinal within the epoch.
+    byte k meaning the pixel value k / 255.0; out_actual is
+    (batch, classes) one-hot float64; index is the batch ordinal within the
+    epoch.
     """
 
     v_raw: np.ndarray
@@ -200,16 +191,9 @@ def load_idx_labels(path, num_classes=DEFAULT_DIMS.classes):
 
 
 def write_idx_images(images: ImageSet, path):
-    """Write an ImageSet back to IDX bytes (inverse of load_idx_images).
-
-    uint8 pixels are written as they are, so sets loaded from IDX files
-    round-trip exactly; pixel values of another dtype are quantized with
-    rint(p * 255).
-    """
-    pixels = images.pixels
-    if pixels.dtype != np.uint8:
-        pixels = np.rint(pixels * 255.0).astype(np.uint8)
-    _write_idx(path, IMAGE_MAGIC, pixels)
+    """Write an ImageSet's bytes to an IDX file (inverse of
+    load_idx_images)."""
+    _write_idx(path, IMAGE_MAGIC, images.pixels)
 
 
 def write_idx_labels(labels: LabelSet, path):

@@ -9,9 +9,11 @@ gives the bytes of the numpy code that is its reference and fallback:
 - matmul_kseq: neuralcore.matmul_kseq, reference
   neuralcore._matmul_kseq_numpy;
 - host_stage: hoststage.host_stage, references hoststage.conv2d_valid and
-  hoststage.maxpool2x2; it takes float64 images or uint8 ones, whose byte k
-  it reads as k / 255.0 through a table built when the module loads, the
-  value numpy's division of the bytes by 255.0 gives;
+  hoststage.maxpool2x2; it takes uint8 images, whose byte k it reads as
+  k / 255.0 through a table built when the module loads, the value numpy's
+  division of the bytes by 255.0 gives, and correlates them with
+  dims.SHARPEN_KERNEL, compiled in as KH, KW and TAPS (exact float.hex
+  literals);
 - adam_update_pair: adam.apply_batch_update, reference adam.adam_update once
   per layer.
 
@@ -20,15 +22,15 @@ first product instead would turn an all -0.0 sum into -0.0. A tile or a
 SIMD clone only changes which elements are summed when, never the terms of
 one element's sum or their order, and padding lanes are never stored, so
 every path gives the same bits, but for the sign of a NaN where NaNs of both
-signs meet: an x86 add or multiply returns the one its operand order picks,
-which differs between tiles, builds and numpy's own loops, and the pool
-keeps the last NaN of a window where numpy's max keeps the first.
+signs meet in a product: an x86 add or multiply returns the one its operand
+order picks, which differs between tiles, builds and numpy's own loops. No
+host stage sum is NaN: bytes in [0, 1] times finite taps.
 
-The module is compiled with `cc` (or `gcc`) and -O3 -std=c99
--ffp-contract=off -fno-math-errno: without -ffp-contract=off, GCC in its
-default GNU C mode fuses `acc += x * y` into one fused multiply-add on
-hardware that has it, which skips the rounding of the product and changes
-the bits. -fno-math-errno only drops the errno write of sqrt(), so that the
+The module is compiled with `cc` (or `gcc`), the kernel's macros and
+-O3 -std=c99 -ffp-contract=off -fno-math-errno: without -ffp-contract=off,
+GCC in its default GNU C mode fuses `acc += x * y` into one fused
+multiply-add on hardware that has it, which skips the rounding of the
+product and changes the bits. -fno-math-errno only drops the errno write of sqrt(), so that the
 Adam loop vectorises; sqrt and division stay correctly rounded.
 
 On x86 each kernel is built as target clones, for AVX-512F, AVX2 and the
@@ -58,9 +60,11 @@ own, with an empty slot; Python 3.12 and later warn that such a fork is
 made in a multi-threaded process.
 
 The module is cached as $XDG_CACHE_HOME/convpipe/native-<sha256>.so
-(~/.cache when XDG_CACHE_HOME is unset), keyed by the source, the flags
-and the interpreter's extension suffix (its ABI tag), and written through
-a temporary file and os.replace so concurrent first builds are safe. It is
+(~/.cache when XDG_CACHE_HOME is unset or, as the XDG base directory spec
+says to treat it, relative), keyed by the source, the flags (the kernel's
+macros among them) and the interpreter's extension suffix (its ABI tag),
+and written through a temporary file and os.replace so concurrent first
+builds are safe. It is
 compiled with -I the interpreter's include directory, for Python.h, and
 imported under the name _convpipe_native, which its init symbol follows,
 whatever its file is called; Python keys a loaded extension by its path
@@ -88,16 +92,22 @@ import tempfile
 import warnings
 from pathlib import Path
 
+from .dims import SHARPEN_KERNEL
+
 _SOURCE = Path(__file__).with_name("_native.c").read_text()
 _CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno",
-           "-fPIC", "-shared")
+           "-fPIC", "-shared", f"-DKH={SHARPEN_KERNEL.shape[0]}",
+           f"-DKW={SHARPEN_KERNEL.shape[1]}",
+           "-DTAPS=" + ",".join(map(float.hex, SHARPEN_KERNEL.flat)))
 
 # the extension's name, which its init symbol follows, whatever its file
 _MODULE = "_convpipe_native"
 
 
 def _library_path():
-    cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):  # unset, empty or relative
+        cache = Path.home() / ".cache"
     key = (_SOURCE, *_CFLAGS, importlib.machinery.EXTENSION_SUFFIXES[0])
     digest = hashlib.sha256("\0".join(key).encode()).hexdigest()
     return Path(cache) / "convpipe" / f"native-{digest}.so"

@@ -72,14 +72,16 @@ def test_criterion_1_mnist_accuracy():
 
 
 def _learnable_dataset(seed, n):
-    """Separable fixture: each class lights a class-specific block."""
+    """Separable fixture: each class lights a class-specific block; the
+    pixel values are quantized to bytes, as an IDX file holds them."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, n).astype(np.int64)
     pixels = rng.random((n, 28, 28)) * 0.3
     for i, c in enumerate(labels):
         r, q = divmod(int(c), 5)
         pixels[i, 4 + 12 * r:12 + 12 * r, 2 + 5 * q:7 + 5 * q] += 0.7
-    return ImageSet(np.clip(pixels, 0.0, 1.0)), LabelSet(labels)
+    pixels = np.rint(np.clip(pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
+    return ImageSet(pixels), LabelSet(labels)
 
 
 def test_supplementary_end_to_end_learnability():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convpipe import checkpoint
 from convpipe.accelmodel import ResourceBudget
 from convpipe.adam import AdamHyper
 from convpipe.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -35,6 +36,31 @@ def test_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.adam.m_w2, state.adam.m_w2)
     assert np.array_equal(back.adam.v_w2, state.adam.v_w2)
     assert back.adam.step == state.adam.step == 3
+
+
+def test_an_interrupted_save_leaves_the_old_checkpoint(tmp_path,
+                                                       monkeypatch):
+    """A save cut short at its second array leaves the file that was there,
+    and no temporary file beside it; a completed save replaces it."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _trained_state(6))
+    before = path.read_bytes()
+    write_array, written = checkpoint._write_array, []
+
+    def interrupted(f, a):
+        if written:
+            raise KeyboardInterrupt
+        written.append(write_array(f, a))
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "_write_array", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, _trained_state(7))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    save_checkpoint(tmp_path / "fresh.ckpt", _trained_state(7))
+    save_checkpoint(path, _trained_state(7))
+    assert path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes() != before
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "fresh.ckpt", path]
 
 
 def test_resumed_training_matches_uninterrupted(tmp_path):

@@ -156,9 +156,9 @@ def test_make_batches_rejects_a_zero_batch_size():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: ImageSet(np.zeros((2, 2))),
+    (lambda: ImageSet(np.zeros((2, 2), np.uint8)),
      r"pixels must be 3-d, got shape \(2, 2\)"),
-    (lambda: ImageSet(np.zeros((1, 2, 2, 2))),
+    (lambda: ImageSet(np.zeros((1, 2, 2, 2), np.uint8)),
      r"pixels must be 3-d, got shape \(1, 2, 2, 2\)"),
     (lambda: LabelSet(np.zeros((2, 1), np.int64)),
      r"labels must be 1-d, got shape \(2, 1\)"),
@@ -316,14 +316,13 @@ def test_idx_round_trip_exact(tmp_path):
     assert back_img.pixels.dtype == np.uint8
     assert back_img.pixels.tobytes() == images.pixels.tobytes()
     assert np.array_equal(back_lab.labels, labels.labels)
-    # rows != cols, so a swap of the two in the header would show; pixel
-    # values are written as rint(p * 255) and load back as those bytes
-    raw = np.random.default_rng(12).integers(0, 256, (5, 7, 11))
-    write_idx_images(ImageSet(raw / 255.0), img_path)
+    # rows != cols, so a swap of the two in the header would show
+    raw = np.random.default_rng(12).integers(0, 256, (5, 7, 11), np.uint8)
+    write_idx_images(ImageSet(raw), img_path)
     assert img_path.read_bytes()[:16] == bytes.fromhex(
         "00000803 00000005 00000007 0000000b")
     back = load_idx_images(img_path, expected_rows=7, expected_cols=11)
-    assert back.pixels.tobytes() == raw.astype(np.uint8).tobytes()
+    assert back.pixels.tobytes() == raw.tobytes()
 
 
 def test_bytes_are_written_as_they_are(tmp_path):
@@ -333,7 +332,7 @@ def test_bytes_are_written_as_they_are(tmp_path):
 
 
 def test_an_image_set_of_bytes_takes_every_byte():
-    # every byte is a pixel value in [0, 1]; only other dtypes are checked
+    # every byte is a pixel value in [0, 1]
     assert ImageSet(np.arange(256, dtype=np.uint8).reshape(4, 8, 8)).count \
         == 4
 
@@ -378,8 +377,8 @@ def _gzip_idx(tmp_path, kind):
     rng = np.random.default_rng(5)
     plain = tmp_path / kind
     if kind == "images":
-        pixels = np.zeros((64, 28, 28))
-        pixels[:, 10:18, 10:18] = rng.integers(0, 256, (64, 8, 8)) / 255.0
+        pixels = np.zeros((64, 28, 28), np.uint8)
+        pixels[:, 10:18, 10:18] = rng.integers(0, 256, (64, 8, 8))
         write_idx_images(ImageSet(pixels), plain)
     else:
         write_idx_labels(LabelSet(rng.integers(0, 10, 64)), plain)
@@ -477,32 +476,33 @@ def test_bytes_after_the_payload_fail_with_their_offset(tmp_path, kind,
 
 
 def test_pixel_range_enforced():
-    with pytest.raises(ValueError, match="0, 1"):
-        ImageSet(np.full((1, 2, 2), 1.5))
+    # only bytes make a set, so every pixel is a value in [0, 1]: no other
+    # dtype is taken, whatever its values
+    for dtype in (np.float64, np.float32, np.int64, np.int8, np.uint16):
+        with pytest.raises(ValueError, match=f"^pixels must be uint8, got "
+                                             f"{np.dtype(dtype)}$"):
+            ImageSet(np.zeros((1, 2, 2), dtype))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_pixels_rejected(bad):
     pixels = np.full((2, 2, 2), 0.5)
     pixels[1, 0, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^pixels must be uint8, got float64$"):
         ImageSet(pixels)
 
 
-@pytest.mark.parametrize("bad, message", [
-    (np.nan, "pixel values must be finite (NaN or inf found)"),
-    (np.inf, "pixel values must be finite (NaN or inf found)"),
-    (-np.inf, "pixel values must be finite (NaN or inf found)"),
-    (-0.1, "pixel values out of [0, 1]"),
-    (1.1, "pixel values out of [0, 1]"),
-], ids=["nan", "+inf", "-inf", "-0.1", "1.1"])
-def test_bad_pixel_messages(bad, message):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1],
+                         ids=["nan", "+inf", "-inf", "-0.1", "1.1"])
+def test_bad_pixel_messages(bad):
+    # a float set is refused by its dtype, not by the value or place of a
+    # pixel, so one message names it
     for where in ((0, 0, 0), (1, 1, 1)):  # the first pixel and the last
         pixels = np.full((2, 2, 2), 0.5)
         pixels[where] = bad
         with pytest.raises(ValueError) as err:
             ImageSet(pixels)
-        assert str(err.value) == message
+        assert str(err.value) == "pixels must be uint8, got float64"
 
 
 @pytest.mark.skipif(find_mnist_dir() is None,

@@ -115,7 +115,8 @@ def test_maxpool_rejects_a_4d_feature():
 
 
 def test_host_stage_zero_batch():
-    batch = MiniBatch(np.zeros((32, 28, 28)), np.eye(10)[np.zeros(32, int)], 0)
+    batch = MiniBatch(np.zeros((32, 28, 28), np.uint8),
+                      np.eye(10)[np.zeros(32, int)], 0)
     conv = host_stage(batch)
     assert conv.v.shape == (32, 169)
     assert np.all(conv.v == 0.0)
@@ -152,8 +153,9 @@ def test_host_stage_flatten_is_row_major():
 
 # -- the fused pass against its numpy reference ------------------------------
 
-def _reference_bytes(v, kernel=SHARPEN_KERNEL):
-    pooled = maxpool2x2(conv2d_valid(v, kernel))
+def _reference_bytes(v):
+    """The reference's bytes for the uint8 images v."""
+    pooled = maxpool2x2(conv2d_valid(v / 255.0))
     n, ph, pw = pooled.shape
     return pooled.reshape(n, ph * pw).tobytes()
 
@@ -162,57 +164,38 @@ def _batch(v):
     return MiniBatch(v, np.zeros((v.shape[0], 10)), 0)
 
 
+def _bytes(rng, shape):
+    return rng.integers(0, 256, size=shape, dtype=np.uint8)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_host_stage_matches_reference_on_every_fixture_batch(seed):
     # the fixture's batches are bytes, byte k meaning the pixel value k / 255
     train, test = load_datasets(RunConfig(seed=seed))
     for batch in train + test:
         assert batch.v_raw.dtype == np.uint8
-        assert host_stage(batch).v.tobytes() == \
-            _reference_bytes(batch.v_raw / 255.0)
+        assert host_stage(batch).v.tobytes() == _reference_bytes(batch.v_raw)
 
 
 def test_host_stage_negative_taps_on_zero_images_give_positive_zero():
-    # every product is -0.0 or +0.0; sums start from +0.0, so none is -0.0
-    kernel = -np.arange(1.0, 16.0).reshape(3, 5)
-    v = np.zeros((4, 28, 28))
-    got = host_stage(_batch(v), kernel).v
-    assert got.shape == (4, 13 * 12)
-    assert got.tobytes() == _reference_bytes(v, kernel)
+    # the -1.0 taps' products are -0.0; sums start from +0.0, so none is -0.0
+    v = np.zeros((4, 28, 28), np.uint8)
+    got = host_stage(_batch(v)).v
+    assert got.shape == (4, 169)
+    assert got.tobytes() == _reference_bytes(v)
     assert got.tobytes() == np.zeros_like(got).tobytes()
 
 
-def test_host_stage_other_kernel_matches_reference():
-    rng = np.random.default_rng(3)
-    kernel = rng.normal(size=(3, 5))
-    v = rng.random((5, 28, 28))
-    assert host_stage(_batch(v), kernel).v.tobytes() == _reference_bytes(v, kernel)
-
-
 def test_host_stage_strided_views_match_reference():
-    rng = np.random.default_rng(4)
-    base = rng.random((6, 60, 31))
+    base = _bytes(np.random.default_rng(4), (6, 60, 31))
     for v in (base[::2, 1::2, 2:30], base[:3, 28:0:-1, ::-1][:, :, 1:29],
               base[:3, :28, :28].transpose(0, 2, 1)):
         assert not v.flags.c_contiguous
         assert host_stage(_batch(v)).v.tobytes() == _reference_bytes(v)
 
 
-@pytest.mark.parametrize("convert", [
-    lambda v, k: (v.astype(np.int64), k), lambda v, k: (v, k.T.copy().T),
-    lambda v, k: (v, k.tolist())], ids=["int_images", "fortran_kernel",
-                                        "list_kernel"])
-def test_host_stage_converts_other_operands(convert):
-    rng = np.random.default_rng(6)
-    v = rng.integers(-3, 4, size=(2, 28, 28)).astype(np.float64)
-    kernel = rng.normal(size=(3, 3))
-    want = _reference_bytes(v, kernel)
-    v, kernel = convert(v, kernel)
-    assert host_stage(_batch(v), kernel).v.tobytes() == want
-
-
 def test_host_stage_empty_batch():
-    conv = host_stage(_batch(np.zeros((0, 28, 28))))
+    conv = host_stage(_batch(np.zeros((0, 28, 28), np.uint8)))
     assert conv.v.shape == (0, 169)
 
 
@@ -222,30 +205,36 @@ def _native_constant(name):
 
 CHUNK_IMAGES = _native_constant("CHUNK_IMAGES")
 SPLIT_HOST = _native_constant("SPLIT_HOST")
-# (n, oh, ow, kh, kw): n images whose (oh, ow) correlation takes a
-# (kh, kw) kernel. At 50x50 and 3x3, CHUNK_IMAGES + 1 images pass
-# SPLIT_HOST; at 20x20 and 5x5 the batch reaches it exactly. 8x8 is
-# narrower than the AVX2 block, so each chunk sums its rows in its own
-# scratch; the first batch that splits is just above the threshold.
-_AT_SPLIT = -(-SPLIT_HOST // (20 * 20 * 5 * 5))
-_NARROW_SPLIT = -(-SPLIT_HOST // (8 * 8 * 3 * 3))
+KH, KW = SHARPEN_KERNEL.shape
+# (n, oh, ow): n images whose correlation is oh x ow. At 50x50,
+# CHUNK_IMAGES + 1 images pass SPLIT_HOST; at 20x20 the batch is the first
+# that reaches it. 8x8 is narrower than the AVX2 block, so each chunk sums
+# its rows in its own scratch; the first batch that splits is just above
+# the threshold.
+_AT_SPLIT = -(-SPLIT_HOST // (20 * 20 * KH * KW))
+_NARROW_SPLIT = -(-SPLIT_HOST // (8 * 8 * KH * KW))
 SPLIT_HOST_CASES = {
-    "one": (1, 50, 50, 3, 3),
-    "chunk-1": (CHUNK_IMAGES - 1, 50, 50, 3, 3),
-    "chunk": (CHUNK_IMAGES, 50, 50, 3, 3),
-    "chunk+1": (CHUNK_IMAGES + 1, 50, 50, 3, 3),
-    "short_last": (3 * CHUNK_IMAGES + 2, 50, 50, 3, 3),
-    "at_split": (_AT_SPLIT, 20, 20, 5, 5),
-    "below_split": (_NARROW_SPLIT - 1, 8, 8, 3, 3),
-    "narrow_split": (_NARROW_SPLIT, 8, 8, 3, 3),
+    "one": (1, 50, 50),
+    "chunk-1": (CHUNK_IMAGES - 1, 50, 50),
+    "chunk": (CHUNK_IMAGES, 50, 50),
+    "chunk+1": (CHUNK_IMAGES + 1, 50, 50),
+    "short_last": (3 * CHUNK_IMAGES + 2, 50, 50),
+    "at_split": (_AT_SPLIT, 20, 20),
+    "below_split": (_NARROW_SPLIT - 1, 8, 8),
+    "narrow_split": (_NARROW_SPLIT, 8, 8),
 }
 
 
-def _host_stage_bytes(kernels, v, kernel):
+def _split_case(name, seed):
+    """The uint8 images of SPLIT_HOST_CASES[name]."""
+    n, oh, ow = SPLIT_HOST_CASES[name]
+    return _bytes(np.random.default_rng(seed), (n, oh + KH - 1, ow + KW - 1))
+
+
+def _host_stage_bytes(kernels, v):
     n, h, w = v.shape
-    got = np.empty((n, (h - kernel.shape[0] + 1) * (w - kernel.shape[1] + 1)
-                    // 4))
-    kernels.host_stage(v, kernel, got)
+    got = np.empty((n, (h - KH + 1) * (w - KW + 1) // 4))
+    kernels.host_stage(v, got)
     return got.tobytes()
 
 
@@ -257,45 +246,46 @@ def test_a_shared_host_stage_gives_the_bytes_of_one_thread(
     the same call in a build where it runs on one thread: one image, a
     chunk and its neighbours, a short last chunk, and the batches just
     below and at the split threshold."""
-    n, oh, ow, kh, kw = SPLIT_HOST_CASES[name]
-    rng = np.random.default_rng(7)
-    v, kernel = rng.normal(size=(n, oh + kh - 1, ow + kw - 1)), \
-        rng.normal(size=(kh, kw))
-    want = _reference_bytes(v, kernel)
-    assert _host_stage_bytes(native.kernels(), v, kernel) == want
-    assert _host_stage_bytes(unsplit_kernels, v, kernel) == want
+    v = _split_case(name, 7)
+    want = _reference_bytes(v)
+    assert _host_stage_bytes(native.kernels(), v) == want
+    assert _host_stage_bytes(unsplit_kernels, v) == want
     assert on_a_marked_thread(
-        lambda: _host_stage_bytes(native.kernels(), v, kernel)) == want
+        lambda: _host_stage_bytes(native.kernels(), v)) == want
 
 
 def test_the_kernels_byte_values_are_the_divisions_by_255():
-    """Each byte's pixel value in the compiled pass is numpy's k / 255.0:
-    image k of the batch is 2x2 of byte k, and a 1x1 kernel of 1.0 passes
-    each value through the correlation (+0.0 + 1.0 * p) and the pool."""
+    """Each byte's pixel value in the compiled pass is numpy's k / 255.0,
+    read back through the fixed taps: image k of the batch is 4x4 with byte
+    k at (1, 1), under the 5.0 tap of its first output only, so it pools to
+    +0.0 + 5.0 * p, and every other sum is 0.0 or -p."""
     lib = native.kernels()
     if lib is None:
         pytest.skip("no compiled kernels")
-    images = np.repeat(np.arange(256, dtype=np.uint8), 4).reshape(256, 2, 2)
+    assert SHARPEN_KERNEL[1, 1] == 5.0
+    images = np.zeros((256, 4, 4), np.uint8)
+    images[:, 1, 1] = np.arange(256)
     got = np.empty((256, 1))
-    lib.host_stage(images, np.ones((1, 1)), got)
-    assert got.ravel().tobytes() == (np.arange(256) / 255.0).tobytes()
+    lib.host_stage(images, got)
+    assert got.ravel().tobytes() == (5.0 * (np.arange(256) / 255.0)).tobytes()
+    assert got.tobytes() == _reference_bytes(images)
 
 
 def _byte_paths(unsplit_kernels, on_a_marked_thread, monkeypatch):
-    """host_stage(batch, kernel).v's bytes as a function of (v, kernel), on
-    each path by name: the compiled pass as built, shared with the helper
-    where the batch splits; the build where it never splits; queued from a
-    marked thread; and the numpy fallback."""
+    """host_stage(_batch(v)).v's bytes as a function of v, on each path by
+    name: the compiled pass as built, shared with the helper where the
+    batch splits; the build where it never splits; queued from a marked
+    thread; and the numpy fallback."""
     def compiled(lib):
-        def run(v, kernel):
+        def run(v):
             with monkeypatch.context() as patch:
                 patch.setattr(native, "kernels", lambda: lib)
-                return host_stage(_batch(v), kernel).v.tobytes()
+                return host_stage(_batch(v)).v.tobytes()
         return run
     return {"split": compiled(native.kernels()),
             "unsplit": compiled(unsplit_kernels),
-            "marked": lambda v, kernel: on_a_marked_thread(
-                lambda: _host_stage_bytes(native.kernels(), v, kernel)),
+            "marked": lambda v: on_a_marked_thread(
+                lambda: _host_stage_bytes(native.kernels(), v)),
             "numpy": compiled(None)}
 
 
@@ -304,31 +294,26 @@ def test_a_byte_batch_gives_the_bytes_of_its_pixel_values(
         name, unsplit_kernels, on_a_marked_thread, monkeypatch):
     """A uint8 batch gives the bytes of the same batch divided by 255.0, on
     every path, at every chunk edge of the split."""
-    n, oh, ow, kh, kw = SPLIT_HOST_CASES[name]
-    rng = np.random.default_rng(10)
-    v = rng.integers(0, 256, size=(n, oh + kh - 1, ow + kw - 1),
-                     dtype=np.uint8)
-    kernel = rng.normal(size=(kh, kw))
-    want = _reference_bytes(v / 255.0, kernel)
+    v = _split_case(name, 10)
+    want = _reference_bytes(v)
     for path, run in _byte_paths(unsplit_kernels, on_a_marked_thread,
                                  monkeypatch).items():
-        assert run(v, kernel) == want, path
+        assert run(v) == want, path
 
 
 def test_a_strided_byte_batch_runs_numpy_with_the_same_bytes(monkeypatch):
     """The compiled pass takes C-contiguous bytes only: a strided uint8
     batch is refused and runs the numpy reference on v_raw / 255.0."""
-    rng = np.random.default_rng(11)
-    v = rng.integers(0, 256, size=(6, 60, 31), dtype=np.uint8)[::2, 1::2, 2:30]
+    v = _bytes(np.random.default_rng(11), (6, 60, 31))[::2, 1::2, 2:30]
     assert not v.flags.c_contiguous
     lib = native.kernels()
     if lib is not None:
         with pytest.raises(BufferError, match="^x is not C-contiguous$"):
-            lib.host_stage(v, np.asarray(SHARPEN_KERNEL), np.empty((3, 169)))
+            lib.host_stage(v, np.empty((3, 169)))
     calls = []
-    monkeypatch.setattr("convpipe.hoststage.conv2d_valid", lambda x, k:
-                        calls.append(x.dtype) or conv2d_valid(x, k))
-    assert host_stage(_batch(v)).v.tobytes() == _reference_bytes(v / 255.0)
+    monkeypatch.setattr("convpipe.hoststage.conv2d_valid", lambda x:
+                        calls.append(x.dtype) or conv2d_valid(x))
+    assert host_stage(_batch(v)).v.tobytes() == _reference_bytes(v)
     assert calls == [np.float64]
 
 
@@ -338,8 +323,8 @@ def test_a_queued_host_stage_finishes_while_products_keep_the_helper_busy(
     claim; a thread that makes split products back to back still leaves
     it those gaps, so the queued host stage ends, with numpy's bytes."""
     rng = np.random.default_rng(8)
-    v, kernel = rng.normal(size=(64, 28, 28)), rng.normal(size=(3, 3))
-    want = _reference_bytes(v, kernel)
+    v = _bytes(rng, (64, 28, 28))
+    want = _reference_bytes(v)
     a, b = rng.normal(size=(2, 200, 200))  # 8M multiply-adds: they split
     stop = threading.Event()
 
@@ -351,7 +336,7 @@ def test_a_queued_host_stage_finishes_while_products_keep_the_helper_busy(
     try:
         for _ in range(20):
             assert on_a_marked_thread(
-                lambda: _host_stage_bytes(native.kernels(), v, kernel)) == want
+                lambda: _host_stage_bytes(native.kernels(), v)) == want
     finally:
         stop.set()
         thread.join(timeout=60)
@@ -365,40 +350,33 @@ def test_a_second_marked_call_runs_without_waiting_for_the_slot():
     if lib is None:
         pytest.skip("no compiled kernels")
     rng = np.random.default_rng(9)
-    # ~450M tap multiply-adds, against the second call's ~0.2M
-    long_v, long_k = rng.normal(size=(400, 64, 64)), rng.normal(size=(33, 33))
-    short_v, short_k = rng.normal(size=(32, 28, 28)), rng.normal(size=(3, 3))
+    # ~90M tap multiply-adds, against the second call's ~0.2M
+    long_v, short_v = _bytes(rng, (400, 160, 160)), _bytes(rng, (32, 28, 28))
     got, ended, started = {}, {}, threading.Event()
 
-    def marked(name, v, kernel, before=None):
+    def marked(name, v, before=None):
         lib.set_background(True)
         if before is not None:
             assert before.wait(timeout=60)
             time.sleep(0.002)  # the first call is in the slot
         else:
             started.set()
-        got[name] = _host_stage_bytes(lib, v, kernel)
+        got[name] = _host_stage_bytes(lib, v)
         ended[name] = time.perf_counter()
     threads = [threading.Thread(target=marked, args=args, daemon=True)
-               for args in (("long", long_v, long_k),
-                            ("short", short_v, short_k, started))]
+               for args in (("long", long_v), ("short", short_v, started))]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    assert got == {"long": _reference_bytes(long_v, long_k),
-                   "short": _reference_bytes(short_v, short_k)}
+    assert got == {"long": _reference_bytes(long_v),
+                   "short": _reference_bytes(short_v)}
     assert ended["short"] < ended["long"]
 
 
-def test_host_stage_propagates_nan_like_numpy():
-    rng = np.random.default_rng(5)
-    v = rng.random((3, 28, 28))
-    v[0, 0, 0] = v[1, 13, 14] = v[2, 27, 27] = np.nan
-    got = host_stage(_batch(v)).v
-    assert np.isnan(got).any() and not np.isnan(got).all()
-    assert got.tobytes() == _reference_bytes(v)
+def _no_kernels():
+    raise AssertionError("native kernels reached with a bad batch")
 
 
 @pytest.mark.parametrize("shape,match", [((2, 27, 28), "even"),
@@ -406,8 +384,15 @@ def test_host_stage_propagates_nan_like_numpy():
                                          ((2, 2, 28), "smaller than kernel"),
                                          ((28, 28), "3-d")])
 def test_host_stage_rejects_bad_shapes_before_calling_c(shape, match, monkeypatch):
-    def no_kernels():
-        raise AssertionError("native kernels reached with a bad shape")
-    monkeypatch.setattr(native, "kernels", no_kernels)
+    monkeypatch.setattr(native, "kernels", _no_kernels)
     with pytest.raises(ValueError, match=match):
-        host_stage(_batch(np.zeros(shape)))
+        host_stage(_batch(np.zeros(shape, np.uint8)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int8,
+                                   np.uint16, np.bool_])
+def test_host_stage_rejects_images_that_are_not_bytes(dtype, monkeypatch):
+    monkeypatch.setattr(native, "kernels", _no_kernels)
+    with pytest.raises(ValueError, match=f"^v_raw must be uint8, got "
+                                         f"{np.dtype(dtype)}$"):
+        host_stage(_batch(np.zeros((2, 28, 28), dtype)))

@@ -21,7 +21,7 @@ from convpipe.accelmodel import ResourceBudget
 from convpipe.adam import AdamHyper, AdamState, apply_batch_update
 from convpipe.checkpoint import load_checkpoint, save_checkpoint
 from convpipe.dataio import MiniBatch, make_batches, synthetic_dataset
-from convpipe.dims import ModelDims
+from convpipe.dims import SHARPEN_KERNEL, ModelDims
 from convpipe.hoststage import ConvBatch, conv2d_valid, host_stage, maxpool2x2
 from convpipe.neuralcore import (ForwardTrace, Gradients, ModelState,
                                  Weights, accel_kernel, accuracy, backward,
@@ -249,29 +249,24 @@ HOST_EDGE_WIDTHS = (4, 8, 16, 24, 26, 30, 50)
 
 
 def _host_edge_inputs():
-    """(images, kernel) for each HOST_EDGE_WIDTHS output width, contiguous
-    and as a strided view, with NaN pixels and a random 3x3 kernel, so that
-    another order of the taps changes the bits."""
+    """uint8 images for each HOST_EDGE_WIDTHS output width, contiguous
+    (the compiled pass) and as a strided view (the numpy fallback)."""
     rng = np.random.default_rng(15)
     inputs = {}
     for ow in HOST_EDGE_WIDTHS:
-        kernel = rng.normal(size=(3, 3))
         h, w = 8, ow + 2
-        base = rng.normal(size=(6, 2 * h, 3 * w))
-        for layout, v in (("C", base[:3, :h, :w].copy()),
-                          ("strided", base[::2, ::2, ::3])):
-            v[1, 3, 5] = v[2, h - 1, w - 2] = np.nan
-            inputs[f"{ow}.{layout}"] = (v, kernel)
+        base = rng.integers(0, 256, (6, 2 * h, 3 * w), dtype=np.uint8)
+        inputs[f"{ow}.C"] = base[:3, :h, :w].copy()
+        inputs[f"{ow}.strided"] = base[::2, ::2, ::3]
     return inputs
 
 
 @pytest.mark.parametrize("name", sorted(_host_edge_inputs()))
 def test_host_stage_block_edges_bitwise(name):
-    v, kernel = _host_edge_inputs()[name]
+    v = _host_edge_inputs()[name]
     assert v.flags.c_contiguous == name.endswith(".C")
-    got = host_stage(MiniBatch(v, np.zeros((3, 10)), 0), kernel).v
-    want = maxpool2x2(conv2d_valid(v, kernel))
-    assert np.isnan(got).any()
+    got = host_stage(MiniBatch(v, np.zeros((3, 10)), 0)).v
+    want = maxpool2x2(conv2d_valid(v / 255.0))
     assert got.tobytes() == want.reshape(got.shape).tobytes()
 
 
@@ -318,7 +313,7 @@ def _matmul_args():
 
 def _host_args():
     rng = np.random.default_rng(21)
-    return {"x": rng.random((2, 8, 8)), "k": rng.normal(size=(3, 3)),
+    return {"x": rng.integers(0, 256, (2, 8, 8), dtype=np.uint8),
             "out": np.full((2, 9), 3.0)}
 
 
@@ -344,6 +339,7 @@ def _byte_strides(x):
 
 
 BAD_BUFFERS = {
+    "float64": lambda x: x.astype(np.float64),
     "float32": lambda x: x.astype(np.float32),
     "int64": lambda x: x.astype(np.int64),
     "big_endian": lambda x: x.astype(">f8"),
@@ -359,14 +355,15 @@ _OUT = _ANY + _NOT_C + ("read_only",)
 BAD_BUFFER_CASES = {
     "matmul_kseq": {"a": _ANY + ("byte_strides",), "b": _ANY + _NOT_C,
                     "mask": _ANY + _NOT_C, "out": _OUT},
-    "host_stage": {"x": _ANY + _NOT_C, "k": _ANY + _NOT_C, "out": _OUT},
+    "host_stage": {"x": ("float64", "float32", "int64", "big_endian")
+                   + _NOT_C, "out": _OUT},
     "adam_update_pair": {f"{name}{layer}": _ANY + _NOT_C if name == "g"
                          else _OUT for layer in (2, 1) for name in "wmvg"},
 }
 BAD_SHAPES = {
     "matmul_kseq": {"b": [(6, 7), (5,)], "a": [(30,), (6, 5, 1)],
                     "out": [(6, 8), (5, 7), (6, 7, 1)], "mask": [(6, 6)]},
-    "host_stage": {"x": [(8, 8), (2, 2, 8), (2, 9, 8)], "k": [(1, 3, 3)],
+    "host_stage": {"x": [(8, 8), (2, 2, 8), (2, 9, 8)],
                    "out": [(2, 8), (3, 9), (2, 9, 1)]},
     "adam_update_pair": {"w2": [(4, 4)], "g2": [(3,)], "v1": [(5, 5)],
                          "g1": [(31,)]},
@@ -401,7 +398,7 @@ def test_an_entry_point_rejects_a_buffer_before_writing(entry, name, bad):
     ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else None)
 def test_an_entry_point_rejects_a_shape_before_writing(entry, name, shape):
     args = ENTRY_ARGS[entry]()
-    args[name] = np.full(shape, 0.5)
+    args[name] = np.full(shape, 0.5, args[name].dtype)
     _call_and_check_nothing_written(entry, args, ValueError)
 
 
@@ -541,7 +538,7 @@ def _split_work():
     of a batch's Adam pair: all past the kernels' split thresholds."""
     rng = np.random.default_rng(19)
     v, dh1 = rng.normal(size=(32, 169)), rng.normal(size=(32, 128))
-    images = rng.random((32, 28, 28))
+    images = rng.integers(0, 256, (32, 28, 28), dtype=np.uint8)
     return (matmul_kseq(v.T, dh1).tobytes()
             + host_stage(MiniBatch(images, np.zeros((32, 10)), 0)).v.tobytes()
             + _paired_adam_bytes())
@@ -607,12 +604,12 @@ def test_a_forked_child_makes_its_own_split_calls(monkeypatch,
     started = int(tasks.is_dir() and len(os.sched_getaffinity(0)) > 1)
     want = _numpy_split_work(monkeypatch)
     assert _split_work() == want  # the helper runs from here on
-    # ~100M tap multiply-adds: tens of milliseconds in the slot
-    rng = np.random.default_rng(24)
-    v, kernel = rng.normal(size=(400, 64, 64)), rng.normal(size=(9, 9))
+    # ~60M tap multiply-adds: milliseconds in the slot
+    v = np.random.default_rng(24).integers(0, 256, (400, 130, 130),
+                                           dtype=np.uint8)
 
     def long_call(kernels=lib):
-        kernels.host_stage(v, kernel, np.empty((400, 28 * 28)))
+        kernels.host_stage(v, np.empty((400, 64 * 64)))
     inline_cpu = _thread_cpu(lambda: long_call(unsplit_kernels))
     stop, queued = threading.Event(), threading.Event()
 
@@ -765,8 +762,8 @@ def _kernel_outputs():
     return ({name: matmul_kseq(a, b).tobytes()
              for name, (a, b) in products.items()}, epilogues,
             [host_stage(batch).v.tobytes() for batch in _epoch_batches()],
-            {name: host_stage(MiniBatch(v, np.zeros((3, 10)), 0), kernel)
-             .v.tobytes() for name, (v, kernel) in _host_edge_inputs().items()},
+            {name: host_stage(MiniBatch(v, np.zeros((3, 10)), 0)).v.tobytes()
+             for name, v in _host_edge_inputs().items()},
             _paired_adam_bytes())
 
 
@@ -870,18 +867,71 @@ def test_a_new_build_removes_stale_libraries(empty_kernel_cache):
 
 
 def test_the_kernel_source_and_flags_are_pinned():
-    """The cached module's name keys on _SOURCE, _CFLAGS and the ABI tag,
-    and a rebuilt module moves the kernels' timings on its own: a change
-    to either is deliberate, and updates these pins."""
+    """The cached module's name keys on _SOURCE, _CFLAGS (the host stage's
+    taps among them) and the ABI tag, and a rebuilt module moves the
+    kernels' timings on its own: a change to either is deliberate, and
+    updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "596a0623810a5ecf876d2e966720638ab2f4a87e5cdce3fec66d18228baae29e"
-    assert native._CFLAGS == ("-O3", "-std=c99", "-ffp-contract=off",
-                              "-fno-math-errno", "-fPIC", "-shared")
+        "909f7865e0abce7320872239e0697fa0d3efd495f82d08a0d0baf50f8e78b72f"
+    assert native._CFLAGS == (
+        "-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno", "-fPIC",
+        "-shared", "-DKH=3", "-DKW=3",
+        "-DTAPS=0x0.0p+0,-0x1.0000000000000p+0,0x0.0p+0,"
+        "-0x1.0000000000000p+0,0x1.4000000000000p+2,-0x1.0000000000000p+0,"
+        "0x0.0p+0,-0x1.0000000000000p+0,0x0.0p+0")
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-bf9c552105bf38aa665b81021cff9875d7122813f39de21a1d9e2535"
-            "ac3bb838.so")
+            "native-4d35218997d10c67bbee9e468e716a5eb62ec0ee50058c6447d12d8d"
+            "4ebe7e5b.so")
+
+
+def test_the_compiled_taps_are_the_sharpening_kernel(monkeypatch):
+    """-DKH, -DKW and -DTAPS give SHARPEN_KERNEL's shape and its exact taps
+    in row-major order, and other taps key another module."""
+    flags = dict(f[2:].split("=", 1) for f in native._CFLAGS
+                 if f.startswith("-D"))
+    assert (int(flags["KH"]), int(flags["KW"])) == SHARPEN_KERNEL.shape
+    taps = [float.fromhex(t) for t in flags["TAPS"].split(",")]
+    assert np.array(taps).tobytes() == SHARPEN_KERNEL.tobytes()
+    path = native._library_path()
+    monkeypatch.setattr(native, "_CFLAGS", tuple(
+        f.replace("0x1.4000000000000p+2", "0x1.8000000000000p+2")
+        for f in native._CFLAGS))
+    assert native._library_path() != path
+
+
+def test_the_source_does_not_compile_without_the_taps(tmp_path):
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        pytest.skip("no cc or gcc on PATH")
+    flags = [f for f in native._CFLAGS if not f.startswith("-D")]
+    built = subprocess.run([compiler, *flags, "-I", sysconfig.get_path("include"),
+                            "-o", str(tmp_path / "native.so"),
+                            str(Path(native.__file__).with_name("_native.c"))],
+                           capture_output=True, text=True)
+    assert built.returncode != 0
+    assert "KH, KW and TAPS undefined" in built.stderr
+
+
+@pytest.mark.parametrize("value", [None, "", "relcache", "./relcache",
+                                   "../cache"],
+                         ids=["unset", "empty", "name", "dot", "dotdot"])
+def test_a_cache_home_that_is_not_absolute_counts_as_unset(value, tmp_path,
+                                                           monkeypatch):
+    """The XDG base directory spec says to ignore a relative
+    XDG_CACHE_HOME: the module is cached under ~/.cache, not under each
+    working directory."""
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    if value is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+    assert native._library_path().parent == \
+        tmp_path / "home" / ".cache" / "convpipe"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "abs"))
+    assert native._library_path().parent == tmp_path / "abs" / "convpipe"
 
 
 def test_loading_marks_the_library_in_use(empty_kernel_cache):

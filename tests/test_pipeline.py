@@ -286,7 +286,7 @@ def test_prefetched_hand_off_under_frequent_thread_switches():
 @pytest.mark.parametrize("mode", [SEQUENTIAL, PIPELINED])
 def test_host_stage_failure_propagates_in_both_modes(mode):
     good = _batches(5, 2 * 32)
-    flat = MiniBatch(np.zeros((32, 28 * 28)), good[0].out_actual, 2)
+    flat = MiniBatch(np.zeros((32, 28 * 28), np.uint8), good[0].out_actual, 2)
     before = threading.enumerate()
     with pytest.raises(ValueError, match="v_raw must be 3-d"):
         run_epoch(good + [flat], ModelState.initial(5), mode, True, BUDGET)

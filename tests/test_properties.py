@@ -27,7 +27,7 @@ from convpipe.dataio import (FormatError, ImageSet, LabelSet, MiniBatch,
                              load_idx_images, load_idx_labels, make_batches,
                              synthetic_dataset, write_idx_images,
                              write_idx_labels)
-from convpipe.dims import ModelDims
+from convpipe.dims import SHARPEN_KERNEL, ModelDims
 from convpipe.hoststage import conv2d_valid, host_stage, maxpool2x2
 from convpipe.neuralcore import Gradients, ModelState, Weights, matmul_kseq
 from convpipe.pipeline import MODES, run_epoch
@@ -83,9 +83,8 @@ def _same_bytes_up_to_nan_sign(got, want):
     others. Where two NaNs of opposite sign meet in one sum or product, an
     x86 add or multiply returns the one its instruction's operand order
     picks, and that order differs between numpy's vector body and its
-    tail, and between the kernel's tiles and builds; in one pooling window,
-    numpy's max keeps the first NaN and the kernel's the last: which sign
-    survives is not part of the result."""
+    tail, and between the kernel's tiles and builds: which sign survives is
+    not part of the result."""
     nan = np.isnan(want)
     assert got.shape == want.shape
     assert np.array_equal(np.isnan(got), nan)
@@ -126,19 +125,14 @@ HOST_WIDTHS = st.one_of(st.sampled_from([2, 14, 16, 18, 30, 32, 34]),
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(n=st.integers(0, 3), oh=st.integers(1, 6).map(lambda half: 2 * half),
-       ow=HOST_WIDTHS, kh=st.integers(1, 5), kw=st.integers(1, 5),
-       seed=st.integers(0, 2 ** 32 - 1), share=SHARES)
-# a pooling window holds +NaN and then -NaN: numpy's max keeps the first
-# NaN, the kernel's max_nan the last
-@example(n=1, oh=2, ow=2, kh=2, kw=2, seed=0, share=0.5)
-def test_host_stage_gives_the_numpy_bytes(n, oh, ow, kh, kw, seed, share):
-    rng = np.random.default_rng(seed)
-    with np.errstate(all="ignore"):  # inf - inf, inf * 0.0, overflow
-        x = _values(rng, (n, oh + kh - 1, ow + kw - 1), share)
-        kernel = _values(rng, (kh, kw), share)
-        want = maxpool2x2(conv2d_valid(x, kernel)).reshape(n, oh * ow // 4)
-        got = host_stage(MiniBatch(x, np.zeros((n, 10)), 0), kernel).v
-    _same_bytes_up_to_nan_sign(got, want)
+       ow=HOST_WIDTHS, seed=st.integers(0, 2 ** 32 - 1))
+def test_host_stage_gives_the_numpy_bytes(n, oh, ow, seed):
+    kh, kw = SHARPEN_KERNEL.shape
+    x = np.random.default_rng(seed).integers(
+        0, 256, (n, oh + kh - 1, ow + kw - 1), dtype=np.uint8)
+    want = maxpool2x2(conv2d_valid(x / 255.0)).reshape(n, oh * ow // 4)
+    got = host_stage(MiniBatch(x, np.zeros((n, 10)), 0)).v
+    assert got.tobytes() == want.tobytes()
 
 
 LAYER_SHAPES = st.tuples(st.integers(0, 40), st.integers(0, 40))
@@ -318,7 +312,7 @@ def inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("inputs")
     rng = np.random.default_rng(7)
     save_checkpoint(tmp / "model.ckpt", _trained_state(7))
-    write_idx_images(ImageSet(rng.integers(0, 256, (3, 6, 7)) / 255.0),
+    write_idx_images(ImageSet(rng.integers(0, 256, (3, 6, 7)).astype(np.uint8)),
                      tmp / "images")
     write_idx_labels(LabelSet(rng.integers(0, 10, 12)), tmp / "labels")
     plain = {name: (tmp / name).read_bytes() for name in LOADERS}
