@@ -241,13 +241,17 @@ HELPER double max2(double m, double x)
    apart, over columns [0, HOST_C), pooled 2x2 into out[0, HOST_C / 2).
    Each sum starts from +0.0 and adds the taps in row-major kernel order,
    and the 2 x HOST_C sums stay in registers over all the taps; img is
-   read with vector loads. */
+   read with vector loads. A zero tap is skipped: no sum is -0.0 or NaN
+   and every pixel value is finite, so s + 0.0 * x == s, and as taps is
+   constant the compiler drops the test. */
 HELPER void corr_pool(const double *img, ptrdiff_t w, double *restrict out)
 {
     v4d s[2][HOST_V] = {{{0.0}}};
     for (int i = 0; i < KH; i++)
         for (int j = 0; j < KW; j++) {
             const double kv = taps[i * KW + j];
+            if (kv == 0.0)
+                continue;
             for (int r = 0; r < 2; r++)
                 for (int v = 0; v < HOST_V; v++) {
                     v4d xv;
@@ -314,7 +318,8 @@ struct host_job {
    of HOST_C columns; the last block is moved left to end at the last
    column and recomputes the same values where it overlaps the one before
    it. Otherwise, and for an output narrower than a block, two rows are
-   summed in the chunk's scratch, one tap at a time, and then pooled. */
+   summed in the chunk's scratch, one nonzero tap at a time, and then
+   pooled. */
 KERNEL
 ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 {
@@ -341,6 +346,8 @@ ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
             for (int i = 0; i < KH; i++)
                 for (int j = 0; j < KW; j++) {
                     const double kv = taps[i * KW + j];
+                    if (kv == 0.0)
+                        continue;
                     const double *xr = image + (r + i) * w + j;
                     for (ptrdiff_t c = 0; c < ow; c++)
                         o[c] += kv * xr[c];

@@ -8,6 +8,11 @@ derived key (batch_size, dims.kernel_x, dims.kernel_y, dims.pool_map) sets
 nothing: the file may state it only at the value its own values derive.
 Reports are JSON with top-level keys config, epochs, latency_model and
 schedule_reports; --epochs-csv additionally exports the epochs table.
+
+Each command's options are a row of COMMANDS. main gives options only to
+the command its first word names, so a run builds no other command's; the
+parser keeps a subparser for every command, so usage lines and errors name
+them all, and any other first word gets the full parser, build_parser().
 """
 
 import argparse
@@ -145,9 +150,10 @@ def _check_outputs(*paths):
 
 
 def _write_report(report_dict, path):
+    """report_dict as JSON indented by 2, then a newline, in one write;
+    json.dump would write each chunk of the same encoder's output."""
     with open(path, "w") as f:
-        json.dump(report_dict, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(report_dict, indent=2) + "\n")
 
 
 def _write_epochs_csv(epochs, path):
@@ -265,7 +271,53 @@ def cmd_estimate(args):
     return 0
 
 
-def build_parser():
+# options every command takes, then those of the data commands (train, test)
+_SHARED = (
+    ("--config", {"help": "JSON config file"}),
+    ("--report", {"dest": "report_path", "help": "write a JSON report here"}),
+    ("--max-multipliers", {"dest": "budget.max_multipliers", "type": int}),
+    ("--max-adders", {"dest": "budget.max_adders", "type": int}),
+    ("--pipeline-depth", {"dest": "budget.pipeline_depth", "type": int}),
+    ("--clock-ns", {"dest": "budget.clock_ns", "type": float}),
+)
+_DATA = (
+    ("--seed", {"type": int, "default": None}),
+    ("--data-dir", {"help": f"directory with IDX files "
+                            f"(fallback: ${ENV_DATA_DIR})"}),
+    ("--batch-size", {"dest": "dims.batch", "type": int}),
+    ("--synthetic", {"action": "store_true",
+                     "help": "ignore data dir and use the synthetic fixture"}),
+)
+
+# command -> (its help, its handler, its options in help order)
+COMMANDS = {
+    "train": ("train and score each epoch", cmd_train, (
+        *_SHARED, *_DATA,
+        ("--epochs", {"type": int, "default": None}),
+        ("--mode", {"choices": list(MODES), "default": None}),
+        ("--checkpoint", {"dest": "checkpoint_path",
+                          "help": "write final weights here"}),
+        ("--epochs-csv", {"help": "also write the epoch table as CSV"}))),
+    "test": ("inference-only scoring of a checkpoint", cmd_test, (
+        *_SHARED, *_DATA,
+        ("--checkpoint", {"dest": "checkpoint_path", "required": True}))),
+    "estimate": ("schedule/resource estimates, no dataset needed",
+                 cmd_estimate, (
+        *_SHARED,
+        ("--unroll-fc", {"help": "override hidden-layer nest unroll, "
+                                 "e.g. 4,4"}),
+        ("--host-batch-seconds", {
+            "type": float, "default": None,
+            "help": "hypothetical host time per batch for mode algebra"}),
+        ("--num-batches", {"type": int, "default": 1875}))),
+}
+
+
+def build_parser(command=None):
+    """The convpipe parser, with a subparser for every command in COMMANDS,
+    so that usage lines and errors name them all. Given a command's name,
+    only that command's subparser takes its options; with None, every one
+    does."""
     # argparse makes a formatter for each argument it adds, and the stock
     # formatter measures the terminal each time: this is the stock formatter
     # at the width it measures, measured once per build
@@ -276,57 +328,20 @@ def build_parser():
         description="Split CNN trainer with a modeled accelerator stage",
         formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_data=True):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--report", dest="report_path",
-                       help="write a JSON report here")
-        p.add_argument("--max-multipliers", dest="budget.max_multipliers",
-                       type=int)
-        p.add_argument("--max-adders", dest="budget.max_adders", type=int)
-        p.add_argument("--pipeline-depth", dest="budget.pipeline_depth",
-                       type=int)
-        p.add_argument("--clock-ns", dest="budget.clock_ns", type=float)
-        if with_data:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--data-dir",
-                           help=f"directory with IDX files "
-                                f"(fallback: ${ENV_DATA_DIR})")
-            p.add_argument("--batch-size", dest="dims.batch", type=int)
-            p.add_argument("--synthetic", action="store_true",
-                           help="ignore data dir and use the synthetic fixture")
-
-    p_train = sub.add_parser("train", help="train and score each epoch",
-                             formatter_class=formatter)
-    common(p_train)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--mode", choices=list(MODES), default=None)
-    p_train.add_argument("--checkpoint", dest="checkpoint_path",
-                         help="write final weights here")
-    p_train.add_argument("--epochs-csv", help="also write the epoch table as CSV")
-    p_train.set_defaults(func=cmd_train)
-
-    p_test = sub.add_parser("test", formatter_class=formatter,
-                            help="inference-only scoring of a checkpoint")
-    common(p_test)
-    p_test.add_argument("--checkpoint", dest="checkpoint_path", required=True)
-    p_test.set_defaults(func=cmd_test)
-
-    p_est = sub.add_parser("estimate", formatter_class=formatter,
-                           help="schedule/resource estimates, no dataset needed")
-    common(p_est, with_data=False)
-    p_est.add_argument("--unroll-fc",
-                       help="override hidden-layer nest unroll, e.g. 4,4")
-    p_est.add_argument("--host-batch-seconds", type=float, default=None,
-                       help="hypothetical host time per batch for mode algebra")
-    p_est.add_argument("--num-batches", type=int, default=1875)
-    p_est.set_defaults(func=cmd_estimate)
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        p.set_defaults(func=func)
+        if command in (None, name):
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # options for the command being run only; anything else parses in full
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, FloatingPointError) as exc:

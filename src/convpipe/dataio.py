@@ -206,22 +206,21 @@ def make_batches(images: ImageSet, labels: LabelSet,
 
     No shuffling, ever: epoch k sees exactly the same batch sequence as
     epoch 0. A final group smaller than batch_size is dropped because every
-    downstream array is statically sized to the batch.
+    downstream array is statically sized to the batch. Each batch's
+    out_actual is a row slice, C-contiguous, of one one-hot array of every
+    batched label.
     """
     if images.count != labels.count:
         raise ValueError(f"image/label count mismatch: "
                          f"{images.count} images vs {labels.count} labels")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n_batches = images.count // batch_size
-    batches = []
-    for b in range(n_batches):
-        lo = b * batch_size
-        hi = lo + batch_size
-        one_hot = np.zeros((batch_size, labels.num_classes), dtype=np.float64)
-        one_hot[np.arange(batch_size), labels.labels[lo:hi]] = 1.0
-        batches.append(MiniBatch(images.pixels[lo:hi], one_hot, b))
-    return batches
+    n = images.count // batch_size * batch_size
+    one_hot = np.zeros((n, labels.num_classes), dtype=np.float64)
+    one_hot[np.arange(n), labels.labels[:n]] = 1.0
+    return [MiniBatch(images.pixels[lo:lo + batch_size],
+                      one_hot[lo:lo + batch_size], b)
+            for b, lo in enumerate(range(0, n, batch_size))]
 
 
 def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,

@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from convpipe import cli
 from convpipe.accelmodel import ResourceBudget, cycles_to_seconds, estimate_pass
 from convpipe.checkpoint import save_checkpoint
 from convpipe.cli import build_parser, main
@@ -638,6 +639,13 @@ def test_output_paths_fail_before_any_work(tmp_path, monkeypatch, capsys, argv,
     assert {p.name for p in tmp_path.iterdir()} <= {"fresh.ckpt", "cfg.json"}
 
 
+def _subparsers(parser):
+    """parser's subparsers by command name."""
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return commands
+
+
 @pytest.mark.parametrize("columns", ["40", "100"])
 def test_help_is_the_stock_formatters_from_one_terminal_measure(
         monkeypatch, columns):
@@ -650,11 +658,69 @@ def test_help_is_the_stock_formatters_from_one_terminal_measure(
                         lambda *args: measures.append(1) or measure(*args))
     parser = build_parser()
     assert len(measures) == 1
-    [commands] = [action.choices for action in parser._actions
-                  if isinstance(action, argparse._SubParsersAction)]
+    commands = _subparsers(parser)
     parsers = [parser, *commands.values()]
     assert sorted(commands) == ["estimate", "test", "train"]
     got = [p.format_help() for p in parsers]
     for p in parsers:
         p.formatter_class = argparse.HelpFormatter
     assert got == [p.format_help() for p in parsers]
+
+
+def _parse_exit(parse, capsys):
+    """The exit status, stdout and stderr of parse(), which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("columns", ["40", "100"])
+@pytest.mark.parametrize("argv", [
+    ["train", "--help"], ["test", "--help"], ["estimate", "--help"],
+    ["test", "--synthetic"],
+    ["test", "--checkpoint", "m.ckpt", "--epochs", "1"],
+    ["train", "--seed", "x"],
+    [], ["--help"], ["tset"], ["estimate", "--bogus"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_parses_as_the_full_parser(monkeypatch, capsys, columns, argv):
+    """main gives options to the command it runs only, and exits, prints
+    help and fails as the parser with every command's options does."""
+    monkeypatch.setenv("COLUMNS", columns)
+    assert _parse_exit(lambda: main(argv), capsys) == \
+        _parse_exit(lambda: build_parser().parse_args(argv), capsys)
+
+
+def test_main_gives_options_to_the_command_it_runs_only(monkeypatch,
+                                                        tmp_path):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    assert main(["test", "--synthetic",
+                 "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
+    [parser] = built
+    options = {name: [a.option_strings for a in p._actions]
+               for name, p in _subparsers(parser).items()}
+    assert sorted(options) == ["estimate", "test", "train"]
+    assert options["train"] == options["estimate"] == [["-h", "--help"]]
+    assert ["--checkpoint"] in options["test"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--synthetic", "--epochs", "1"],
+    ["test", "--synthetic", "--checkpoint", "fresh.ckpt"],
+    ["estimate", "--unroll-fc", "2,2"],
+], ids=["train", "test", "estimate"])
+def test_a_report_is_what_json_dump_writes(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint("fresh.ckpt", ModelState.initial(0))
+    reports, write = [], cli._write_report
+    monkeypatch.setattr(cli, "_write_report",
+                        lambda report, path: reports.append(report)
+                        or write(report, path))
+    assert main([*argv, "--report", "r.json"]) == 0
+    [report] = reports
+    with open("want.json", "w") as f:
+        json.dump(report, f, indent=2)
+        f.write("\n")
+    assert (tmp_path / "r.json").read_bytes() == \
+        (tmp_path / "want.json").read_bytes()

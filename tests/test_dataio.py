@@ -225,6 +225,19 @@ def test_batches_preserve_dataset_order():
     assert np.array_equal(stitched_labels, labels.labels[:128])
 
 
+def test_batch_labels_are_row_slices_of_one_one_hot_array():
+    images, labels = synthetic_dataset(5, 130, num_classes=7)
+    batches = make_batches(images, labels, 32)
+    one_hot = batches[0].out_actual.base
+    assert isinstance(one_hot, np.ndarray)
+    for b in batches:
+        lo = 32 * b.index
+        assert np.shares_memory(b.out_actual, one_hot)
+        assert b.out_actual.flags.c_contiguous
+        assert b.out_actual.dtype == np.float64
+        assert np.array_equal(b.out_actual, np.eye(7)[labels.labels[lo:lo + 32]])
+
+
 def test_synthetic_determinism_and_seed_sensitivity():
     a_img, a_lab = synthetic_dataset(1, 64)
     b_img, b_lab = synthetic_dataset(1, 64)

@@ -872,7 +872,7 @@ def test_the_kernel_source_and_flags_are_pinned():
     kernels' timings on its own: a change to either is deliberate, and
     updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "909f7865e0abce7320872239e0697fa0d3efd495f82d08a0d0baf50f8e78b72f"
+        "3cc3259cfd342eb8cbcd719e679a57d92655403aa16a93d58fd7d489e93d1caa"
     assert native._CFLAGS == (
         "-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno", "-fPIC",
         "-shared", "-DKH=3", "-DKW=3",
@@ -882,8 +882,8 @@ def test_the_kernel_source_and_flags_are_pinned():
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-4d35218997d10c67bbee9e468e716a5eb62ec0ee50058c6447d12d8d"
-            "4ebe7e5b.so")
+            "native-bd8f0c19195cd6df290424d2b7ad44050e4a5d8f4bcd9c3c8ee998c0a7"
+            "499650.so")
 
 
 def test_the_compiled_taps_are_the_sharpening_kernel(monkeypatch):
