@@ -1,6 +1,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -15,18 +16,26 @@
    other machines or C libraries, or with a compiler without the attribute,
    only the baseline loops are built. AVX2_CPU is true in the AVX2 and
    AVX-512F clones, as the loader picks the baseline clone only on a CPU
-   without AVX2, and false wherever there are no clones. */
+   without AVX2, and false wherever there are no clones. AVX512F_CPU is
+   true on a CPU with AVX-512F, where an AVX512F function, compiled for
+   it whatever the clone or the build's flags, may run. */
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GLIBC__)
 #if defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
 #define AVX2_CPU __builtin_cpu_supports("avx2")
+#define AVX512F_CPU __builtin_cpu_supports("avx512f")
+#define AVX512F __attribute__((target("avx512f")))
 #endif
 #endif
 #endif
 #ifndef KERNEL
 #define KERNEL
 #define AVX2_CPU 0
+#endif
+#ifndef AVX512F
+#define AVX512F_CPU 0
+#define AVX512F
 #endif
 /* A helper of a KERNEL loop: inlined into each clone, so that it is
    compiled for that clone's target and not only the baseline. */
@@ -38,6 +47,9 @@
    vector in memory, so only AVX2_CPU code uses it. */
 typedef double v4d __attribute__((vector_size(32)));
 typedef long long v4i __attribute__((vector_size(32)));
+/* Eight doubles, for the host stage's block in AVX512F functions */
+typedef double v8d __attribute__((vector_size(64)));
+typedef long long v8i __attribute__((vector_size(64)));
 
 /* rows [i0, i1) of out, one row at a time */
 HELPER void kseq_rows(ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t k, ptrdiff_t n,
@@ -225,52 +237,91 @@ HELPER double max2(double m, double x)
     return x > m ? x : m;
 }
 
-/* lanes 0, 2, 4, 6 and lanes 1, 3, 5, 7 of the eight in a and b */
+/* The even and the odd lanes of the 2L lanes in a and b, L = 4 or 8 */
 #if defined(__clang__) || __GNUC__ >= 12
-#define EVEN(a, b) __builtin_shufflevector(a, b, 0, 2, 4, 6)
-#define ODD(a, b) __builtin_shufflevector(a, b, 1, 3, 5, 7)
+#define EVEN4(a, b) __builtin_shufflevector(a, b, 0, 2, 4, 6)
+#define ODD4(a, b) __builtin_shufflevector(a, b, 1, 3, 5, 7)
+#define EVEN8(a, b) __builtin_shufflevector(a, b, 0, 2, 4, 6, 8, 10, 12, 14)
+#define ODD8(a, b) __builtin_shufflevector(a, b, 1, 3, 5, 7, 9, 11, 13, 15)
 #else
-#define EVEN(a, b) __builtin_shuffle(a, b, (v4i){0, 2, 4, 6})
-#define ODD(a, b) __builtin_shuffle(a, b, (v4i){1, 3, 5, 7})
+#define EVEN4(a, b) __builtin_shuffle(a, b, (v4i){0, 2, 4, 6})
+#define ODD4(a, b) __builtin_shuffle(a, b, (v4i){1, 3, 5, 7})
+#define EVEN8(a, b) \
+    __builtin_shuffle(a, b, (v8i){0, 2, 4, 6, 8, 10, 12, 14})
+#define ODD8(a, b) __builtin_shuffle(a, b, (v8i){1, 3, 5, 7, 9, 11, 13, 15})
 #endif
 
-#define HOST_V 4             /* vectors per row of a block */
-#define HOST_C (4 * HOST_V)  /* columns per block */
+#define HOST_C 16  /* columns per block */
 
-/* Output rows 0 and 1 of the correlation of img, whose rows are w
-   apart, over columns [0, HOST_C), pooled 2x2 into out[0, HOST_C / 2).
-   Each sum starts from +0.0 and adds the taps in row-major kernel order,
-   and the 2 x HOST_C sums stay in registers over all the taps; img is
-   read with vector loads. A zero tap is skipped: no sum is -0.0 or NaN
-   and every pixel value is finite, so s + 0.0 * x == s, and as taps is
-   constant the compiler drops the test. */
-HELPER void corr_pool(const double *img, ptrdiff_t w, double *restrict out)
-{
-    v4d s[2][HOST_V] = {{{0.0}}};
-    for (int i = 0; i < KH; i++)
-        for (int j = 0; j < KW; j++) {
-            const double kv = taps[i * KW + j];
-            if (kv == 0.0)
-                continue;
-            for (int r = 0; r < 2; r++)
-                for (int v = 0; v < HOST_V; v++) {
-                    v4d xv;
-                    memcpy(&xv, img + (i + r) * w + j + 4 * v, sizeof xv);
-                    s[r][v] += kv * xv;
-                }
-        }
-    /* max2 lane by lane, over each 2x2 window in row-major order */
-    for (int v = 0; v < HOST_V; v += 2) {
-        const v4d xs[3] = {ODD(s[0][v], s[0][v + 1]),
-                           EVEN(s[1][v], s[1][v + 1]),
-                           ODD(s[1][v], s[1][v + 1])};
-        v4d m = EVEN(s[0][v], s[0][v + 1]);
-        for (int q = 0; q < 3; q++) {
-            const v4i take = (v4i)(xs[q] > m);
-            m = (v4d)(((v4i)xs[q] & take) | ((v4i)m & ~take));
-        }
-        memcpy(out + 2 * v, &m, sizeof m);
+/* corr_pool_v4d and corr_pool_v8d: output rows 0 and 1 of the
+   correlation of img, whose rows are w apart, over columns [0, HOST_C),
+   pooled 2x2 into out[0, HOST_C / 2), with each row of the block in
+   HOST_C / L vectors of L doubles. Each sum starts from +0.0 and adds the
+   taps in row-major kernel order, and the 2 x HOST_C sums stay in
+   registers over all the taps; img is read with vector loads. A zero tap
+   is skipped: no sum is -0.0 or NaN and every pixel value is finite, so
+   s + 0.0 * x == s, and as taps is constant the compiler drops the test.
+   The pool takes max2 lane by lane, over each 2x2 window in row-major
+   order. One definition for both widths, so both sum and pool alike. */
+#define CORR_POOL(name, vec, ivec, L, EVEN, ODD)                             \
+    HELPER void name(const double *img, ptrdiff_t w, double *restrict out) \
+    {                                                                      \
+        vec s[2][HOST_C / L] = {{{0.0}}};                                  \
+        for (int i = 0; i < KH; i++)                                       \
+            for (int j = 0; j < KW; j++) {                                 \
+                const double kv = taps[i * KW + j];                        \
+                if (kv == 0.0)                                             \
+                    continue;                                              \
+                for (int r = 0; r < 2; r++)                                \
+                    for (int v = 0; v < HOST_C / L; v++) {                 \
+                        vec xv;                                            \
+                        memcpy(&xv, img + (i + r) * w + j + L * v,         \
+                               sizeof xv);                                 \
+                        s[r][v] += kv * xv;                                \
+                    }                                                      \
+            }                                                              \
+        for (int v = 0; v < HOST_C / L; v += 2) {                          \
+            const vec xs[3] = {ODD(s[0][v], s[0][v + 1]),                  \
+                               EVEN(s[1][v], s[1][v + 1]),                 \
+                               ODD(s[1][v], s[1][v + 1])};                 \
+            vec m = EVEN(s[0][v], s[0][v + 1]);                            \
+            for (int q = 0; q < 3; q++) {                                  \
+                const ivec take = (ivec)(xs[q] > m);                       \
+                m = (vec)(((ivec)xs[q] & take) | ((ivec)m & ~take));       \
+            }                                                              \
+            memcpy(out + L * v / 2, &m, sizeof m);                         \
+        }                                                                  \
     }
+CORR_POOL(corr_pool_v4d, v4d, v4i, 4, EVEN4, ODD4)
+CORR_POOL(corr_pool_v8d, v8d, v8i, 8, EVEN8, ODD8)
+
+/* The (oh/2, ow/2) pool of an image of w columns, ow >= HOST_C: each pair
+   of output rows in blocks of HOST_C columns, by corr_pool_v8d if wide,
+   else by corr_pool_v4d. The last block is moved left to end at the last
+   column and recomputes the same values where it overlaps the one before
+   it. */
+HELPER void pool_blocks(const double *image, ptrdiff_t w, ptrdiff_t oh,
+                        ptrdiff_t ow, double *restrict out, int wide)
+{
+    for (ptrdiff_t r = 0; r < oh; r += 2, out += ow / 2)
+        for (ptrdiff_t c0 = 0; c0 < ow; c0 += HOST_C) {
+            const ptrdiff_t c = c0 < ow - HOST_C ? c0 : ow - HOST_C;
+            if (wide)
+                corr_pool_v8d(image + r * w + c, w, out + c / 2);
+            else
+                corr_pool_v4d(image + r * w + c, w, out + c / 2);
+        }
+}
+
+/* pool_blocks in 8-lane vectors, for AVX512F_CPU code: one 512-bit
+   register per vector. The AVX2 clone keeps the 4-lane block, as 8-lane
+   vectors in 256-bit registers made its host stage slower (16.5 to
+   22.0 us for 32 images). */
+AVX512F static void pool_blocks_v8d(const double *image, ptrdiff_t w,
+                                    ptrdiff_t oh, ptrdiff_t ow,
+                                    double *restrict out)
+{
+    pool_blocks(image, w, oh, ow, out, 1);
 }
 
 /* A host stage of at least SPLIT_HOST tap multiply-adds runs in chunks of
@@ -315,10 +366,9 @@ struct host_job {
 
    Each image is converted, one at a time, into the chunk's scratch and
    read from there. With AVX2, each pair of output rows runs in blocks
-   of HOST_C columns; the last block is moved left to end at the last
-   column and recomputes the same values where it overlaps the one before
-   it. Otherwise, and for an output narrower than a block, two rows are
-   summed in the chunk's scratch, one nonzero tap at a time, and then
+   of HOST_C columns (pool_blocks), in 8-lane vectors on a CPU with
+   AVX-512F. Otherwise, and for an output narrower than a block, two rows
+   are summed in the chunk's scratch, one nonzero tap at a time, and then
    pooled. */
 KERNEL
 ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
@@ -332,11 +382,11 @@ ptrdiff_t host_stage(const void *job, ptrdiff_t lo, ptrdiff_t hi)
     for (ptrdiff_t b = lo; b < hi; b++) {
         byte_values(h * w, p->bytes + b * h * w, image);
         if (AVX2_CPU && ow >= HOST_C) {
-            for (ptrdiff_t r = 0; r < oh; r += 2, out += ow / 2)
-                for (ptrdiff_t c0 = 0; c0 < ow; c0 += HOST_C) {
-                    const ptrdiff_t c = c0 < ow - HOST_C ? c0 : ow - HOST_C;
-                    corr_pool(image + r * w + c, w, out + c / 2);
-                }
+            if (AVX512F_CPU)
+                pool_blocks_v8d(image, w, oh, ow, out);
+            else
+                pool_blocks(image, w, oh, ow, out, 0);
+            out += oh / 2 * (ow / 2);
             continue;
         }
         for (ptrdiff_t r = 0; r < oh; r++) {
@@ -414,15 +464,101 @@ ptrdiff_t adam_update_pair(const void *job, ptrdiff_t lo, ptrdiff_t hi)
     return nonfinite;
 }
 
+/* The synthetic fixture's pixels: numpy's PCG64 (O'Neill, "PCG: A Family
+   of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+   Number Generation", 2014), whose word i is the XSL-RR output of the
+   state after i + 1 steps of the 128-bit LCG state = state * PCG_MULT +
+   inc, and whose pixels 2i and 2i + 1 are bytes 3 and 7 of word i. Needs
+   128-bit integers; without them py_pcg64_pixels returns False and the
+   caller draws through numpy. */
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+#define PCG_MULT \
+    ((u128)0x2360ed051fc65da4ULL << 64 | (u128)0x4385df649fccf645ULL)
+
+/* A job of `words` words from state and inc, as numpy's bit generator
+   holds them, into out[0, 2 * words) */
+struct pcg_job {
+    u128 state, inc;
+    unsigned char *out;
+};
+
+/* *mult and *plus become those of delta steps of the LCG whose one step
+   they are: the jump-ahead of Brown, "Random number generation with
+   arbitrary strides" (1994), numpy's pcg_advance_lcg_128 */
+static void lcg_jump(uint64_t delta, u128 *mult, u128 *plus)
+{
+    u128 acc_mult = 1, acc_plus = 0, m = *mult, c = *plus;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= m;
+            acc_plus = acc_plus * m + c;
+        }
+        c *= m + 1;
+        m *= m;
+    }
+    *mult = acc_mult;
+    *plus = acc_plus;
+}
+
+/* numpy's pcg_output_xsl_rr_128_64 */
+HELPER uint64_t xsl_rr(u128 state)
+{
+    const uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    const unsigned rot = (unsigned)(state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+/* Words in PCG_CHAINS interleaved chains: one chain's step waits for the
+   multiplies of the one before, so a single chain runs at their latency,
+   and two keep the multiplier busy. On one CPU of the AVX-512F machine
+   of BENCH_37.json, 200,704 words took 0.48 ms in one chain, 0.37 ms in
+   two and 0.50 ms in eight, whose states no longer fit in registers. */
+#define PCG_CHAINS 2
+
+/* words [lo, hi) of a struct pcg_job; returns 0. Chain c starts at word
+   lo + c, reached by the jump-ahead, and steps PCG_CHAINS words at a
+   time; each word's bits are those of numpy's sequential steps. */
+ptrdiff_t pcg64_pixels(const void *job, ptrdiff_t lo, ptrdiff_t hi)
+{
+    const struct pcg_job *p = job;
+    unsigned char *restrict out = p->out;
+    u128 mult = PCG_MULT, plus = p->inc;
+    lcg_jump((uint64_t)lo + 1, &mult, &plus);
+    u128 s[PCG_CHAINS];
+    s[0] = mult * p->state + plus;
+    for (int c = 1; c < PCG_CHAINS; c++)
+        s[c] = s[c - 1] * PCG_MULT + p->inc;
+    u128 mult_n = PCG_MULT, plus_n = p->inc;
+    lcg_jump(PCG_CHAINS, &mult_n, &plus_n);
+    ptrdiff_t i = lo;
+    for (; hi - i >= PCG_CHAINS; i += PCG_CHAINS)
+        for (int c = 0; c < PCG_CHAINS; c++) {
+            const uint64_t word = xsl_rr(s[c]);
+            out[2 * (i + c)] = (unsigned char)(word >> 24);
+            out[2 * (i + c) + 1] = (unsigned char)(word >> 56);
+            s[c] = s[c] * mult_n + plus_n;
+        }
+    for (int c = 0; c < hi - i; c++) {
+        const uint64_t word = xsl_rr(s[c]);
+        out[2 * (i + c)] = (unsigned char)(word >> 24);
+        out[2 * (i + c) + 1] = (unsigned char)(word >> 56);
+    }
+    return 0;
+}
+#endif
+
 /* ---- Two cores: the big kernels in chunks, shared with a helper ---- */
 
 /* A product of at least SPLIT_PRODUCT multiply-adds runs in chunks of
    CHUNK_ROWS rows of out, a multiple of TILE_R, so that every row is
    summed by the same loop as in one call over all rows. A host stage
    splits by SPLIT_HOST into chunks of CHUNK_IMAGES images, both defined
-   with its kernel. An Adam pair of at least SPLIT_ADAM elements runs in
-   chunks of CHUNK_ELEMENTS, over the output layer's elements and then the
-   hidden layer's. Each chunk is one call of the kernel through its
+   with its kernel. A PCG64 draw of at least SPLIT_WORDS words runs in
+   chunks of CHUNK_WORDS, each from its own jump-ahead. An Adam pair of
+   at least SPLIT_ADAM elements runs in chunks of CHUNK_ELEMENTS, over the
+   output layer's elements and then the hidden layer's. Each chunk is one
+   call of the kernel through its
    address, which the loader resolved to the clone it picked, and every
    element is computed by one thread from the same terms in the same
    order: the bytes do not depend on who ran which chunk.
@@ -438,6 +574,8 @@ ptrdiff_t adam_update_pair(const void *job, ptrdiff_t lo, ptrdiff_t hi)
 #define CHUNK_ROWS 8
 #define SPLIT_ADAM 8192
 #define CHUNK_ELEMENTS 2048
+#define SPLIT_WORDS 32768
+#define CHUNK_WORDS 8192
 /* How long the helper polls after its last chunk before it sleeps: about
    the gap between a training batch's big kernels */
 #define SPIN_NS 135000
@@ -942,6 +1080,42 @@ static PyObject *py_adam_update_pair(PyObject *self, PyObject *const *args,
     return PyLong_FromSsize_t(nonfinite);
 }
 
+/* pcg64_pixels(state_hi, state_lo, inc_hi, inc_lo, out): out (any shape,
+   C-contiguous uint8) gets bytes 3 and 7 of each of the next len(out) // 2
+   words of the PCG64 whose state and increment are given in 64-bit
+   halves, and a last odd byte stays as it was. True if drawn; False,
+   with out untouched, in a build without 128-bit integers. */
+static PyObject *py_pcg64_pixels(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    (void)self;
+    if (!takes("pcg64_pixels", nargs, 5))
+        return NULL;
+    unsigned long long half[4];
+    for (int i = 0; i < 4; i++)
+        if ((half[i] = PyLong_AsUnsignedLongLong(args[i])) == ULLONG_MAX
+            && PyErr_Occurred())
+            return NULL;
+    static const int rules[1] = {C_ORDER | WRITABLE | BYTES};
+    static const char *const names[1] = {"out"};
+    Py_buffer out;
+    if (get_all(&args[4], &out, rules, names, 1) < 0)
+        return NULL;
+#ifdef __SIZEOF_INT128__
+    const struct pcg_job p = {(u128)half[0] << 64 | half[1],
+                              (u128)half[2] << 64 | half[3], out.buf};
+    const ptrdiff_t words = out.len / 2;
+    Py_BEGIN_ALLOW_THREADS
+    run(pcg64_pixels, &p, words, CHUNK_WORDS, words >= SPLIT_WORDS);
+    Py_END_ALLOW_THREADS
+    release(&out, 1);
+    Py_RETURN_TRUE;
+#else
+    release(&out, 1);
+    Py_RETURN_FALSE;
+#endif
+}
+
 /* set_background(flag): whether the calling thread's split calls queue
    in the background slot; the mark ends with the thread */
 static PyObject *py_set_background(PyObject *self, PyObject *const *args,
@@ -961,7 +1135,7 @@ static PyObject *py_set_background(PyObject *self, PyObject *const *args,
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 static PyMethodDef methods[] = {
     ENTRY(matmul_kseq), ENTRY(host_stage), ENTRY(adam_update_pair),
-    ENTRY(set_background), {NULL, NULL, 0, NULL}};
+    ENTRY(pcg64_pixels), ENTRY(set_background), {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT,
                                     "_convpipe_native", NULL, -1, methods,

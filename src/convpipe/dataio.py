@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import native
 from .dims import DEFAULT_DIMS
 
 IMAGE_MAGIC = 0x00000803
@@ -223,6 +224,25 @@ def make_batches(images: ImageSet, labels: LabelSet,
             for b, lo in enumerate(range(0, n, batch_size))]
 
 
+def _compiled_raw_bytes(bit_generator, pixels):
+    """Whether the compiled kernel drew pixels' len // 2 raw words of a
+    PCG64 bit_generator, bytes 3 and 7 of each, and advanced it past them;
+    from a generator with no buffered half word, such as a new one, that
+    is the state random_raw leaves. False, with nothing drawn, without the
+    kernels, for another bit generator, or from a build without 128-bit
+    integers."""
+    lib = native.kernels()
+    if lib is None or type(bit_generator) is not np.random.PCG64:
+        return False
+    state = bit_generator.state["state"]
+    halves = [half for value in (state["state"], state["inc"])
+              for half in (value >> 64, value & 0xFFFFFFFFFFFFFFFF)]
+    if not lib.pcg64_pixels(*halves, pixels):
+        return False
+    bit_generator.advance(pixels.size // 2)
+    return True
+
+
 def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
                       cols=DEFAULT_DIMS.image_y,
                       num_classes=DEFAULT_DIMS.classes):
@@ -231,9 +251,13 @@ def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
 
     The pixels are the values of rng.integers(0, 256, size=(n, rows, cols)),
     as uint8, taken straight from PCG64's raw words. For int64 output,
-    integers() draws each value from one 32-bit half of a 64-bit word, low half first,
-    by Lemire's method; a range of 256 never rejects, and the value is the
-    half's top byte, byte 3 or 7 of the little-endian word. An odd count
+    integers() draws each value from one 32-bit half of a 64-bit word, low
+    half first, by Lemire's method; a range of 256 never rejects, and the
+    value is the half's top byte, byte 3 or 7 of the little-endian word. The
+    compiled kernel native's pcg64_pixels steps the generator's state in C
+    and stores those bytes straight into the pixels, then the generator is
+    advanced past its words; without it, or for a generator that is not
+    PCG64, the words come from random_raw, the reference. An odd count
     draws its last pixel through integers() itself, which leaves the word's
     high half buffered in the generator where integers() would have left
     it, so the labels' draw gives the labels integers() alone would give."""
@@ -246,8 +270,9 @@ def synthetic_dataset(seed, n, rows=DEFAULT_DIMS.image_x,
     count = n * rows * cols
     words = count // 2
     pixels = np.empty(count, dtype=np.uint8)
-    pixels[:2 * words] = (rng.bit_generator.random_raw(words)
-                          .astype("<u8", copy=False).view(np.uint8)[3::4])
+    if not _compiled_raw_bytes(rng.bit_generator, pixels):
+        pixels[:2 * words] = (rng.bit_generator.random_raw(words)
+                              .astype("<u8", copy=False).view(np.uint8)[3::4])
     if count % 2:
         pixels[-1] = rng.integers(0, 256)
     labels = rng.integers(0, num_classes, size=n).astype(np.int64)

@@ -1,10 +1,11 @@
 """The compiled kernels: the C source in _native.c, built on first use as
 an extension module.
 
-_native.c holds the three hot loops of a training step, one entry point
-per loop, and set_background, which marks the calling thread; its comments
-say how each loop is tiled and what each entry point checks. Each kernel
-gives the bytes of the numpy code that is its reference and fallback:
+_native.c holds the three hot loops of a training step and the synthetic
+fixture's draw, one entry point per loop, and set_background, which marks
+the calling thread; its comments say how each loop is tiled and what each
+entry point checks. Each kernel gives the bytes of the numpy code that is
+its reference and fallback:
 
 - matmul_kseq: neuralcore.matmul_kseq, reference
   neuralcore._matmul_kseq_numpy;
@@ -15,7 +16,17 @@ gives the bytes of the numpy code that is its reference and fallback:
   dims.SHARPEN_KERNEL, compiled in as KH, KW and TAPS (exact float.hex
   literals);
 - adam_update_pair: adam.apply_batch_update, reference adam.adam_update once
-  per layer.
+  per layer;
+- pcg64_pixels: dataio.synthetic_dataset's pixels, reference numpy's
+  PCG64.random_raw, bytes 3 and 7 of each word. It runs numpy's PCG64 (the
+  128-bit LCG step, then the XSL-RR output) from the generator's state
+  and increment, which it takes as four 64-bit halves: a Python int
+  wider than 64 bits has no public C conversion. Each chunk of words
+  jumps to its first word with the LCG jump-ahead (Brown 1994, numpy's
+  pcg_advance_lcg_128) and steps two interleaved chains; the caller then
+  advances the generator past the words. A compiler without 128-bit
+  integers builds it to return False, and the caller draws through
+  numpy.
 
 Every accumulator starts at +0.0 like the numpy loops: starting from the
 first product instead would turn an all -0.0 sum into -0.0. A tile or a
@@ -38,7 +49,8 @@ baseline, and the dynamic loader picks the widest the CPU has once, when the
 module is loaded. The bits are the same on every clone: a vector lane is an
 independent output element, and no clone may fuse a multiply and an add.
 The host stage's block is written with GCC/Clang vectors of four doubles,
-as GCC vectorised none of the plain-C forms of its pooling that were tried.
+as GCC vectorised none of the plain-C forms of its pooling that were tried,
+and of eight on a CPU with AVX-512F, in a function compiled for it.
 
 The entry points take the ndarrays themselves, with no third-party
 dependency, and release the GIL only around the kernel, so the pipelined
@@ -47,8 +59,8 @@ breaks an entry point's rules raises BufferError naming it, and the Python
 wrappers then run their numpy reference.
 
 The two big products of a training batch (fc_forward's and grad_w1's), its
-host stage and its Adam pair are shared in chunks with a helper thread on a
-second core, with the same bytes. A thread marked by set_background(True),
+host stage, its Adam pair and the fixture's draw are shared in chunks with
+a helper thread on a second core, with the same bytes. A thread marked by set_background(True),
 the pipelined producer, does not share its split calls: it queues one at a
 time in a background slot and sleeps, and the helper runs that slot's
 chunks only when the front job has none left to claim. _native.c's "Two

@@ -34,7 +34,7 @@ def unsplit_kernels(tmp_path_factory):
     if native.kernels() is None:
         return None
     source = native._SOURCE
-    for name in ("SPLIT_PRODUCT", "SPLIT_HOST", "SPLIT_ADAM"):
+    for name in ("SPLIT_PRODUCT", "SPLIT_HOST", "SPLIT_ADAM", "SPLIT_WORDS"):
         source, count = re.subn(rf"#define {name} \d+\n",
                                 f"#define {name} PTRDIFF_MAX\n", source)
         assert count == 1, name

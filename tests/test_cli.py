@@ -3,6 +3,7 @@ import csv
 import gzip
 import json
 import math
+import os
 import shutil
 import zlib
 
@@ -724,3 +725,29 @@ def test_a_report_is_what_json_dump_writes(tmp_path, monkeypatch, argv):
         f.write("\n")
     assert (tmp_path / "r.json").read_bytes() == \
         (tmp_path / "want.json").read_bytes()
+
+
+def test_a_shorter_report_over_a_longer_one_leaves_only_its_bytes(tmp_path):
+    path = tmp_path / "r.json"
+    cli._write_report({"key": "x" * 5000}, path)
+    cli._write_report({"key": "y"}, path)
+    assert path.read_bytes() == b'{\n  "key": "y"\n}\n'
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+def test_a_new_report_has_the_mode_open_gives_it(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "opened.json", "w"):
+            pass
+        cli._write_report({}, tmp_path / "r.json")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "r.json").stat().st_mode == \
+        (tmp_path / "opened.json").stat().st_mode
+
+
+def test_a_report_can_go_to_dev_null():
+    if not os.path.exists(os.devnull):
+        pytest.skip(f"no {os.devnull}")
+    cli._write_report({"key": 1}, os.devnull)  # a device: written, never cut

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from convpipe import dataio, native
 from convpipe.dataio import (FormatError, ImageSet, LabelSet,
                              load_idx_images, load_idx_labels, make_batches,
                              synthetic_dataset, write_idx_images,
@@ -302,6 +303,91 @@ def test_synthetic_fixture_bytes_are_pinned(seed, n, pixels_sha, labels_sha):
         pixels_sha
     assert hashlib.sha256(
         labels.labels.astype("<i8").tobytes()).hexdigest() == labels_sha
+
+
+def _source_constant(name):
+    return int(re.search(rf"#define {name} (\d+)\n", native._SOURCE)[1])
+
+
+CHUNK_WORDS = _source_constant("CHUNK_WORDS")
+SPLIT_WORDS = _source_constant("SPLIT_WORDS")
+# (n, rows, cols) fixtures of a PCG64 draw's edge word counts: each chain
+# edge, a chunk's edges, the split threshold's, and the default splits;
+# the odd ones draw their last pixel through integers()
+DRAW_SHAPES = {
+    **{f"{w}_words": (1, 2, w)
+       for w in (0, 1, 7, 8, 9, CHUNK_WORDS - 1, CHUNK_WORDS + 1,
+                 SPLIT_WORDS - 1, SPLIT_WORDS + 1)},
+    **{f"{w}_words_odd": (1, 1, 2 * w + 1) for w in (0, 9, SPLIT_WORDS + 1)},
+    "test_split": (512, 28, 28), "train_split": (2048, 28, 28)}
+
+
+def _fixture_bytes(seed, shape):
+    images, labels = synthetic_dataset(seed, *shape)
+    return images.pixels.tobytes(), labels.labels.tobytes()
+
+
+@pytest.mark.parametrize("shape", DRAW_SHAPES.values(), ids=DRAW_SHAPES)
+def test_the_compiled_draw_gives_the_numpy_bytes(
+        shape, unsplit_kernels, on_a_marked_thread, monkeypatch):
+    """The compiled PCG64 draw, split with the helper, queued from a
+    marked thread and on one thread alone, gives random_raw's pixels and
+    labels, and leaves the generator in random_raw's state."""
+    with monkeypatch.context() as patched:
+        patched.setattr(native, "kernels", lambda: None)
+        want = _fixture_bytes(5, shape)
+    assert _fixture_bytes(5, shape) == want
+    assert on_a_marked_thread(lambda: _fixture_bytes(5, shape)) == want
+    compiled, reference = np.random.PCG64(5), np.random.PCG64(5)
+    pixels = np.empty(np.prod(shape), dtype=np.uint8)
+    assert dataio._compiled_raw_bytes(compiled, pixels)
+    reference.random_raw(pixels.size // 2)
+    assert compiled.state == reference.state
+    monkeypatch.setattr(native, "kernels", lambda: unsplit_kernels)
+    assert _fixture_bytes(5, shape) == want
+
+
+def test_a_generator_that_is_not_pcg64_draws_through_numpy(monkeypatch):
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
+    pcg64 = _fixture_bytes(6, (64, 28, 28))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: np.random.
+                        Generator(np.random.PCG64DXSM(seed)))
+    got = _fixture_bytes(6, (64, 28, 28))
+    monkeypatch.setattr(native, "kernels", lambda: None)
+    assert got == _fixture_bytes(6, (64, 28, 28)) != pcg64
+
+
+def test_a_build_without_128_bit_integers_draws_through_numpy(
+        tmp_path, monkeypatch):
+    """Without __SIZEOF_INT128__ the entry point draws nothing and returns
+    False, and synthetic_dataset takes random_raw's words instead."""
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels")
+    path = tmp_path / "no_int128.so"
+    native._build(path, flags=["-U__SIZEOF_INT128__"])
+    lib = native._import(path)
+    out = np.full(9, 7, dtype=np.uint8)
+    assert lib.pcg64_pixels(0, 1, 0, 3, out) is False
+    assert np.all(out == 7)
+    want = _fixture_bytes(7, (3, 28, 28))
+    monkeypatch.setattr(native, "kernels", lambda: lib)
+    assert _fixture_bytes(7, (3, 28, 28)) == want
+
+
+@pytest.mark.parametrize("halves, out, error", [
+    ((0, 1, 0, 3), np.zeros(4, dtype=np.float64), BufferError),
+    ((0, 1, 0, 3), np.zeros(4, dtype=np.uint8)[::2], BufferError),
+    ((0, 1, 0, 3), np.frombuffer(bytes(4), dtype=np.uint8), BufferError),
+    ((0, -1, 0, 3), np.zeros(4, dtype=np.uint8), OverflowError),
+    ((1 << 64, 1, 0, 3), np.zeros(4, dtype=np.uint8), OverflowError),
+], ids=["float64", "strided", "read_only", "negative", "over_64_bits"])
+def test_the_draw_rejects_what_it_cannot_take(halves, out, error):
+    lib = native.kernels()
+    if lib is None:
+        pytest.skip("no compiled kernels")
+    with pytest.raises(error):
+        lib.pcg64_pixels(*halves, out)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -783,7 +783,8 @@ def test_compiled_kernel_loads_when_a_compiler_is_present():
     lib = native.kernels()
     assert lib is not None
     assert sorted(name for name in dir(lib) if not name.startswith("_")) == \
-        ["adam_update_pair", "host_stage", "matmul_kseq", "set_background"]
+        ["adam_update_pair", "host_stage", "matmul_kseq", "pcg64_pixels",
+         "set_background"]
 
 
 def _no_compiler(monkeypatch, cache_dir):
@@ -872,7 +873,7 @@ def test_the_kernel_source_and_flags_are_pinned():
     kernels' timings on its own: a change to either is deliberate, and
     updates these pins."""
     assert hashlib.sha256(native._SOURCE.encode()).hexdigest() == \
-        "3cc3259cfd342eb8cbcd719e679a57d92655403aa16a93d58fd7d489e93d1caa"
+        "19882c30e9c30118507ac955cd5acbeb1bd27ac18ea380d93090dbb8a0d301e9"
     assert native._CFLAGS == (
         "-O3", "-std=c99", "-ffp-contract=off", "-fno-math-errno", "-fPIC",
         "-shared", "-DKH=3", "-DKW=3",
@@ -882,8 +883,8 @@ def test_the_kernel_source_and_flags_are_pinned():
     if importlib.machinery.EXTENSION_SUFFIXES[0] == \
             ".cpython-311-x86_64-linux-gnu.so":
         assert native._library_path().name == (
-            "native-bd8f0c19195cd6df290424d2b7ad44050e4a5d8f4bcd9c3c8ee998c0a7"
-            "499650.so")
+            "native-73ee4c20769b3ec4522497b532338b14293075a4052858496cfd20c654"
+            "9b7bbd.so")
 
 
 def test_the_compiled_taps_are_the_sharpening_kernel(monkeypatch):
@@ -958,8 +959,8 @@ def _cpu_simd_flags():
 def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
     """The clone the loader picks, a baseline build and a build for each
     SIMD level the CPU has all give the same bytes, for all three kernels,
-    with the host stage's AVX2 block and with the plain loop that a CPU
-    without AVX2 runs instead."""
+    with the host stage's 8-lane block (on a CPU with AVX-512F), its 4-lane
+    AVX2 block and the plain loop that a CPU without AVX2 runs instead."""
     if not _compiler_on_path():
         pytest.skip("no cc or gcc on PATH")
     assert native.kernels() is not None
@@ -968,9 +969,11 @@ def test_every_simd_build_gives_the_same_bytes(tmp_path, monkeypatch):
                         native._SOURCE)
     assert len(clones) == 1
     single = native._SOURCE.replace(clones[0], "")
+    four_lanes = single.replace('__builtin_cpu_supports("avx512f")', "0")
     plain = single.replace('__builtin_cpu_supports("avx2")', "0")
-    assert plain != single
-    for name, source in (("single", single), ("plain", plain)):
+    assert plain != single != four_lanes
+    for name, source in (("single", single), ("four_lanes", four_lanes),
+                         ("plain", plain)):
         for flags in [[], *([f] for f in _cpu_simd_flags())]:
             path = tmp_path / f"{name}{''.join(flags)}.so"
             native._build(path, source, flags)
